@@ -5,11 +5,10 @@ single direction (max_sfg), and smoothed variants that optimize the location
 of a vMF (ssfg), power spherical (pssfg), or mixture-of-vMF (mssfg) slicing
 distribution on the sphere.
 
-Hot kernels are numba-compiled when numba is importable; set SSFGW_NO_NUMBA=1
-to force the pure-numpy build (same results, same random streams).
+The 1D kernels are vectorized numpy; ``backend_name()`` reports that build
+and ``NUMBA_AVAILABLE`` stays False for tools that record them.
 """
 
-from ._backend import NUMBA_AVAILABLE, USE_NUMBA, backend_name
 from .fgw import (
     FgwConfig,
     MonotoneCoupling,
@@ -77,9 +76,16 @@ from .experiments import (
 
 __version__ = "0.1.0"
 
+NUMBA_AVAILABLE = False
+
+
+def backend_name() -> str:
+    """Name of the kernel build: always 'numpy'."""
+    return "numpy"
+
+
 __all__ = [
     "NUMBA_AVAILABLE",
-    "USE_NUMBA",
     "backend_name",
     "FgwConfig",
     "MonotoneCoupling",

@@ -1,11 +1,8 @@
 """Hot kernels for the 1D fused Gromov-Wasserstein objective on sorted values.
 
-Every kernel exists twice: a numba ``@njit(cache=True)`` loop build and a
-vectorized numpy build. The module-level aliases ``cost_batch`` / ``grad_batch``
-point at the build selected in ``_backend``; the suffixed names
-(``cost_batch_numba`` / ``cost_batch_numpy`` ...) are always importable for
-cross-checking and benchmarks. ``cost_batch_numba`` is ``None`` when numba is
-not installed.
+Vectorized numpy over the batch axis. ``cost_batch`` and ``grad_batch`` are
+the entry points the engines call (and the layer boundaries the benchmark
+traces).
 
 Conventions
 -----------
@@ -24,6 +21,14 @@ The per-row cost is
 
 minimized over the two monotone couplings sigma. Ties prefer Ascending.
 
+The centered-moment expansion of the r=2 Gromov term: with p = a - mean(a),
+q = b - mean(b) (b in pairing order) and e = p^2 - q^2,
+
+    GW = (2/n) sum e^2 + (2/n^2) (sum e)^2
+         + (4/n^2) [ (sum p^2)^2 + (sum q^2)^2 - 2 (sum pq)^2 ]
+
+(the cross terms vanish because sum p = sum q = 0).
+
 Exact swap symmetry
 -------------------
 `cost_batch(A, B) == cost_batch(B, A)` must hold bit-for-bit (the public
@@ -39,277 +44,6 @@ reuses one helper for both sides with swapped roles for the same reason.
 from __future__ import annotations
 
 import numpy as np
-
-from ._backend import NUMBA_AVAILABLE, USE_NUMBA, njit
-
-# ---------------------------------------------------------------------------
-# numba build: scalar helpers on single rows
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _w_cost_nb(a, b, r):
-    # (1/n) sum_i |a_i - b_i|^r with b already in pairing order.
-    n = a.shape[0]
-    acc = 0.0
-    if r == 2:
-        for i in range(n):
-            diff = a[i] - b[i]
-            acc += diff * diff
-    else:
-        for i in range(n):
-            acc += abs(a[i] - b[i]) ** r
-    return acc / n
-
-
-@njit(cache=True)
-def _gw_cost_pairwise_nb(a, b, r):
-    # (1/n^2) sum_{ij} (|a_i-a_j|^r - |b_i-b_j|^r)^2, b in pairing order.
-    n = a.shape[0]
-    acc = 0.0
-    if r == 2:
-        for i in range(n):
-            for j in range(n):
-                da = a[i] - a[j]
-                db = b[i] - b[j]
-                diff = da * da - db * db
-                acc += diff * diff
-    else:
-        for i in range(n):
-            for j in range(n):
-                da = abs(a[i] - a[j]) ** r
-                db = abs(b[i] - b[j]) ** r
-                diff = da - db
-                acc += diff * diff
-    return acc / (n * n)
-
-
-@njit(cache=True)
-def _gw_cost_moments_nb(a, b):
-    # Centered-moment expansion of the r=2 Gromov term, b in pairing order.
-    # With p = a - mean(a), q = b - mean(b), e = p^2 - q^2:
-    #   GW = (2/n) sum e^2 + (2/n^2) (sum e)^2
-    #        + (4/n^2) [ (sum p^2)^2 + (sum q^2)^2 - 2 (sum pq)^2 ]
-    # (the cross terms vanish because sum p = sum q = 0).
-    n = a.shape[0]
-    ma = 0.0
-    mb = 0.0
-    for i in range(n):
-        ma += a[i]
-        mb += b[i]
-    ma /= n
-    mb /= n
-    s_e2 = 0.0
-    s_e = 0.0
-    s_p2 = 0.0
-    s_q2 = 0.0
-    s_pq = 0.0
-    for i in range(n):
-        p = a[i] - ma
-        q = b[i] - mb
-        pp = p * p
-        qq = q * q
-        e = pp - qq
-        s_e2 += e * e
-        s_e += e
-        s_p2 += pp
-        s_q2 += qq
-        s_pq += p * q
-    t3 = (s_p2 * s_p2 + s_q2 * s_q2) - 2.0 * (s_pq * s_pq)
-    return 2.0 * s_e2 / n + 2.0 * (s_e * s_e) / (n * n) + 4.0 * t3 / (n * n)
-
-
-@njit(cache=True)
-def _cost_oriented_nb(a, b, beta, r, use_moments):
-    # Full fused cost for one pairing order.
-    w = 0.0
-    if beta != 1.0:
-        w = _w_cost_nb(a, b, r)
-    g = 0.0
-    if beta != 0.0:
-        if use_moments:
-            g = _gw_cost_moments_nb(a, b)
-        else:
-            g = _gw_cost_pairwise_nb(a, b, r)
-    c = (1.0 - beta) * w + beta * g
-    if c < 0.0:  # guard against rounding in the moment expansion
-        c = 0.0
-    return c
-
-
-@njit(cache=True)
-def _lex_le_nb(a, b):
-    # True when a <= b lexicographically (equal rows count as True).
-    n = a.shape[0]
-    for i in range(n):
-        if a[i] < b[i]:
-            return True
-        if a[i] > b[i]:
-            return False
-    return True
-
-
-@njit(cache=True)
-def _cost_row_nb(a, b, beta, r, use_moments):
-    c_asc = _cost_oriented_nb(a, b, beta, r, use_moments)
-    if _lex_le_nb(a, b):
-        c_rev = _cost_oriented_nb(a, b[::-1], beta, r, use_moments)
-    else:
-        c_rev = _cost_oriented_nb(b, a[::-1], beta, r, use_moments)
-    if c_asc <= c_rev:
-        return c_asc, np.uint8(0)
-    return c_rev, np.uint8(1)
-
-
-@njit(cache=True)
-def _gw_grad_bracket_nb(n, e_i, p_i, q_i, s_e, s_ep, s_p2, s_pq):
-    # d(GW)/dp_i = (8/n^2) * bracket; called with swapped roles for the q side.
-    return (
-        n * e_i * p_i
-        + p_i * s_e
-        - s_ep
-        + 2.0 * (p_i * s_p2)
-        - 2.0 * (q_i * s_pq)
-    )
-
-
-@njit(cache=True)
-def _grad_oriented_moments_nb(a, b, beta):
-    # Gradient of the r=2 fused cost wrt a and wrt b (pairing order), O(n).
-    n = a.shape[0]
-    ma = 0.0
-    mb = 0.0
-    for i in range(n):
-        ma += a[i]
-        mb += b[i]
-    ma /= n
-    mb /= n
-    p = np.empty(n)
-    q = np.empty(n)
-    e = np.empty(n)
-    ne = np.empty(n)
-    s_e = 0.0
-    s_ne = 0.0
-    s_ep = 0.0
-    s_neq = 0.0
-    s_p2 = 0.0
-    s_q2 = 0.0
-    s_pq = 0.0
-    for i in range(n):
-        pi = a[i] - ma
-        qi = b[i] - mb
-        p[i] = pi
-        q[i] = qi
-        pp = pi * pi
-        qq = qi * qi
-        ei = pp - qq
-        nei = qq - pp
-        e[i] = ei
-        ne[i] = nei
-        s_e += ei
-        s_ne += nei
-        s_ep += ei * pi
-        s_neq += nei * qi
-        s_p2 += pp
-        s_q2 += qq
-        s_pq += pi * qi
-    cw = (1.0 - beta) * 2.0 / n
-    cg = beta * 8.0 / (n * n)
-    ga = np.empty(n)
-    gb = np.empty(n)
-    for i in range(n):
-        ga[i] = cw * (a[i] - b[i]) + cg * _gw_grad_bracket_nb(
-            n, e[i], p[i], q[i], s_e, s_ep, s_p2, s_pq
-        )
-        gb[i] = cw * (b[i] - a[i]) + cg * _gw_grad_bracket_nb(
-            n, ne[i], q[i], p[i], s_ne, s_neq, s_q2, s_pq
-        )
-    return ga, gb
-
-
-@njit(cache=True)
-def _grad_oriented_pairwise_nb(a, b, beta):
-    # O(n^2) reference gradient of the r=2 fused cost, b in pairing order.
-    n = a.shape[0]
-    cw = (1.0 - beta) * 2.0 / n
-    cg = beta * 8.0 / (n * n)
-    ga = np.empty(n)
-    gb = np.empty(n)
-    for i in range(n):
-        acc_a = 0.0
-        acc_b = 0.0
-        for j in range(n):
-            da = a[i] - a[j]
-            db = b[i] - b[j]
-            dd = da * da - db * db
-            nd = db * db - da * da
-            acc_a += dd * da
-            acc_b += nd * db
-        ga[i] = cw * (a[i] - b[i]) + cg * acc_a
-        gb[i] = cw * (b[i] - a[i]) + cg * acc_b
-    return ga, gb
-
-
-@njit(cache=True)
-def _grad_row_nb(a, b, beta, orientation, use_moments, ga_out, gb_out):
-    n = a.shape[0]
-    if orientation == 0:
-        if use_moments:
-            ga, gb = _grad_oriented_moments_nb(a, b, beta)
-        else:
-            ga, gb = _grad_oriented_pairwise_nb(a, b, beta)
-        for i in range(n):
-            ga_out[i] = ga[i]
-            gb_out[i] = gb[i]
-    else:
-        a_first = _lex_le_nb(a, b)
-        if a_first:
-            lo = a
-            hi = b
-        else:
-            lo = b
-            hi = a
-        if use_moments:
-            g_lo, g_hi_rev = _grad_oriented_moments_nb(lo, hi[::-1], beta)
-        else:
-            g_lo, g_hi_rev = _grad_oriented_pairwise_nb(lo, hi[::-1], beta)
-        # g_hi_rev[i] differentiates wrt hi[n-1-i]; undo the reversal.
-        if a_first:
-            for i in range(n):
-                ga_out[i] = g_lo[i]
-                gb_out[i] = g_hi_rev[n - 1 - i]
-        else:
-            for i in range(n):
-                ga_out[i] = g_hi_rev[n - 1 - i]
-                gb_out[i] = g_lo[i]
-
-
-@njit(cache=True)
-def _cost_batch_nb(A, B, beta, r, use_moments):
-    L = A.shape[0]
-    costs = np.empty(L)
-    orients = np.empty(L, dtype=np.uint8)
-    for l in range(L):
-        c, o = _cost_row_nb(A[l], B[l], beta, r, use_moments)
-        costs[l] = c
-        orients[l] = o
-    return costs, orients
-
-
-@njit(cache=True)
-def _grad_batch_nb(A, B, beta, orients, use_moments):
-    L, n = A.shape
-    GA = np.empty((L, n))
-    GB = np.empty((L, n))
-    for l in range(L):
-        _grad_row_nb(A[l], B[l], beta, orients[l], use_moments, GA[l], GB[l])
-    return GA, GB
-
-
-# ---------------------------------------------------------------------------
-# numpy build: vectorized over the batch axis
-# ---------------------------------------------------------------------------
-
 
 def _w_cost_np(A, B, r):
     if r == 2:
@@ -477,11 +211,6 @@ def _grad_batch_np(A, B, beta, orients, use_moments):
     return GA, GB
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
 def _as_batch(x):
     out = np.ascontiguousarray(x, dtype=np.float64)
     if out.ndim != 2:
@@ -489,13 +218,14 @@ def _as_batch(x):
     return out
 
 
-def cost_batch_numpy(A, B, beta, r, use_moments):
-    """Vectorized numpy build of the batched coupling-minimized cost."""
+def cost_batch(A, B, beta, r, use_moments):
+    """Per-row coupling-minimized cost and the chosen orientation."""
     return _cost_batch_np(_as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments))
 
 
-def grad_batch_numpy(A, B, beta, orients, use_moments):
-    """Vectorized numpy build of the batched frozen-coupling gradient (r=2)."""
+def grad_batch(A, B, beta, orients, use_moments):
+    """Per-row gradients (wrt A and wrt B) of the r=2 cost under the given
+    orientations (the coupling is held fixed)."""
     return _grad_batch_np(
         _as_batch(A),
         _as_batch(B),
@@ -503,45 +233,3 @@ def grad_batch_numpy(A, B, beta, orients, use_moments):
         np.asarray(orients, dtype=np.uint8),
         bool(use_moments),
     )
-
-
-if NUMBA_AVAILABLE:
-
-    def cost_batch_numba(A, B, beta, r, use_moments):
-        """numba build of the batched coupling-minimized cost."""
-        return _cost_batch_nb(
-            _as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments)
-        )
-
-    def grad_batch_numba(A, B, beta, orients, use_moments):
-        """numba build of the batched frozen-coupling gradient (r=2)."""
-        return _grad_batch_nb(
-            _as_batch(A),
-            _as_batch(B),
-            float(beta),
-            np.ascontiguousarray(orients, dtype=np.uint8),
-            bool(use_moments),
-        )
-
-else:  # pragma: no cover - exercised only without numba
-    cost_batch_numba = None
-    grad_batch_numba = None
-
-
-if USE_NUMBA:
-    cost_batch = cost_batch_numba
-    grad_batch = grad_batch_numba
-else:
-    cost_batch = cost_batch_numpy
-    grad_batch = grad_batch_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of the active build on tiny inputs."""
-    A = np.array([[0.0, 1.0, 2.0]])
-    B = np.array([[0.5, 1.5, 2.5]])
-    for use_moments in (False, True):
-        costs, orients = cost_batch(A, B, 0.5, 2, use_moments)
-        grad_batch(A, B, 0.5, orients, use_moments)
-    cost_batch(A, B, 0.5, 1, False)
-    cost_batch(A, B, 0.5, 3, False)

@@ -9,6 +9,10 @@
   and scaled by that component's weight. A single-component mixture follows
   the exact ssfg path (identical stream, identical trace).
 
+All four ascents draw directions and step their locations through
+``sphere_opt.SlicingAscent``. A non-finite ascent objective, location
+gradient or final value raises ``DivergenceError`` naming the engine.
+
 Every engine consumes an explicit ``numpy.random.Generator``; with a shared
 seed the direction stream does not depend on argument order, and the per-slice
 kernels are exactly swap-symmetric, so each discrepancy is exactly symmetric
@@ -37,18 +41,22 @@ from .sampling import (
     sample_uniform_sphere,
     sample_vmf,
 )
-from .sphere_opt import (
-    GradientMethod,
-    adam_init,
-    adam_step,
-    assemble_directions,
-    project_to_sphere,
-    reflection_location_grads,
-    tangent_basis,
-)
+from .sphere_opt import GradientMethod, SlicingAscent
+
+# Not called here since the ascent moved into SlicingAscent; kept importable
+# under these names because the benchmark's tracer test pins them.
+from .sphere_opt import adam_step, assemble_directions
 
 _CONVERGENCE_TOL = 1e-6
-_FD_STEP = 1e-4
+
+
+class DivergenceError(RuntimeError):
+    """A computation produced a non-finite (or runaway) state; ``step`` is the
+    ascent iteration or flow step where it was caught."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(message)
+        self.step = step
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +116,9 @@ def sample_slicing(slicing: SlicingDistribution, d: int, L: int, rng: Rng) -> np
         if slicing.direction.size != d:
             raise ValueError("slicing dimension does not match the clouds")
         return np.tile(slicing.direction, (L, 1))
-    if isinstance(slicing, VmfSlicing):
-        params = slicing.params
-    elif isinstance(slicing, PowerSphericalSlicing):
-        params = slicing.params
-    elif isinstance(slicing, MixtureVmfSlicing):
-        params = slicing.params
-    else:
+    if not isinstance(slicing, (VmfSlicing, PowerSphericalSlicing, MixtureVmfSlicing)):
         raise ValueError(f"unknown slicing distribution: {slicing!r}")
+    params = slicing.params
     if params.dim != d:
         raise ValueError("slicing dimension does not match the clouds")
     if isinstance(slicing, VmfSlicing):
@@ -246,44 +249,81 @@ def _resolve_rng(rng, opt: Optional[OptimizerConfig]) -> Rng:
     return np.random.default_rng(seed)
 
 
+def _check_finite(engine: str, what: str, values, iteration: int) -> None:
+    if not np.isfinite(values).all():
+        raise DivergenceError(f"{engine}: non-finite {what} (iteration {iteration})", iteration)
+
+
+def _report(engine, costs, slicing, trace, projections) -> DiscrepancyReport:
+    """The Monte Carlo value of ``costs`` as a report; non-finite values raise
+    DivergenceError."""
+    value = float(costs.mean())
+    _check_finite(engine, "final value", value, len(trace))
+    return DiscrepancyReport(
+        value=float(max(value, 0.0)),
+        final_slicing=slicing,
+        trace=tuple(trace),
+        num_projections_used=int(projections),
+        std_error=_mc_std_error(costs),
+    )
+
+
 # ---------------------------------------------------------------------------
 # fixed-slicing estimators
 # ---------------------------------------------------------------------------
+
+
+def _expected(engine, X, Y, cfg, slicing, L, rng) -> DiscrepancyReport:
+    thetas = sample_slicing(slicing, X.shape[1], L, rng)
+    costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
+    return _report(engine, costs, slicing, (), L)
 
 
 def expected_fgw(mu, nu, cfg: FgwConfig, slicing: SlicingDistribution, L: int, rng: Rng) -> DiscrepancyReport:
     """Monte Carlo estimate of the expected fused cost under a fixed slicing
     distribution (no optimization)."""
     X, Y = _validate_pair(mu, nu)
-    thetas = sample_slicing(slicing, X.shape[1], L, rng)
-    costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
-    return DiscrepancyReport(
-        value=float(max(costs.mean(), 0.0)),
-        final_slicing=slicing,
-        trace=(),
-        num_projections_used=int(L),
-        std_error=_mc_std_error(costs),
-    )
+    return _expected("expected_fgw", X, Y, cfg, slicing, L, rng)
 
 
 def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> DiscrepancyReport:
     """Sliced fused Gromov-Wasserstein: expectation over uniform directions."""
-    return expected_fgw(mu, nu, cfg, UniformSlicing(), L, _resolve_rng(rng, None))
+    X, Y = _validate_pair(mu, nu)
+    return _expected("sfg", X, Y, cfg, UniformSlicing(), L, _resolve_rng(rng, None))
 
 
 # ---------------------------------------------------------------------------
-# max-SFG: ascent over a single direction
+# slicing ascent shared by max_sfg, ssfg, pssfg and mssfg
 # ---------------------------------------------------------------------------
 
 
-def _dirac_cost_grad(X, Y, theta, cfg: FgwConfig):
-    costs, gx, gy = _eval_slices(X, Y, theta[None, :], cfg, want_grads=True)
-    return float(costs[0]), gx[0] @ X + gy[0] @ Y
+def _ascend(engine, X, Y, cfg, ascent: SlicingAscent, opt, L, pathwise, rng):
+    """Ascend the slicing locations for up to ``opt.max_iter`` iterations, until
+    they move less than the convergence tolerance. Returns (trace,
+    projections used)."""
+    d = X.shape[1]
+    trace = []
+    projections = 0
 
+    def costs_at(thetas):
+        return _eval_slices(X, Y, thetas, cfg, want_grads=False)[0]
 
-def _dirac_cost(X, Y, theta, cfg: FgwConfig) -> float:
-    costs, _, _ = _eval_slices(X, Y, theta[None, :], cfg, want_grads=False)
-    return float(costs[0])
+    for it in range(1, opt.max_iter + 1):
+        thetas, ctx = ascent.draw(L, rng)
+        costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=pathwise)
+        value = float(costs.mean())
+        _check_finite(engine, "ascent objective", value, it)
+        trace.append((it, value))
+        projections += thetas.shape[0]
+        if pathwise:
+            grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
+        else:
+            grad = ascent.fd_gradient(ctx, costs_at)
+            projections += 2 * (d - 1) * thetas.shape[0]
+        _check_finite(engine, "location gradient", grad, it)
+        if ascent.step(grad) < _CONVERGENCE_TOL:
+            break
+    return trace, projections
 
 
 def max_sfg(
@@ -295,61 +335,31 @@ def max_sfg(
     num_restarts: int = 8,
 ) -> DiscrepancyReport:
     """Largest single-direction fused cost, by projected Adam ascent with
-    multi-start (best of ``num_restarts`` uniform initializations)."""
+    multi-start (best of ``num_restarts`` uniform initializations). The
+    gradient is pathwise for r=2 and finite-difference otherwise."""
     opt = opt or OptimizerConfig()
     rng = _resolve_rng(rng, opt)
     X, Y = _validate_pair(mu, nu)
-    d = X.shape[1]
-    analytic = cfg.exponent == 2
-    best_value = -np.inf
-    best_theta = None
-    best_trace = ()
+    if int(num_restarts) < 1:
+        raise ValueError("num_restarts must be >= 1")
+    best = None
     projections = 0
     for _ in range(int(num_restarts)):
-        theta = sample_uniform_sphere(d, rng)
-        adam = adam_init(d, opt.learning_rate, opt.adam_beta1, opt.adam_beta2)
-        trace = []
-        for it in range(1, opt.max_iter + 1):
-            if analytic:
-                value, grad = _dirac_cost_grad(X, Y, theta, cfg)
-                # drop the radial component: the cost is homogeneous in theta,
-                # so the ambient gradient is dominated by a radial part that
-                # Adam's per-coordinate normalization would amplify into
-                # projection-cancelled steps
-                grad = grad - theta * float(theta @ grad)
-                projections += 1
-            else:
-                value = _dirac_cost(X, Y, theta, cfg)
-                basis = tangent_basis(theta)
-                partials = np.empty(d - 1)
-                for j in range(d - 1):
-                    plus = project_to_sphere(theta + _FD_STEP * basis[:, j])
-                    minus = project_to_sphere(theta - _FD_STEP * basis[:, j])
-                    partials[j] = (
-                        _dirac_cost(X, Y, plus, cfg) - _dirac_cost(X, Y, minus, cfg)
-                    ) / (2.0 * _FD_STEP)
-                grad = basis @ partials
-                projections += 1 + 2 * (d - 1)
-            trace.append((it, value))
-            updated, adam = adam_step(adam, grad, theta, ascend=True)
-            updated = project_to_sphere(updated)
-            delta = float(np.linalg.norm(updated - theta))
-            theta = updated
-            if delta < _CONVERGENCE_TOL:
-                break
-        final_value = _dirac_cost(X, Y, theta, cfg)
-        projections += 1
-        if final_value > best_value:
-            best_value = final_value
-            best_theta = theta
-            best_trace = tuple(trace)
-    return DiscrepancyReport(
-        value=float(max(best_value, 0.0)),
-        final_slicing=DiracSlicing(best_theta),
-        trace=best_trace,
-        num_projections_used=projections,
-        std_error=0.0,
-    )
+        ascent = SlicingAscent(
+            "dirac",
+            sample_uniform_sphere(X.shape[1], rng),
+            learning_rate=opt.learning_rate,
+            beta1=opt.adam_beta1,
+            beta2=opt.adam_beta2,
+        )
+        trace, used = _ascend("max_sfg", X, Y, cfg, ascent, opt, 1, cfg.exponent == 2, rng)
+        costs, _, _ = _eval_slices(X, Y, ascent.locs, cfg, want_grads=False)
+        _check_finite("max_sfg", "final value", costs, len(trace))
+        projections += used + 1
+        if best is None or costs[0] > best[0][0]:
+            best = (costs, ascent.locs[0], trace)
+    costs, theta, trace = best
+    return _report("max_sfg", costs, DiracSlicing(theta), trace, projections)
 
 
 # ---------------------------------------------------------------------------
@@ -357,90 +367,51 @@ def max_sfg(
 # ---------------------------------------------------------------------------
 
 
-def _smoothed_engine(X, Y, cfg, family, kappas, alphas, opt, rng, mixture: bool):
-    from .sampling import _uniform_sphere, _vmf_omega, _ps_omega  # noqa: F401
-
-    d = X.shape[1]
+def _mixture(kappas, alphas):
+    """Validated concentrations (a list) and weights (uniform by default)."""
+    kappas = [float(kappa) for kappa in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
+    if len(kappas) < 1:
+        raise ValueError("need at least one concentration")
+    if any(kappa < 0.0 for kappa in kappas):
+        raise ValueError("concentrations must be >= 0")
     k = len(kappas)
+    if alphas is None:
+        alphas = np.full(k, 1.0 / k)
+    else:
+        alphas = np.asarray(alphas, dtype=np.float64)
+    if alphas.shape != (k,):
+        raise ValueError("alphas length must match the number of concentrations")
+    if np.any(alphas < 0.0) or abs(float(alphas.sum()) - 1.0) > 1e-12:
+        raise ValueError("alphas must be nonnegative and sum to 1 within 1e-12")
+    return kappas, alphas
+
+
+def _smoothed_engine(engine, family, mu, nu, cfg, kappas, alphas, opt, rng):
+    opt = opt or OptimizerConfig()
+    rng = _resolve_rng(rng, opt)
+    X, Y = _validate_pair(mu, nu)
+    kappas, alphas = _mixture(kappas, alphas)
+    d = X.shape[1]
     L = opt.num_projections
-    method = opt.gradient_method
-    if method is GradientMethod.PATHWISE and cfg.exponent != 2:
+    pathwise = opt.gradient_method is GradientMethod.PATHWISE
+    if pathwise and cfg.exponent != 2:
         raise ValueError(
             "pathwise gradients need the r=2 closed form; use FiniteDifference"
         )
-    radial = _vmf_omega if family == "vmf" else _ps_omega
-    locs = np.stack([sample_uniform_sphere(d, rng) for _ in range(k)])
-    adam = adam_init((k, d), opt.learning_rate, opt.adam_beta1, opt.adam_beta2)
-    trace = []
-    projections = 0
-    for it in range(1, opt.max_iter + 1):
-        if k == 1:
-            idx = np.zeros(L, dtype=np.int64)
-        else:
-            idx = rng.choice(k, size=L, p=alphas)
-        omega = np.empty(L)
-        counts = np.bincount(idx, minlength=k)
-        for i in range(k):
-            if counts[i]:
-                omega[idx == i] = radial(kappas[i], d, int(counts[i]), rng)
-        v = _uniform_sphere(d - 1, rng, L)
-        thetas = np.empty((L, d))
-        pole_frames = np.empty((L, d))
-        for i in range(k):
-            sel = idx == i
-            if counts[i]:
-                thetas[sel], pole_frames[sel] = assemble_directions(
-                    locs[i], omega[sel], v[sel]
-                )
-        costs, gx, gy = _eval_slices(
-            X, Y, thetas, cfg, want_grads=method is GradientMethod.PATHWISE
-        )
-        value = float(costs.mean())
-        trace.append((it, value))
-        projections += L
-        grad = np.zeros((k, d))
-        if method is GradientMethod.PATHWISE:
-            g_theta = gx @ X + gy @ Y
-            for i in range(k):
-                sel = idx == i
-                if counts[i]:
-                    per_sample = reflection_location_grads(
-                        locs[i], pole_frames[sel], g_theta[sel]
-                    )
-                    ambient = per_sample.mean(axis=0)
-                    # Riemannian gradient on the sphere, matching the
-                    # finite-difference branch below
-                    ambient -= locs[i] * float(locs[i] @ ambient)
-                    grad[i] = alphas[i] * ambient
-        else:
-            for i in range(k):
-                sel = idx == i
-                if not counts[i]:
-                    continue
-                basis = tangent_basis(locs[i])
-                partials = np.empty(d - 1)
-                for j in range(d - 1):
-                    plus = project_to_sphere(locs[i] + _FD_STEP * basis[:, j])
-                    minus = project_to_sphere(locs[i] - _FD_STEP * basis[:, j])
-                    th_plus, _ = assemble_directions(plus, omega[sel], v[sel])
-                    th_minus, _ = assemble_directions(minus, omega[sel], v[sel])
-                    c_plus, _, _ = _eval_slices(X, Y, th_plus, cfg, want_grads=False)
-                    c_minus, _, _ = _eval_slices(X, Y, th_minus, cfg, want_grads=False)
-                    partials[j] = (c_plus.mean() - c_minus.mean()) / (2.0 * _FD_STEP)
-                ambient = basis @ partials
-                ambient -= locs[i] * float(locs[i] @ ambient)
-                grad[i] = alphas[i] * ambient
-                projections += 2 * (d - 1) * int(counts[i])
-        updated, adam = adam_step(adam, grad, locs, ascend=True)
-        updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
-        delta = float(np.linalg.norm(updated - locs))
-        locs = updated
-        if delta < _CONVERGENCE_TOL:
-            break
-    if mixture:
+    ascent = SlicingAscent(
+        family,
+        np.stack([sample_uniform_sphere(d, rng) for _ in kappas]),
+        kappas,
+        alphas,
+        opt.learning_rate,
+        opt.adam_beta1,
+        opt.adam_beta2,
+    )
+    trace, projections = _ascend(engine, X, Y, cfg, ascent, opt, L, pathwise, rng)
+    locs = ascent.locs
+    if engine == "mssfg":
         params = MixtureVmfParams(
-            tuple(VmfParams(locs[i], kappas[i]) for i in range(k)),
-            np.asarray(alphas, dtype=np.float64),
+            tuple(VmfParams(locs[i], kappas[i]) for i in range(len(kappas))), alphas
         )
         final_slicing = MixtureVmfSlicing(params)
     elif family == "vmf":
@@ -449,14 +420,7 @@ def _smoothed_engine(X, Y, cfg, family, kappas, alphas, opt, rng, mixture: bool)
         final_slicing = PowerSphericalSlicing(PowerSphericalParams(locs[0], kappas[0]))
     final_dirs = sample_slicing(final_slicing, d, L, rng)
     final_costs, _, _ = _eval_slices(X, Y, final_dirs, cfg, want_grads=False)
-    projections += L
-    return DiscrepancyReport(
-        value=float(max(final_costs.mean(), 0.0)),
-        final_slicing=final_slicing,
-        trace=tuple(trace),
-        num_projections_used=projections,
-        std_error=_mc_std_error(final_costs),
-    )
+    return _report(engine, final_costs, final_slicing, trace, projections + L)
 
 
 def ssfg(
@@ -469,15 +433,7 @@ def ssfg(
 ) -> DiscrepancyReport:
     """Spherical SFG: ascends the location of a vMF(eps, kappa) slicing
     distribution and reports the smoothed objective at the optimum."""
-    opt = opt or OptimizerConfig()
-    rng = _resolve_rng(rng, opt)
-    X, Y = _validate_pair(mu, nu)
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
-    return _smoothed_engine(
-        X, Y, cfg, "vmf", [kappa], np.array([1.0]), opt, rng, mixture=False
-    )
+    return _smoothed_engine("ssfg", "vmf", mu, nu, cfg, [kappa], None, opt, rng)
 
 
 def pssfg(
@@ -489,15 +445,7 @@ def pssfg(
     rng: Optional[Rng] = None,
 ) -> DiscrepancyReport:
     """Power spherical SFG: ssfg with the rejection-free PS sampler."""
-    opt = opt or OptimizerConfig()
-    rng = _resolve_rng(rng, opt)
-    X, Y = _validate_pair(mu, nu)
-    kappa = float(kappa)
-    if kappa < 0.0:
-        raise ValueError("kappa must be >= 0")
-    return _smoothed_engine(
-        X, Y, cfg, "power_spherical", [kappa], np.array([1.0]), opt, rng, mixture=False
-    )
+    return _smoothed_engine("pssfg", "power_spherical", mu, nu, cfg, [kappa], None, opt, rng)
 
 
 def mssfg(
@@ -511,21 +459,4 @@ def mssfg(
 ) -> DiscrepancyReport:
     """Mixture spherical SFG: jointly ascends all k vMF locations; sample
     gradients are routed by the drawing component and scaled by its weight."""
-    opt = opt or OptimizerConfig()
-    rng = _resolve_rng(rng, opt)
-    X, Y = _validate_pair(mu, nu)
-    kappas = [float(kappa) for kappa in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
-    if len(kappas) < 1:
-        raise ValueError("mssfg needs at least one concentration")
-    if any(kappa < 0.0 for kappa in kappas):
-        raise ValueError("all concentrations must be >= 0")
-    k = len(kappas)
-    if alphas is None:
-        alphas = np.full(k, 1.0 / k)
-    else:
-        alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.shape != (k,):
-        raise ValueError("alphas length must match the number of concentrations")
-    if np.any(alphas < 0.0) or abs(float(alphas.sum()) - 1.0) > 1e-12:
-        raise ValueError("alphas must be nonnegative and sum to 1 within 1e-12")
-    return _smoothed_engine(X, Y, cfg, "vmf", kappas, alphas, opt, rng, mixture=True)
+    return _smoothed_engine("mssfg", "vmf", mu, nu, cfg, kappas, alphas, opt, rng)

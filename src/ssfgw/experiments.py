@@ -27,36 +27,25 @@ import numpy as np
 
 from .fgw import FgwConfig, as_point_cloud
 from .discrepancies import (
+    DivergenceError,
     OptimizerConfig,
     _eval_slices,
+    _mc_std_error,
+    _mixture,
     max_sfg,
     sfg,
     ssfg,
 )
-from .sampling import (
-    Rng,
-    _uniform_sphere,
-    sample_uniform_sphere,
-)
-from .sphere_opt import (
-    adam_init,
-    adam_step,
-    assemble_directions,
-    project_to_sphere,
-    reflection_location_grads,
-)
-from .sphere_opt import _radial_noise
+from .sampling import Rng, sample_uniform_sphere
+from .sphere_opt import SlicingAscent
+
+# Not called here since the flows ascend through SlicingAscent; kept
+# importable under these names because the benchmark's tracer test pins them.
+from .sampling import _uniform_sphere
+from .sphere_opt import adam_step, reflection_location_grads
 
 
 _DIVERGENCE_CAP = 1e100
-
-
-class DivergenceError(RuntimeError):
-    """A descent produced a non-finite (or noisily exploding) state."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -134,10 +123,7 @@ def _fmt_param(x) -> str:
 
 
 def _mean_se(values: np.ndarray):
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / np.sqrt(values.size))
+    return float(values.mean()), _mc_std_error(values)
 
 
 def kappa_sweep(
@@ -314,92 +300,40 @@ class FlowObjective:
         return FgwConfig(beta=self.beta, exponent=2)
 
 
-class _SlicingState:
-    """Per-step direction supplier with warm-started parameter ascent."""
+def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
+    """The flow's slicing distribution, ascended one warm-started step per
+    flow step."""
+    adam = (objective.learning_rate, objective.adam_beta1, objective.adam_beta2)
+    if objective.kind == "sfg":
+        return SlicingAscent("uniform", np.empty((0, d)))
+    if objective.kind == "max_sfg":
+        return SlicingAscent("dirac", sample_uniform_sphere(d, rng), (), None, *adam)
+    if objective.kind == "mssfg":
+        if objective.kappas is None:
+            raise ValueError("mssfg flow needs kappas")
+        kappas, alphas = _mixture(objective.kappas, objective.alphas)
+    else:
+        kappas, alphas = _mixture([objective.kappa], None)
+    family = "power_spherical" if objective.kind == "pssfg" else "vmf"
+    locs = np.stack([sample_uniform_sphere(d, rng) for _ in kappas])
+    return SlicingAscent(family, locs, kappas, alphas, *adam)
 
-    def __init__(self, objective: FlowObjective, d: int, rng: Rng):
-        self.kind = objective.kind
-        self.L = objective.num_projections
-        self.d = d
-        if self.kind == "sfg":
-            return
-        if self.kind == "max_sfg":
-            self.theta = sample_uniform_sphere(d, rng)
-            self.adam = adam_init(
-                d, objective.learning_rate, objective.adam_beta1, objective.adam_beta2
-            )
-            return
-        if self.kind == "mssfg":
-            if objective.kappas is None:
-                raise ValueError("mssfg flow needs kappas")
-            self.kappas = [float(k) for k in objective.kappas]
-            k = len(self.kappas)
-            if objective.alphas is None:
-                self.alphas = np.full(k, 1.0 / k)
-            else:
-                self.alphas = np.asarray(objective.alphas, dtype=np.float64)
-                if self.alphas.shape != (k,) or abs(float(self.alphas.sum()) - 1.0) > 1e-12:
-                    raise ValueError("alphas must match kappas and sum to 1")
-        else:
-            self.kappas = [float(objective.kappa)]
-            self.alphas = np.array([1.0])
-        self.family = "power_spherical" if self.kind == "pssfg" else "vmf"
-        k = len(self.kappas)
-        self.locs = np.stack([sample_uniform_sphere(d, rng) for _ in range(k)])
-        self.adam = adam_init(
-            (k, d), objective.learning_rate, objective.adam_beta1, objective.adam_beta2
-        )
 
-    def directions(self, rng: Rng):
-        """(thetas, context) for one step; context feeds ``ascend``."""
-        if self.kind == "sfg":
-            return sample_uniform_sphere(self.d, rng, size=self.L), None
-        if self.kind == "max_sfg":
-            return self.theta[None, :], None
-        k = len(self.kappas)
-        L, d = self.L, self.d
-        if k == 1:
-            idx = np.zeros(L, dtype=np.int64)
-        else:
-            idx = rng.choice(k, size=L, p=self.alphas)
-        counts = np.bincount(idx, minlength=k)
-        omega = np.empty(L)
-        for i in range(k):
-            if counts[i]:
-                omega[idx == i] = _radial_noise(
-                    self.family, self.kappas[i], d, int(counts[i]), rng
-                )
-        v = _uniform_sphere(d - 1, rng, L)
-        thetas = np.empty((L, d))
-        frames = np.empty((L, d))
-        for i in range(k):
-            sel = idx == i
-            if counts[i]:
-                thetas[sel], frames[sel] = assemble_directions(
-                    self.locs[i], omega[sel], v[sel]
-                )
-        return thetas, (idx, counts, frames)
-
-    def ascend(self, g_theta: np.ndarray, context):
-        """One warm-started Adam ascent step on the slicing parameters."""
-        if self.kind == "sfg":
-            return
-        if self.kind == "max_sfg":
-            updated, self.adam = adam_step(self.adam, g_theta[0], self.theta, ascend=True)
-            self.theta = project_to_sphere(updated)
-            return
-        idx, counts, frames = context
-        k = len(self.kappas)
-        grad = np.zeros((k, self.d))
-        for i in range(k):
-            sel = idx == i
-            if counts[i]:
-                per_sample = reflection_location_grads(
-                    self.locs[i], frames[sel], g_theta[sel]
-                )
-                grad[i] = self.alphas[i] * per_sample.mean(axis=0)
-        updated, self.adam = adam_step(self.adam, grad, self.locs, ascend=True)
-        self.locs = updated / np.linalg.norm(updated, axis=1, keepdims=True)
+def _slice_step(ascent, objective, cfg, A, B, rng, step):
+    """One flow step's slices: draw the directions, evaluate them with
+    gradients, stop on a runaway cost, and move the slicing distribution one
+    warm-started ascent step. Returns (mean cost, per-slice gradients wrt the
+    rows of A, directions)."""
+    thetas, ctx = ascent.draw(objective.num_projections, rng)
+    costs, ga, gb = _eval_slices(A, B, thetas, cfg, want_grads=True)
+    value = costs.mean()
+    # catch runaway dynamics while every float is still finite, before
+    # squared gradients in the slicing ascent can overflow
+    if not np.isfinite(value) or value > _DIVERGENCE_CAP:
+        raise DivergenceError(f"diverging discrepancy at step {step}", step)
+    if objective.kind != "sfg":
+        ascent.step(ascent.pathwise_gradient(ctx, ga @ A + gb @ B))
+    return value, ga, thetas
 
 
 @dataclass(frozen=True)
@@ -434,22 +368,13 @@ def particle_flow(
     rng = rng if rng is not None else np.random.default_rng()
     cfg = objective.fgw_config()
     X = 0.1 * rng.standard_normal((n, d))
-    state = _SlicingState(objective, d, rng)
+    ascent = _flow_ascent(objective, d, rng)
     snapshots = [X.copy()]
     snapshot_steps = [0]
     trace = np.empty(int(steps))
     for step in range(1, int(steps) + 1):
-        thetas, context = state.directions(rng)
-        costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)
-        trace[step - 1] = costs.mean()
-        # catch runaway dynamics while every float is still finite, before
-        # squared gradients in the slicing ascent can overflow
-        if not np.isfinite(trace[step - 1]) or trace[step - 1] > _DIVERGENCE_CAP:
-            raise DivergenceError(f"diverging discrepancy at step {step}", step)
-        L = thetas.shape[0]
-        if state.kind != "sfg":
-            state.ascend(gx @ X + gy @ Y, context)
-        X = X - float(step_size) * (gx.T @ thetas) * (n / L)
+        trace[step - 1], gx, thetas = _slice_step(ascent, objective, cfg, X, Y, rng, step)
+        X = X - float(step_size) * (gx.T @ thetas) * (n / thetas.shape[0])
         if not np.isfinite(X).all():
             raise DivergenceError(f"non-finite particle at step {step}", step)
         if step % int(snapshot_every) == 0 and step != int(steps):
@@ -492,20 +417,14 @@ def gmm_fit(
     weights = np.full(k, 1.0 / k)
     if int(steps) == 0:
         return GmmParams(means, log_std, weights)
-    state = _SlicingState(objective, d, rng)
+    ascent = _flow_ascent(objective, d, rng)
     for step in range(1, int(steps) + 1):
         comp = rng.choice(k, size=batch, p=weights) if k > 1 else np.zeros(batch, dtype=np.int64)
         eta = rng.standard_normal((batch, d))
         Z = means[comp] + np.exp(log_std[comp]) * eta
         sel_rows = rng.choice(n, size=batch, replace=False)
-        Yb = Y[sel_rows]
-        thetas, context = state.directions(rng)
-        costs, gz, gy = _eval_slices(Z, Yb, thetas, cfg, want_grads=True)
-        mean_cost = float(costs.mean())
-        if not np.isfinite(mean_cost) or mean_cost > _DIVERGENCE_CAP:
-            raise DivergenceError(f"diverging discrepancy at step {step}", step)
-        L = thetas.shape[0]
-        sample_grad = (gz.T @ thetas) / L
+        _, gz, thetas = _slice_step(ascent, objective, cfg, Z, Y[sel_rows], rng, step)
+        sample_grad = (gz.T @ thetas) / thetas.shape[0]
         grad_means = np.zeros((k, d))
         grad_log_std = np.zeros((k, d))
         scaled = sample_grad * np.exp(log_std[comp]) * eta
@@ -521,6 +440,4 @@ def gmm_fit(
             or np.abs(means).max() > 1e50
         ):
             raise DivergenceError(f"diverging GMM parameters at step {step}", step)
-        if state.kind != "sfg":
-            state.ascend(gz @ Z + gy @ Yb, context)
     return GmmParams(means, log_std, weights)

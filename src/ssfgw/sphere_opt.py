@@ -1,25 +1,35 @@
-"""Sphere-constrained first-order optimization primitives.
+"""Sphere-constrained first-order optimization and the one slicing path.
 
 Plain bias-corrected Adam on the ambient coordinates followed by projection
-back to S^{d-1} (no Riemannian transport of the moments), plus the two
-location-gradient estimators shared by the smoothed discrepancies:
+back to S^{d-1} (no Riemannian transport of the moments), and
+``SlicingAscent``: the single direction-sampling and location-gradient path
+that every engine, the flows and ``estimate_location_gradient`` run through.
+It draws directions around k locations of one family (uniform, Dirac, vMF or
+power spherical; k > 1 is a mixture), maps objective information to
+alpha-weighted tangent gradients of the locations, and takes the projected
+Adam step. Two gradient estimators:
 
 * Pathwise: directions are reparameterized as theta = U(eps) h where the
   pole-frame sample h = (omega, sqrt(1-omega^2) v) depends only on noise and
   the (fixed) concentration, and U is the Householder reflection mapping e_1
   to eps. The objective gradient in theta is pulled back through U's
   eps-Jacobian and averaged; no score-function term is needed because the
-  accepted radial noise is independent of eps.
+  accepted radial noise is independent of eps. For a Dirac location the
+  direction is the location and the pullback is the identity.
 * FiniteDifference: central differences of the smoothed objective along an
   orthonormal tangent basis at eps, replaying the same (omega, v) noise at
   every perturbed location (common random numbers), step 1e-4, assembled in
-  the basis and tangent-projected.
+  the basis.
+
+Both return the tangent (Riemannian) gradient, scaled by the component
+weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +41,7 @@ from .sampling import (
     _uniform_sphere,
     _vmf_omega,
     householder_matrix,
+    sample_uniform_sphere,
 )
 
 _FD_STEP = 1e-4
@@ -127,44 +138,131 @@ def reflection_location_grads(eps, h, grad_theta) -> np.ndarray:
     return (2.0 / rho) * (ug[:, None] * h_perp + uh[:, None] * g_perp)
 
 
-def _radial_noise(family: str, kappa: float, d: int, count: int, rng: Rng) -> np.ndarray:
-    if family == "vmf":
-        return _vmf_omega(kappa, d, count, rng)
-    if family == "power_spherical":
-        return _ps_omega(kappa, d, count, rng)
-    raise ValueError(f"unknown directional family: {family!r}")
-
-
-def draw_reparam_noise(family: str, kappa: float, d: int, count: int, rng: Rng):
-    """(omega, v) noise for ``count`` reparameterized directional samples.
-
-    omega is the radial coordinate for the family at the given concentration
-    (location-independent), v the uniform tangent direction on S^{d-2}. The
-    vMF branch runs the rejection loop even at kappa=0 (it then accepts every
-    proposal), keeping the noise usable at any concentration.
-    """
-    omega = _radial_noise(family, float(kappa), int(d), int(count), rng)
-    v = _uniform_sphere(int(d) - 1, rng, int(count))
-    return omega, v
-
-
 def assemble_directions(eps, omega, v):
     """Map (omega, v) noise to directions around ``eps``. Returns
     (thetas, pole_frame_samples); the latter feeds the pathwise pullback."""
     return _assemble_directions(np.asarray(eps, dtype=np.float64), omega, v)
 
 
-def _objective_value_and_grad(objective, theta, need_grad: bool):
-    out = objective(theta)
-    if isinstance(out, tuple):
-        value, grad = out
-    else:
-        value, grad = out, None
-    if need_grad and grad is None:
-        raise ValueError(
-            "pathwise estimation needs the objective to return (value, grad_theta)"
-        )
-    return float(value), grad
+def _tangent(loc, ambient):
+    # the Riemannian gradient: the radial part carries no information on the
+    # sphere, and Adam's per-coordinate scaling would amplify it into steps
+    # that the renormalization cancels
+    return ambient - loc * float(loc @ ambient)
+
+
+class _Draw(NamedTuple):
+    """Component index of every direction and, for the smoothed families, the
+    (omega, v) noise and pole-frame samples that produced it."""
+
+    idx: np.ndarray
+    omega: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    frames: Optional[np.ndarray] = None
+
+
+class SlicingAscent:
+    """k slicing locations of one direction family, ascended by projected Adam.
+
+    ``family`` is "uniform" (no locations), "dirac" (each location is a
+    direction), "vmf" or "power_spherical" (location of component i drawn
+    with concentration ``kappas[i]``). ``locs`` is (k, d); ``alphas`` are the
+    mixture weights (uniform by default). ``draw`` consumes the generator in
+    a fixed order: component indices (only when k > 1), radial draws
+    component by component, then one (L, d-1) tangent draw.
+    """
+
+    def __init__(self, family, locs, kappas=(), alphas=None,
+                 learning_rate=0.001, beta1=0.5, beta2=0.999):
+        if family not in ("uniform", "dirac", "vmf", "power_spherical"):
+            raise ValueError(f"unknown directional family: {family!r}")
+        self.family = family
+        self.locs = np.atleast_2d(np.asarray(locs, dtype=np.float64))
+        k = self.locs.shape[0]
+        self.kappas = [float(kappa) for kappa in kappas]
+        self.alphas = np.ones(k) / k if alphas is None else np.asarray(alphas, dtype=np.float64)
+        self.adam = adam_init(self.locs.shape, learning_rate, beta1, beta2)
+
+    def draw(self, L: int, rng: Rng):
+        """(thetas, ctx): L directions (k for "dirac") and the context that
+        ``pathwise_gradient`` / ``fd_gradient`` need."""
+        d = self.locs.shape[1]
+        k = self.locs.shape[0]
+        if self.family == "uniform":
+            return sample_uniform_sphere(d, rng, L), None
+        if self.family == "dirac":
+            return self.locs.copy(), _Draw(np.arange(k))
+        idx = np.zeros(L, dtype=np.int64) if k == 1 else rng.choice(k, size=L, p=self.alphas)
+        radial = _vmf_omega if self.family == "vmf" else _ps_omega
+        omega = np.empty(L)
+        for i, sel in self._components(idx):
+            omega[sel] = radial(self.kappas[i], d, int(sel.sum()), rng)
+        v = _uniform_sphere(d - 1, rng, L)
+        thetas = np.empty((L, d))
+        frames = np.empty((L, d))
+        for i, sel in self._components(idx):
+            thetas[sel], frames[sel] = assemble_directions(self.locs[i], omega[sel], v[sel])
+        return thetas, _Draw(idx, omega, v, frames)
+
+    def _components(self, idx):
+        # (component, mask of its directions) for every component that drew any
+        for i in range(self.locs.shape[0]):
+            sel = idx == i
+            if sel.any():
+                yield i, sel
+
+    def pathwise_gradient(self, ctx: _Draw, g_theta) -> np.ndarray:
+        """(k, d) alpha-weighted tangent location gradients from the (L, d)
+        objective gradients in the drawn directions."""
+        grad = np.zeros_like(self.locs)
+        for i, sel in self._components(ctx.idx):
+            if self.family == "dirac":
+                per_sample = g_theta[sel]
+            else:
+                per_sample = reflection_location_grads(self.locs[i], ctx.frames[sel], g_theta[sel])
+            grad[i] = self.alphas[i] * _tangent(self.locs[i], per_sample.mean(axis=0))
+        return grad
+
+    def fd_gradient(self, ctx: _Draw, costs_at) -> np.ndarray:
+        """(k, d) alpha-weighted tangent location gradients by central
+        differences along a tangent basis of each location. ``costs_at`` maps
+        (m, d) directions to m costs; the perturbed locations replay the drawn
+        (omega, v) noise (common random numbers)."""
+        d = self.locs.shape[1]
+        grad = np.zeros_like(self.locs)
+        for i, sel in self._components(ctx.idx):
+            loc = self.locs[i]
+            basis = tangent_basis(loc)
+            partials = np.empty(d - 1)
+            for j in range(d - 1):
+                plus = project_to_sphere(loc + _FD_STEP * basis[:, j])
+                minus = project_to_sphere(loc - _FD_STEP * basis[:, j])
+                f_plus = costs_at(self._around(plus, ctx, sel)).mean()
+                f_minus = costs_at(self._around(minus, ctx, sel)).mean()
+                partials[j] = (f_plus - f_minus) / (2.0 * _FD_STEP)
+            ambient = basis @ partials
+            # tangent by construction; the smoothed families re-project it,
+            # and each keeps its order of operations so results reproduce
+            if self.family != "dirac":
+                ambient = _tangent(loc, ambient)
+            grad[i] = self.alphas[i] * ambient
+        return grad
+
+    def _around(self, loc, ctx: _Draw, sel):
+        if self.family == "dirac":
+            return loc[None, :]
+        return assemble_directions(loc, ctx.omega[sel], ctx.v[sel])[0]
+
+    def step(self, grad) -> float:
+        """One projected Adam ascent step; returns how far the locations moved."""
+        updated, self.adam = adam_step(self.adam, grad, self.locs, ascend=True)
+        if self.family == "dirac":
+            updated = np.stack([project_to_sphere(row) for row in updated])
+        else:
+            updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
+        delta = float(np.linalg.norm(updated - self.locs))
+        self.locs = updated
+        return delta
 
 
 def estimate_location_gradient(
@@ -182,35 +280,29 @@ def estimate_location_gradient(
     ``objective`` maps a direction to either a float or a
     ``(value, grad_theta)`` tuple; the pathwise method requires the tuple
     form. Returns a (d,) tangent vector at eps (both methods project out the
-    radial component, which carries no information on the sphere).
+    radial component, which carries no information on the sphere). Draws
+    and gradients go through ``SlicingAscent`` with one location.
     """
-    eps = np.asarray(eps, dtype=np.float64)
-    d = eps.size
     L = int(L)
     if L < 1:
         raise ValueError("L must be >= 1")
+    if family not in ("vmf", "power_spherical"):
+        raise ValueError(f"unknown directional family: {family!r}")
     method = GradientMethod(method)
-    omega, v = draw_reparam_noise(family, kappa, d, L, rng)
+    ascent = SlicingAscent(family, eps, kappas=(kappa,))
+    thetas, ctx = ascent.draw(L, rng)
+
+    def evaluate(theta):
+        out = objective(theta)
+        return out if isinstance(out, tuple) else (out, None)
+
     if method is GradientMethod.PATHWISE:
-        thetas, h = assemble_directions(eps, omega, v)
-        grads = np.empty((L, d))
-        for i in range(L):
-            _, g = _objective_value_and_grad(objective, thetas[i], need_grad=True)
-            grads[i] = np.asarray(g, dtype=np.float64)
-        ambient = reflection_location_grads(eps, h, grads).mean(axis=0)
-        return ambient - eps * float(eps @ ambient)
-    basis = tangent_basis(eps)
-    partials = np.empty(d - 1)
-    for j in range(d - 1):
-        plus = project_to_sphere(eps + _FD_STEP * basis[:, j])
-        minus = project_to_sphere(eps - _FD_STEP * basis[:, j])
-        thetas_plus, _ = assemble_directions(plus, omega, v)
-        thetas_minus, _ = assemble_directions(minus, omega, v)
-        f_plus = 0.0
-        f_minus = 0.0
-        for i in range(L):
-            f_plus += _objective_value_and_grad(objective, thetas_plus[i], False)[0]
-            f_minus += _objective_value_and_grad(objective, thetas_minus[i], False)[0]
-        partials[j] = (f_plus - f_minus) / (2.0 * _FD_STEP * L)
-    ambient = basis @ partials
-    return ambient - eps * float(eps @ ambient)
+        grads = [evaluate(theta)[1] for theta in thetas]
+        if any(g is None for g in grads):
+            raise ValueError(
+                "pathwise estimation needs the objective to return (value, grad_theta)"
+            )
+        return ascent.pathwise_gradient(ctx, np.array(grads, dtype=np.float64))[0]
+    return ascent.fd_gradient(
+        ctx, lambda directions: np.array([float(evaluate(t)[0]) for t in directions])
+    )[0]

@@ -1,15 +1,6 @@
 import numpy as np
 import pytest
 
-from ssfgw import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # Compile (or no-op) the active kernel build once, so timed assertions
-    # never include JIT latency.
-    _kernels.warmup()
-
 
 @pytest.fixture
 def rng():

@@ -154,6 +154,20 @@ def test_divergent_flow_exits_two(tmp_path, capsys):
     assert err.startswith("numeric divergence:")
 
 
+@pytest.mark.parametrize("kind", ["sfg", "ssfg", "max-sfg"])
+def test_huge_clouds_exit_two_naming_the_engine(tmp_path, capsys, kind):
+    # finite inputs whose slice costs overflow
+    r = make_rng(8)
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    write_point_cloud(a, r.normal(size=(16, 3)) * 1e160)
+    write_point_cloud(b, r.normal(size=(16, 3)) * 1e160)
+    code, out, err = run_cli(["discrepancy", str(a), str(b), "--kind", kind, "--seed", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"numeric divergence: {kind.replace('-', '_')}: non-finite")
+
+
 # ---------------------------------------------------------------------------
 # outputs
 # ---------------------------------------------------------------------------

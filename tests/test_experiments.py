@@ -261,6 +261,24 @@ def test_flow_works_under_every_objective_kind():
         assert np.isfinite(res.trace).all()
 
 
+def test_flow_and_gmm_single_component_mixture_reduce_to_ssfg():
+    target = four_mode_gmm(256, make_rng(17))
+    mixed = FlowObjective(kind="mssfg", kappas=(10.0,), learning_rate=0.05)
+    single = FlowObjective(kind="ssfg", kappa=10.0, learning_rate=0.05)
+    flows = [
+        particle_flow(target, 256, obj, steps=30, step_size=0.01, rng=make_rng(18))
+        for obj in (mixed, single)
+    ]
+    assert np.array_equal(flows[0].trace, flows[1].trace)
+    assert np.array_equal(flows[0].particles, flows[1].particles)
+    fits = [
+        gmm_fit(target, 2, obj, steps=30, step_size=0.01, rng=make_rng(19))
+        for obj in (mixed, single)
+    ]
+    assert np.array_equal(fits[0].means, fits[1].means)
+    assert np.array_equal(fits[0].log_std_devs, fits[1].log_std_devs)
+
+
 def test_flow_divergence_reports_step():
     target = four_mode_gmm(128, make_rng(500))
     with pytest.raises(DivergenceError) as info:

@@ -10,10 +10,10 @@ from ssfgw.sampling import make_rng, unit_vector, vmf_mean_resultant_oracle
 from ssfgw.sphere_opt import (
     AdamState,
     GradientMethod,
+    SlicingAscent,
     adam_init,
     adam_step,
     assemble_directions,
-    draw_reparam_noise,
     estimate_location_gradient,
     project_to_sphere,
     reflection_location_grads,
@@ -118,23 +118,57 @@ def test_adam_converges_on_quadratic():
 # ---------------------------------------------------------------------------
 
 
-def test_draw_reparam_noise_shapes_and_ranges():
+def _locations(rng, k, d):
+    return np.stack([unit_vector(rng.normal(size=d)) for _ in range(k)])
+
+
+def test_slicing_draw_shapes_and_ranges():
     rng = make_rng(23)
     for family in ("vmf", "power_spherical"):
-        omega, v = draw_reparam_noise(family, 5.0, 6, 40, rng)
-        assert omega.shape == (40,)
-        assert np.all(omega >= -1.0) and np.all(omega <= 1.0)
-        assert v.shape == (40, 5)
-        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-12
+        for k in (1, 3):
+            ascent = SlicingAscent(family, _locations(rng, k, 6), kappas=(5.0,) * k)
+            thetas, ctx = ascent.draw(40, rng)
+            assert thetas.shape == (40, 6) and ctx.frames.shape == (40, 6)
+            assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
+            assert ctx.omega.shape == (40,)
+            assert np.all(ctx.omega >= -1.0) and np.all(ctx.omega <= 1.0)
+            assert ctx.v.shape == (40, 5)
+            assert np.abs(np.linalg.norm(ctx.v, axis=1) - 1.0).max() <= 1e-12
+            assert set(ctx.idx.tolist()) <= set(range(k))
+    dirac = SlicingAscent("dirac", _locations(rng, 3, 6))
+    thetas, ctx = dirac.draw(40, rng)
+    assert np.array_equal(thetas, dirac.locs) and ctx.idx.tolist() == [0, 1, 2]
+    uniform = SlicingAscent("uniform", np.empty((0, 6)))
+    assert uniform.draw(40, rng)[0].shape == (40, 6)
     with pytest.raises(ValueError):
-        draw_reparam_noise("gaussian", 5.0, 6, 40, rng)
+        SlicingAscent("gaussian", _locations(rng, 1, 6), kappas=(5.0,))
+
+
+def test_location_gradient_is_tangent():
+    rng = make_rng(34)
+    a = rng.normal(size=5)
+
+    def costs_at(thetas):
+        return (thetas @ a) ** 2
+
+    for family in ("vmf", "dirac"):
+        for k in (1, 3):
+            alphas = np.array([0.2, 0.3, 0.5]) if k == 3 else None
+            ascent = SlicingAscent(family, _locations(rng, k, 5), (10.0,) * k, alphas)
+            thetas, ctx = ascent.draw(64, rng)
+            g_theta = 2.0 * (thetas @ a)[:, None] * a
+            for grad in (ascent.pathwise_gradient(ctx, g_theta), ascent.fd_gradient(ctx, costs_at)):
+                assert grad.shape == (k, 5)
+                for loc, g in zip(ascent.locs, grad):
+                    assert abs(float(loc @ g)) <= 1e-12 * np.linalg.norm(g), (family, k)
 
 
 def test_assemble_directions_radial_component():
     rng = make_rng(24)
     eps = unit_vector(rng.normal(size=4))
-    omega, v = draw_reparam_noise("vmf", 10.0, 4, 200, rng)
-    thetas, h = assemble_directions(eps, omega, v)
+    _, ctx = SlicingAscent("vmf", eps, kappas=(10.0,)).draw(200, rng)
+    omega = ctx.omega
+    thetas, h = assemble_directions(eps, omega, ctx.v)
     assert np.abs(thetas @ eps - omega).max() <= 1e-12
     assert np.abs(h[:, 0] - omega).max() == 0.0
     assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
@@ -317,8 +351,7 @@ def test_oracle_consistency_of_smoothed_linear_objective():
     d, kappa, L = 4, 8.0, 40000
     eps = unit_vector(rng.normal(size=d))
     a = unit_vector(rng.normal(size=d))
-    omega, v = draw_reparam_noise("vmf", kappa, d, L, rng)
-    thetas, _ = assemble_directions(eps, omega, v)
+    thetas, _ = SlicingAscent("vmf", eps, kappas=(kappa,)).draw(L, rng)
     values = thetas @ a
     rho = vmf_mean_resultant_oracle(kappa, d)
     se = float(values.std(ddof=1)) / math.sqrt(L)
