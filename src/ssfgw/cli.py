@@ -468,7 +468,10 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        rows = _DISPATCH[args.command](args)
+        # overflow reaches the user as DivergenceError (exit 2); numpy's
+        # floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            rows = _DISPATCH[args.command](args)
         _emit(args, rows)
         return 0
     except CliInputError as exc:

@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .fgw import FgwConfig, as_point_cloud
+from .fgw import FgwConfig, as_point_cloud, stable_sort_rows
 from .sampling import (
     MixtureVmfParams,
     PowerSphericalParams,
@@ -203,18 +203,27 @@ def _validate_pair(mu, nu):
     return X, Y
 
 
-def _project_sorted(X, thetas):
+def _project_sorted(X, thetas, want_order: bool):
+    """Rows of ``thetas @ X.T`` sorted ascending, and the permutation that
+    sorts them when ``want_order`` (else None).
+
+    The permutation is the stable one, ties broken by point index
+    (``fgw.stable_sort_rows``); it is computed only when gradients are wanted.
+    The value-only path sorts values alone, which gives the same rows up to
+    the order of tied signed zeros, and so the same costs.
+    """
     values = thetas @ X.T
-    order = np.argsort(values, axis=1, kind="stable")
-    return np.ascontiguousarray(np.take_along_axis(values, order, axis=1)), order
+    if not want_order:
+        return np.sort(values, axis=1), None
+    return stable_sort_rows(values)
 
 
 def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
     """Per-direction fused costs, optionally with gradients wrt the original
     (unsorted) cloud rows."""
     use_moments = cfg.exponent == 2
-    A, order_x = _project_sorted(X, thetas)
-    B, order_y = _project_sorted(Y, thetas)
+    A, order_x = _project_sorted(X, thetas, want_grads)
+    B, order_y = _project_sorted(Y, thetas, want_grads)
     costs, orients = _kernels.cost_batch(A, B, cfg.beta, cfg.exponent, use_moments)
     if not want_grads:
         return costs, None, None

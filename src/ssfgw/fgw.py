@@ -2,7 +2,8 @@
 
 A point cloud is an (n, d) float array with implied uniform weights 1/n
 (``as_point_cloud`` validates). ``project`` pushes a cloud onto a direction,
-attaching the stable sorting permutation; ``fgw_1d`` evaluates the fused cost
+attaching the stable sorting permutation (``stable_sort_rows``: ties are
+broken by point index); ``fgw_1d`` evaluates the fused cost
 
     (1-beta) * (1/n) * sum_i |x_(i) - y_(sigma(i))|^r
     + beta * (1/n^2) * sum_{ij} (|x_(i) - x_(j)|^r - |y_(sigma(i)) - y_(sigma(j))|^r)^2
@@ -103,9 +104,29 @@ def as_point_cloud(points) -> np.ndarray:
     return cloud
 
 
+def stable_sort_rows(values):
+    """Sort each row of an (L, n) array ascending; returns ``(sorted rows,
+    order)`` with ``order`` equal to ``np.argsort(values, axis=1,
+    kind="stable")``: ties are broken by point index and NaNs go last.
+
+    Rows are argsorted with numpy's default (SIMD) kind. A row that comes out
+    strictly increasing has a single ascending permutation, the stable one;
+    only the other rows (ties, signed zeros, NaN) are argsorted again stably.
+    """
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    redo = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    if redo.any():
+        stable = np.argsort(values[redo], axis=1, kind="stable")
+        order[redo] = stable
+        ordered[redo] = np.take_along_axis(values[redo], stable, axis=1)
+    return ordered, order
+
+
 def project(cloud, theta) -> Projected1D:
     """Push a cloud onto a direction: values[i] = theta^T x_i with the stable
-    sort permutation attached."""
+    sort permutation attached (ties broken by point index, as in
+    ``stable_sort_rows``)."""
     pts = as_point_cloud(cloud)
     direction = np.asarray(theta, dtype=np.float64)
     if direction.shape != (pts.shape[1],):
@@ -114,8 +135,7 @@ def project(cloud, theta) -> Projected1D:
             f"dimension {pts.shape[1]}"
         )
     values = pts @ direction
-    order = np.argsort(values, kind="stable")
-    return Projected1D(values, order)
+    return Projected1D(values, stable_sort_rows(values[None, :])[1][0])
 
 
 def _paired_sorted(xs: Projected1D, ys: Projected1D):

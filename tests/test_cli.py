@@ -4,6 +4,7 @@ with a JSON sidecar, exit codes, and byte-identical reruns."""
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+import ssfgw
 from ssfgw.cli import main, parse_point_cloud, write_point_cloud
 from ssfgw.experiments import four_mode_gmm
 from ssfgw.sampling import make_rng
@@ -162,10 +164,22 @@ def test_huge_clouds_exit_two_naming_the_engine(tmp_path, capsys, kind):
     b = tmp_path / "b.csv"
     write_point_cloud(a, r.normal(size=(16, 3)) * 1e160)
     write_point_cloud(b, r.normal(size=(16, 3)) * 1e160)
-    code, out, err = run_cli(["discrepancy", str(a), str(b), "--kind", kind, "--seed", "0"], capsys)
+    argv = ["discrepancy", str(a), str(b), "--kind", kind, "--seed", "0"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith(f"numeric divergence: {kind.replace('-', '_')}: non-finite")
+    # in a fresh interpreter that shows every warning, the divergence line is
+    # all that reaches stderr (no numpy RuntimeWarnings from the kernels)
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    src = os.path.dirname(os.path.dirname(ssfgw.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "ssfgw"] + argv, capture_output=True, env=env, timeout=300
+    )
+    assert run.returncode == 2
+    assert run.stdout == b""
+    assert run.stderr.decode() == err
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""The discrepancy family: zeros, frozen worked examples, concentration
-limits, the sandwich ordering, mixture reduction, symmetry, and determinism."""
+"""The discrepancy family: sorted projections and their tie order, zeros,
+frozen worked examples, concentration limits, the sandwich ordering, mixture
+reduction, symmetry, and determinism."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from ssfgw import _kernels
 from ssfgw.discrepancies import (
     DiracSlicing,
     DiscrepancyReport,
@@ -12,6 +17,8 @@ from ssfgw.discrepancies import (
     PowerSphericalSlicing,
     UniformSlicing,
     VmfSlicing,
+    _eval_slices,
+    _project_sorted,
     expected_fgw,
     max_sfg,
     mssfg,
@@ -21,7 +28,7 @@ from ssfgw.discrepancies import (
     slice_costs,
     ssfg,
 )
-from ssfgw.fgw import FgwConfig, as_point_cloud, fgw_1d, project
+from ssfgw.fgw import FgwConfig, as_point_cloud, fgw_1d, project, stable_sort_rows
 from ssfgw.sampling import VmfParams, make_rng
 from ssfgw.sphere_opt import GradientMethod
 
@@ -49,6 +56,185 @@ def axis_pair(seed, d, n=48, stretch=3.0):
     Y = base.copy()
     Y[:, 0] *= stretch
     return as_point_cloud(base), as_point_cloud(Y)
+
+
+# ---------------------------------------------------------------------------
+# sorted projections: the stable tie order on every path
+# ---------------------------------------------------------------------------
+
+
+def stable_reference(values):
+    order = np.argsort(values, axis=1, kind="stable")
+    return np.take_along_axis(values, order, axis=1), order
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_costs(a, b):
+    # bit for bit, except that NaN payloads are not compared
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert_bitwise(a[~nan], b[~nan])
+
+
+def _unit_rows(r, L, d):
+    thetas = r.normal(size=(L, d))
+    return thetas / np.linalg.norm(thetas, axis=1, keepdims=True)
+
+
+def _distinct(r):
+    return r.normal(size=(64, 3)), _unit_rows(r, 20, 3)
+
+
+def _blocks(r):
+    # each point repeated, as convergence_rate replicates the small cloud
+    return np.repeat(r.uniform(size=(8, 3)), 16, axis=0), _unit_rows(r, 20, 3)
+
+
+def _shuffled_duplicates(r):
+    base = r.normal(size=(24, 3))
+    return np.concatenate([base, base, base[:5]])[r.permutation(53)], _unit_rows(r, 20, 3)
+
+
+def _grid_axes(r):
+    # tied rows (axis directions on an integer grid) next to untied ones
+    X = r.integers(-3, 4, size=(40, 3)).astype(np.float64)
+    return X, np.vstack([_unit_rows(r, 6, 3), np.eye(3), -np.eye(3)])
+
+
+def _overflow(r):
+    # the projections hold +-inf ties and NaN (inf - inf)
+    big = np.array(
+        [[1e308, 1e308], [-1e308, -1e308], [1e308, -1e308], [1.0, 2.0],
+         [1e308, 1e308], [-1e308, 1e308], [0.5, -0.5]]
+    )
+    return big, np.array([[1.0, 1.0], [2.0, 2.0], [1.5, -1.5], [0.6, 0.8]])
+
+
+def _single_direction(r):
+    X = np.repeat(r.normal(size=(10, 2)), 3, axis=0)
+    return X, _unit_rows(r, 1, 2)
+
+
+def _single_point(r):
+    return r.normal(size=(1, 3)), _unit_rows(r, 5, 3)
+
+
+SORT_CASES = {
+    "distinct": _distinct,
+    "blocks": _blocks,
+    "shuffled_duplicates": _shuffled_duplicates,
+    "grid_axes": _grid_axes,
+    "overflow": _overflow,
+    "L1": _single_direction,
+    "n1": _single_point,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SORT_CASES))
+def test_project_sorted_matches_stable_argsort_bitwise(case):
+    X, thetas = SORT_CASES[case](make_rng(70))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_values, ref_order = stable_reference(thetas @ X.T)
+        values, order = _project_sorted(X, thetas, True)
+        sorted_only, no_order = _project_sorted(X, thetas, False)
+    assert_bitwise(values, ref_values)
+    assert_bitwise(order, ref_order)
+    assert no_order is None
+    # the value-only path sorts values alone: equal rows, NaNs last
+    assert np.array_equal(sorted_only, ref_values, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", sorted(SORT_CASES))
+def test_value_only_costs_equal_permuted_path_bitwise(case):
+    r = make_rng(71)
+    X, thetas = SORT_CASES[case](r)
+    Y = X[r.permutation(X.shape[0])] * 1.5 + 0.25
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_x, _ = stable_reference(thetas @ X.T)
+        ref_y, _ = stable_reference(thetas @ Y.T)
+        for r_exp in (1, 2, 3):
+            cfg = FgwConfig(beta=0.3, exponent=r_exp)
+            costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
+            ref, _ = _kernels.cost_batch(ref_x, ref_y, cfg.beta, r_exp, r_exp == 2)
+            assert_same_costs(costs, ref)
+        permuted, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=True)
+        value_only, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=False)
+    assert_same_costs(value_only, permuted)
+
+
+def test_stable_sort_rows_breaks_signed_zero_and_infinite_ties_by_index():
+    # signed zeros compare equal, so the stable order keeps their index order
+    values = np.array(
+        [
+            [0.0, -0.0, 1.0, -0.0, 0.0, -1.0],
+            [np.inf, -np.inf, np.inf, 0.0, -np.inf, -0.0],
+            [np.nan, 1.0, -np.nan, 1.0, -0.0, 0.0],
+            [5.0, 4.0, 3.0, 2.0, 1.0, 0.0],
+        ]
+    )
+    ordered, order = stable_sort_rows(values)
+    ref_values, ref_order = stable_reference(values)
+    assert_bitwise(ordered, ref_values)
+    assert_bitwise(order, ref_order)
+    assert order[0].tolist() == [5, 0, 1, 3, 4, 2]
+    assert np.signbit(ordered[0]).tolist() == [True, False, True, True, False, False]
+    # the value-only sort may place tied signed zeros differently, but the
+    # cost kernels only see them through squares and absolute values
+    other = stable_reference(values[::-1].copy())[0]
+    for r_exp in (1, 2, 3):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, _ = _kernels.cost_batch(np.sort(values, axis=1), other, 0.3, r_exp, r_exp == 2)
+            b, _ = _kernels.cost_batch(ordered, other, 0.3, r_exp, r_exp == 2)
+        assert_same_costs(a, b)
+
+
+def test_project_uses_the_stable_order():
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 5.0], [-1.0, 1.0], [1.0, -3.0]])
+    p = project(X, np.array([1.0, 0.0]))
+    assert p.sort_permutation.tolist() == [3, 1, 0, 2, 4]
+    grid = make_rng(72).integers(-3, 4, size=(300, 2)).astype(np.float64)
+    p = project(grid, np.array([0.0, 1.0]))
+    assert_bitwise(p.sort_permutation, np.argsort(p.values, kind="stable"))
+
+
+_TIE_POOL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def tied_row_pairs(draw):
+    """Two (L, n) batches, each drawn from a pool of at most 6 values, so
+    duplicates are forced whenever n exceeds the pool."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 40)))
+    pair = []
+    for _ in range(2):
+        pool = draw(hnp.arrays(np.float64, st.integers(1, 6), elements=_TIE_POOL))
+        index = draw(hnp.arrays(np.intp, shape, elements=st.integers(0, pool.size - 1)))
+        pair.append(pool[index])
+    return pair
+
+
+@given(tied_row_pairs())
+def test_sort_paths_agree_on_forced_duplicates(pair):
+    values, other = pair
+    ordered, order = stable_sort_rows(values)
+    ref_values, ref_order = stable_reference(values)
+    assert_bitwise(ordered, ref_values)
+    assert_bitwise(order, ref_order)
+    sorted_only = np.sort(values, axis=1)
+    assert np.array_equal(sorted_only, ref_values, equal_nan=True)
+    B = stable_reference(other)[0]
+    with np.errstate(all="ignore"):
+        for r_exp in (1, 2):
+            a, _ = _kernels.cost_batch(sorted_only, B, 0.3, r_exp, r_exp == 2)
+            b, _ = _kernels.cost_batch(ordered, B, 0.3, r_exp, r_exp == 2)
+            assert_same_costs(a, b)
 
 
 # ---------------------------------------------------------------------------
