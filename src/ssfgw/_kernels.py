@@ -9,10 +9,9 @@ Conventions
 A, B : (L, n) float64 arrays of projected values, each row sorted ascending.
 orientation : per-row tag; 0 pairs both rows ascending, 1 pairs the first row
     ascending against the second descending (the two monotone couplings).
-use_moments : evaluate the quadratic (r=2) Gromov term through centered
-    moments in O(n) instead of the O(n^2) double sum. Callers must pass
-    use_moments=True only for r=2; the two routes are validated against each
-    other in the tests.
+use_moments : evaluate the r=2 cost in O(n) through the identity below
+    instead of the O(n^2) double sum. Callers must pass use_moments=True only
+    for r=2; the two routes are validated against each other in the tests.
 
 The per-row cost is
 
@@ -21,194 +20,187 @@ The per-row cost is
 
 minimized over the two monotone couplings sigma. Ties prefer Ascending.
 
-The centered-moment expansion of the r=2 Gromov term: with p = a - mean(a),
-q = b - mean(b) (b in pairing order) and e = p^2 - q^2,
+The r=2 route: with b in pairing order, delta = a - b and s = a + b,
+(a_i - a_j)^2 - (b_i - b_j)^2 = (delta_i - delta_j)(s_i - s_j), which no
+shift of delta or s changes. So with delta and s centered and u = delta * s,
 
-    GW = (2/n) sum e^2 + (2/n^2) (sum e)^2
-         + (4/n^2) [ (sum p^2)^2 + (sum q^2)^2 - 2 (sum pq)^2 ]
+    W  = (1/n) sum delta^2 + mean(delta)^2
+    GW = (2/n) sum u^2 + (2/n^2) sum delta^2 sum s^2 + (4/n^2) (sum u)^2
 
-(the cross terms vanish because sum p = sum q = 0).
+(cross terms vanish as sum delta = sum s = 0): sums of nonnegative terms, 0
+exactly on identical rows. With the coupling frozen, d/da = g_s + g_delta and
+d/db = g_s - g_delta, where g_delta carries W's (1-beta)(2/n) raw delta and
+
+    g_delta = beta (4/n^2) centered(n u s + delta sum s^2 + 2 s sum u)
+    g_s     = beta (4/n^2) centered(n u delta + s sum delta^2 + 2 delta sum u).
+
+delta is formed before it is centered: on nearly-agreeing clouds it is orders
+of magnitude below a and b, and centering a and b apart would leave the
+rounding of their means, on the scale of a and b, in delta.
 
 Exact swap symmetry
 -------------------
 `cost_batch(A, B) == cost_batch(B, A)` must hold bit-for-bit (the public
-discrepancies promise exact symmetry under argument swap). Elementwise terms
-are symmetric by IEEE arithmetic (x-y is the exact negation of y-x, squares
-and absolute values cancel the sign), so the ascending coupling is symmetric
-as written. The reversed coupling traverses the pairing in the order of one of
-the two rows; to keep that traversal independent of argument order it is
-always computed with the lexicographically smaller row first. Gradient code
-reuses one helper for both sides with swapped roles for the same reason.
+discrepancies promise exact symmetry under argument swap). Swapping the rows
+negates delta, u, mean(delta) and sum u exactly (y-x is -(x-y)) and keeps s
+(y+x is x+y): every cost term is even in them, g_delta is negated and g_s
+kept, which exchanges the two gradients. The pairwise route is symmetric
+elementwise. The reversed coupling is traversed along the lexicographically
+smaller row, as (a, b[::-1]) or (a[::-1], b), so its summation order does not
+depend on argument order either.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-def _w_cost_np(A, B, r):
-    if r == 2:
-        diff = A - B
-        return np.sum(diff * diff, axis=1) / A.shape[1]
-    return np.sum(np.abs(A - B) ** r, axis=1) / A.shape[1]
+def _row_dot(X, Y):
+    return np.einsum("ij,ij->i", X, Y)
 
 
-def _gw_cost_moments_np(A, B):
-    n = A.shape[1]
-    p = A - np.sum(A, axis=1)[:, None] / n
-    q = B - np.sum(B, axis=1)[:, None] / n
-    pp = p * p
-    qq = q * q
-    e = pp - qq
-    s_e2 = np.sum(e * e, axis=1)
-    s_e = np.sum(e, axis=1)
-    s_p2 = np.sum(pp, axis=1)
-    s_q2 = np.sum(qq, axis=1)
-    s_pq = np.sum(p * q, axis=1)
-    t3 = (s_p2 * s_p2 + s_q2 * s_q2) - 2.0 * (s_pq * s_pq)
-    return 2.0 * s_e2 / n + 2.0 * (s_e * s_e) / (n * n) + 4.0 * t3 / (n * n)
+def _center_rows(X):
+    # Centers each row of X in place and returns the row means.
+    m = X.sum(axis=1) / X.shape[1]
+    X -= m[:, None]
+    return m
+
+
+def _first(p, q, out, where):
+    return np.copyto(out, p, where=where)
+
+
+def _second(p, q, out, where):
+    return np.copyto(out, q, where=where)
+
+
+# A traversal is a sequence of (reverse p, reverse q, rows) triples.
+_ASCENDING = ((False, False, True),)
+_FLIPS = ((False, False), (False, True), (True, False))
+
+
+def _traversal(rev, b_lead):
+    # (a, b) on ascending rows; (a, b[::-1]) on reversed ones, or (a[::-1], b)
+    # where b_lead marks b as the lexicographically smaller row.
+    out = []
+    for flips, rows in zip(_FLIPS, (~rev, rev & ~b_lead, rev & b_lead)):
+        if rows.all():
+            return [(*flips, True)]
+        if rows.any():
+            out.append((*flips, rows[:, None]))
+    return out
+
+
+def _traversed(ufunc, A, B, traversal):
+    """``ufunc(p, q)`` per row for (p, q) in traversal order, by masked writes
+    into one array, so no row is copied. The same maps take gradients wrt
+    (p, q) back to (a, b): ``_traversed(_first, gp, gq, t)`` is the gradient
+    wrt a and ``_traversed(_second, gp, gq, t)`` the one wrt b.
+    """
+    out = np.empty_like(A)
+    for rev_p, rev_q, rows in traversal:
+        p = A[:, ::-1] if rev_p else A
+        q = B[:, ::-1] if rev_q else B
+        ufunc(p, q, out=out, where=rows)
+    return out
+
+
+def _paired(A, B, traversal, use_moments):
+    # The rows a route works on: raw delta and s, or p and q.
+    f, g = (np.subtract, np.add) if use_moments else (_first, _second)
+    return _traversed(f, A, B, traversal), _traversed(g, A, B, traversal)
 
 
 # Row blocks in the O(n^2) route keep scratch matrices near this many entries.
 _PAIRWISE_BLOCK_ENTRIES = 2_000_000
 
 
-def _gw_cost_pairwise_row_np(a, b, r):
-    n = a.shape[0]
-    block = max(1, _PAIRWISE_BLOCK_ENTRIES // n)
-    acc = 0.0
-    for i0 in range(0, n, block):
-        sl = slice(i0, min(i0 + block, n))
-        if r == 2:
-            da = a[sl, None] - a[None, :]
-            db = b[sl, None] - b[None, :]
-            dd = da * da - db * db
-        else:
-            da = np.abs(a[sl, None] - a[None, :]) ** r
-            db = np.abs(b[sl, None] - b[None, :]) ** r
-            dd = da - db
-        acc += float(np.sum(dd * dd))
-    return acc / (n * n)
-
-
-def _cost_oriented_np(A, B, beta, r, use_moments):
-    L = A.shape[0]
+def _cost_pairwise_np(P, Q, beta, r):
+    L, n = P.shape
+    w = g = 0.0
     if beta != 1.0:
-        w = _w_cost_np(A, B, r)
-    else:
-        w = np.zeros(L)
+        w = np.sum(np.abs(P - Q) ** r, axis=1) / n
     if beta != 0.0:
-        if use_moments:
-            g = _gw_cost_moments_np(A, B)
-        else:
-            g = np.empty(L)
-            for l in range(L):
-                g[l] = _gw_cost_pairwise_row_np(A[l], B[l], r)
-    else:
         g = np.zeros(L)
-    c = (1.0 - beta) * w + beta * g
-    return np.maximum(c, 0.0)
+        block = max(1, _PAIRWISE_BLOCK_ENTRIES // n)
+        for l, (p, q) in enumerate(zip(P, Q)):
+            for i0 in range(0, n, block):
+                sl = slice(i0, min(i0 + block, n))
+                dd = np.abs(p[sl, None] - p[None, :]) ** r - np.abs(q[sl, None] - q[None, :]) ** r
+                g[l] += float(np.sum(dd * dd))
+        g /= n * n
+    return (1.0 - beta) * w + beta * g
 
 
-def _lex_le_rows_np(A, B):
-    # Per-row lexicographic A <= B; equal rows give True.
+def _cost_ds_np(d, s, beta):
+    # d and s are the raw delta and s rows; both are overwritten.
+    n = d.shape[1]
+    m = _center_rows(d)
+    s_dd = _row_dot(d, d)
+    c = (1.0 - beta) * (s_dd / n + m * m)
+    if beta != 0.0:
+        _center_rows(s)
+        s_ss = _row_dot(s, s)
+        u = np.multiply(d, s, out=s)
+        s_u = u.sum(axis=1)
+        c += beta * (
+            2.0 * _row_dot(u, u) / n
+            + 2.0 * (s_dd * s_ss) / (n * n)
+            + 4.0 * (s_u * s_u) / (n * n)
+        )
+    return c
+
+
+def _b_lead_rows(A, B):
+    # Rows where B is lexicographically smaller than A.
     differs = A != B
-    any_diff = differs.any(axis=1)
     first = np.argmax(differs, axis=1)
     rows = np.arange(A.shape[0])
-    return np.where(any_diff, A[rows, first] < B[rows, first], True)
+    return differs.any(axis=1) & (B[rows, first] < A[rows, first])
 
 
-def _canonical_reversed_np(A, B):
-    mask = _lex_le_rows_np(A, B)
-    lo = np.where(mask[:, None], A, B)
-    hi = np.where(mask[:, None], B, A)
-    return mask, lo, hi[:, ::-1]
+def _grad_ds_np(d, s, beta):
+    # Gradients wrt (p, q) from the raw delta and s rows (overwritten).
+    n = d.shape[1]
+    m = _center_rows(d)
+    _center_rows(s)
+    s_dd = _row_dot(d, d)
+    s_ss = _row_dot(s, s)
+    t = d * s
+    s_u = t.sum(axis=1)
+    t *= n
+    t += 2.0 * s_u[:, None]  # n u + 2 sum u
+    g_s = d * t
+    g_d = s * t
+    g_s += np.multiply(s, s_dd[:, None], out=t)
+    g_d += np.multiply(d, s_ss[:, None], out=t)
+    cg = beta * 4.0 / (n * n)
+    _center_rows(g_s)
+    _center_rows(g_d)
+    g_s *= cg
+    g_d *= cg
+    np.add(d, m[:, None], out=t)
+    t *= (1.0 - beta) * 2.0 / n
+    g_d += t  # g_delta plus the W term
+    return np.add(g_s, g_d, out=d), np.subtract(g_s, g_d, out=s)
 
 
-def _cost_batch_np(A, B, beta, r, use_moments):
-    c_asc = _cost_oriented_np(A, B, beta, r, use_moments)
-    _, lo, hi_rev = _canonical_reversed_np(A, B)
-    c_rev = _cost_oriented_np(lo, hi_rev, beta, r, use_moments)
-    orients = (c_rev < c_asc).astype(np.uint8)
-    costs = np.where(orients == 1, c_rev, c_asc)
-    return costs, orients
-
-
-def _gw_grad_bracket_np(n, e, p, q, s_e, s_ep, s_p2, s_pq):
-    return (
-        n * e * p
-        + p * s_e[:, None]
-        - s_ep[:, None]
-        + 2.0 * (p * s_p2[:, None])
-        - 2.0 * (q * s_pq[:, None])
-    )
-
-
-def _grad_oriented_moments_np(A, B, beta):
-    n = A.shape[1]
-    p = A - np.sum(A, axis=1)[:, None] / n
-    q = B - np.sum(B, axis=1)[:, None] / n
-    pp = p * p
-    qq = q * q
-    e = pp - qq
-    ne = qq - pp
-    s_e = np.sum(e, axis=1)
-    s_ne = np.sum(ne, axis=1)
-    s_ep = np.sum(e * p, axis=1)
-    s_neq = np.sum(ne * q, axis=1)
-    s_p2 = np.sum(pp, axis=1)
-    s_q2 = np.sum(qq, axis=1)
-    s_pq = np.sum(p * q, axis=1)
+def _grad_pairwise_np(P, Q, beta):
+    L, n = P.shape
     cw = (1.0 - beta) * 2.0 / n
     cg = beta * 8.0 / (n * n)
-    ga = cw * (A - B) + cg * _gw_grad_bracket_np(n, e, p, q, s_e, s_ep, s_p2, s_pq)
-    gb = cw * (B - A) + cg * _gw_grad_bracket_np(n, ne, q, p, s_ne, s_neq, s_q2, s_pq)
-    return ga, gb
-
-
-def _grad_oriented_pairwise_np(A, B, beta):
-    L, n = A.shape
-    cw = (1.0 - beta) * 2.0 / n
-    cg = beta * 8.0 / (n * n)
-    ga = np.empty((L, n))
-    gb = np.empty((L, n))
+    gp = np.empty((L, n))
+    gq = np.empty((L, n))
     block = max(1, _PAIRWISE_BLOCK_ENTRIES // n)
-    for l in range(L):
-        a = A[l]
-        b = B[l]
+    for l, (a, b) in enumerate(zip(P, Q)):
         for i0 in range(0, n, block):
             sl = slice(i0, min(i0 + block, n))
             da = a[sl, None] - a[None, :]
             db = b[sl, None] - b[None, :]
             dd = da * da - db * db
             nd = db * db - da * da
-            ga[l, sl] = cw * (a[sl] - b[sl]) + cg * np.sum(dd * da, axis=1)
-            gb[l, sl] = cw * (b[sl] - a[sl]) + cg * np.sum(nd * db, axis=1)
-    return ga, gb
-
-
-def _grad_batch_np(A, B, beta, orients, use_moments):
-    L, n = A.shape
-    GA = np.empty((L, n))
-    GB = np.empty((L, n))
-    grad_oriented = (
-        _grad_oriented_moments_np if use_moments else _grad_oriented_pairwise_np
-    )
-    asc = orients == 0
-    if asc.any():
-        ga, gb = grad_oriented(A[asc], B[asc], beta)
-        GA[asc] = ga
-        GB[asc] = gb
-    rev = ~asc
-    if rev.any():
-        Ar = A[rev]
-        Br = B[rev]
-        mask, lo, hi_rev = _canonical_reversed_np(Ar, Br)
-        g_lo, g_hi_rev = grad_oriented(lo, hi_rev, beta)
-        g_hi = g_hi_rev[:, ::-1]
-        GA[rev] = np.where(mask[:, None], g_lo, g_hi)
-        GB[rev] = np.where(mask[:, None], g_hi, g_lo)
-    return GA, GB
+            gp[l, sl] = cw * (a[sl] - b[sl]) + cg * np.sum(dd * da, axis=1)
+            gq[l, sl] = cw * (b[sl] - a[sl]) + cg * np.sum(nd * db, axis=1)
+    return gp, gq
 
 
 def _as_batch(x):
@@ -220,16 +212,23 @@ def _as_batch(x):
 
 def cost_batch(A, B, beta, r, use_moments):
     """Per-row coupling-minimized cost and the chosen orientation."""
-    return _cost_batch_np(_as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments))
+    A, B, beta, r, use_moments = _as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments)
+    reversed_ = _traversal(np.ones(A.shape[0], bool), _b_lead_rows(A, B))
+    c_asc, c_rev = (
+        _cost_ds_np(*_paired(A, B, t, True), beta)
+        if use_moments
+        else _cost_pairwise_np(*_paired(A, B, t, False), beta, r)
+        for t in (_ASCENDING, reversed_)
+    )
+    orients = (c_rev < c_asc).astype(np.uint8)
+    return np.where(orients == 1, c_rev, c_asc), orients
 
 
 def grad_batch(A, B, beta, orients, use_moments):
     """Per-row gradients (wrt A and wrt B) of the r=2 cost under the given
     orientations (the coupling is held fixed)."""
-    return _grad_batch_np(
-        _as_batch(A),
-        _as_batch(B),
-        float(beta),
-        np.asarray(orients, dtype=np.uint8),
-        bool(use_moments),
-    )
+    A, B, beta, use_moments = _as_batch(A), _as_batch(B), float(beta), bool(use_moments)
+    t = _traversal(np.asarray(orients, dtype=np.uint8) == 1, _b_lead_rows(A, B))
+    grad = _grad_ds_np if use_moments else _grad_pairwise_np
+    gp, gq = grad(*_paired(A, B, t, use_moments), beta)
+    return _traversed(_first, gp, gq, t), _traversed(_second, gp, gq, t)

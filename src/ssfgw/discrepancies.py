@@ -16,9 +16,9 @@ gradient or final value raises ``DivergenceError`` naming the engine.
 Every engine consumes an explicit ``numpy.random.Generator``; with a shared
 seed the direction stream does not depend on argument order, and the per-slice
 kernels are exactly swap-symmetric, so each discrepancy is exactly symmetric
-in its two clouds. Evaluation inside the engines uses the O(n) moment kernels
-for r=2 (validated against the O(n^2) reference in the tests) and the direct
-double sum otherwise.
+in its two clouds. Evaluation inside the engines uses the O(n) delta/s kernels
+for r=2 (validated against the O(n^2) reference in the tests, also on
+nearly-agreeing clouds) and the direct double sum otherwise.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ exhaustive-permutation oracle used to validate that closed form, and
 (envelope gradient; r=2 only).
 
 The default evaluation is the O(n^2) double sum. ``method="moments"`` opts
-into the O(n) centered-moment factorization of the quadratic term (r=2 only);
-the Monte Carlo engines in ``discrepancies`` use that route after it is
-validated against the reference in the test suite.
+into the O(n) r=2 evaluation from the centered difference and sum of the
+paired values, accurate also on nearly-agreeing clouds; the Monte Carlo
+engines use that route after it is validated against the reference in tests.
 """
 
 from __future__ import annotations
