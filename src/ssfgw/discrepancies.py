@@ -13,6 +13,9 @@ All four ascents draw directions and step their locations through
 ``sphere_opt.SlicingAscent``. A non-finite ascent objective, location
 gradient or final value raises ``DivergenceError`` naming the engine.
 
+The clouds may hold n and m points where one size divides the other; the
+engines then compare their quantile functions (``fgw.spread_rows``).
+
 Every engine consumes an explicit ``numpy.random.Generator``; with a shared
 seed the direction stream does not depend on argument order, and the per-slice
 kernels are exactly swap-symmetric, so each discrepancy is exactly symmetric
@@ -29,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .fgw import FgwConfig, as_point_cloud, stable_sort_rows
+from .fgw import FgwConfig, as_point_cloud, common_size, fold_rows, spread_rows, stable_sort_rows
 from .sampling import (
     MixtureVmfParams,
     PowerSphericalParams,
@@ -196,10 +199,7 @@ def _validate_pair(mu, nu):
         raise ValueError(
             f"clouds must share a dimension, got {X.shape[1]} and {Y.shape[1]}"
         )
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError(
-            f"clouds must have equal sizes, got {X.shape[0]} and {Y.shape[0]}"
-        )
+    common_size(X.shape[0], Y.shape[0])
     return X, Y
 
 
@@ -220,14 +220,18 @@ def _project_sorted(X, thetas, want_order: bool):
 
 def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
     """Per-direction fused costs, optionally with gradients wrt the original
-    (unsorted) cloud rows."""
+    (unsorted) cloud rows. Each cloud is sorted at its own size, spread to
+    max(n, m) columns for the kernels, and its gradients folded back."""
     use_moments = cfg.exponent == 2
     A, order_x = _project_sorted(X, thetas, want_grads)
     B, order_y = _project_sorted(Y, thetas, want_grads)
+    n, m = A.shape[1], B.shape[1]
+    A, B = spread_rows(A, max(n, m)), spread_rows(B, max(n, m))
     costs, orients = _kernels.cost_batch(A, B, cfg.beta, cfg.exponent, use_moments)
     if not want_grads:
         return costs, None, None
     GA, GB = _kernels.grad_batch(A, B, cfg.beta, orients, use_moments)
+    GA, GB = fold_rows(GA, n), fold_rows(GB, m)
     gx = np.empty_like(GA)
     gy = np.empty_like(GB)
     np.put_along_axis(gx, order_x, GA, axis=1)

@@ -14,6 +14,10 @@ exhaustive-permutation oracle used to validate that closed form, and
 ``fgw_1d_grad`` differentiates the cost with the optimal coupling frozen
 (envelope gradient; r=2 only).
 
+Sizes n and m may differ when one divides the other: sorted values are then
+spread to the quantile function on max(n, m) cells (``spread_rows``) and
+gradients summed back over the cells (``fold_rows``). The oracle keeps n = m.
+
 The default evaluation is the O(n^2) double sum. ``method="moments"`` opts
 into the O(n) r=2 evaluation from the centered difference and sum of the
 paired values, accurate also on nearly-agreeing clouds; the Monte Carlo
@@ -138,12 +142,26 @@ def project(cloud, theta) -> Projected1D:
     return Projected1D(values, stable_sort_rows(values[None, :])[1][0])
 
 
+def common_size(n: int, m: int) -> int:
+    """max(n, m) when one size divides the other; else ValueError."""
+    if max(n, m) % min(n, m):
+        raise ValueError(f"cloud sizes must be equal or one must divide the other, got {n} and {m}")
+    return max(n, m)
+
+
+def spread_rows(A, k: int):
+    """Sorted (L, n) rows as (L, k): the cloud with each point k // n times."""
+    return A if A.shape[1] == k else np.repeat(A, k // A.shape[1], axis=1)
+
+
+def fold_rows(G, n: int):
+    """Gradients wrt spread (L, k) rows summed back to the (L, n) rows."""
+    return G if G.shape[1] == n else G.reshape(G.shape[0], n, -1).sum(axis=2)
+
+
 def _paired_sorted(xs: Projected1D, ys: Projected1D):
-    if len(xs) != len(ys):
-        raise ValueError(
-            f"projected clouds must have equal sizes, got {len(xs)} and {len(ys)}"
-        )
-    return xs.sorted_values()[None, :], ys.sorted_values()[None, :]
+    k = common_size(len(xs), len(ys))
+    return tuple(spread_rows(p.sorted_values()[None, :], k) for p in (xs, ys))
 
 
 def _use_moments(cfg: FgwConfig, method: str) -> bool:
@@ -209,7 +227,7 @@ def fgw_1d_grad(xs: Projected1D, ys: Projected1D, cfg: FgwConfig, method: str = 
     ga, gb = _kernels.grad_batch(a, b, cfg.beta, orients, use_moments)
     grad_xs = np.empty(len(xs))
     grad_ys = np.empty(len(ys))
-    grad_xs[xs.sort_permutation] = ga[0]
-    grad_ys[ys.sort_permutation] = gb[0]
+    grad_xs[xs.sort_permutation] = fold_rows(ga, len(xs))[0]
+    grad_ys[ys.sort_permutation] = fold_rows(gb, len(ys))[0]
     coupling = MonotoneCoupling.REVERSED if orients[0] else MonotoneCoupling.ASCENDING
     return grad_xs, grad_ys, coupling

@@ -228,6 +228,40 @@ def test_discrepancy_rows_per_kind(clouds, capsys):
             ]
 
 
+def test_discrepancy_against_a_multiple_size_matches_replication(tmp_path, capsys):
+    r = make_rng(18)
+    small = r.normal(size=(12, 2))
+    paths = {}
+    for name, cloud in [
+        ("small", small),
+        ("replicated", np.repeat(small, 3, axis=0)),
+        ("big", r.normal(size=(36, 2)) * 1.3 + 0.2),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_point_cloud(paths[name], cloud)
+    common = ["--kind", "ssfg", "--L", "8", "--max-iter", "3", "--seed", "19"]
+    outputs = []
+    for source in ("small", "replicated"):
+        code, out, err = run_cli(["discrepancy", paths[source], paths["big"]] + common, capsys)
+        assert code == 0, err
+        outputs.append(rows_of(out))
+    direct, replicated = outputs
+    assert [row[:2] for row in direct] == [row[:2] for row in replicated]
+    for row, row_rep in zip(direct, replicated):
+        assert abs(float(row[2]) - float(row_rep[2])) <= 1e-12 * abs(float(row_rep[2]))
+
+
+def test_discrepancy_rejects_sizes_that_do_not_divide(tmp_path, capsys):
+    r = make_rng(20)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_point_cloud(a, r.normal(size=(12, 2)))
+    write_point_cloud(b, r.normal(size=(30, 2)))
+    code, out, err = run_cli(["discrepancy", str(a), str(b), "--kind", "ssfg"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "12 and 30" in err and "divide" in err
+
+
 def test_sweep_uses_default_concentration_grid(clouds, capsys):
     a, b = clouds
     code, out, _ = run_cli(

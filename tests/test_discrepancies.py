@@ -1,6 +1,6 @@
-"""The discrepancy family: sorted projections and their tie order, zeros,
-frozen worked examples, concentration limits, the sandwich ordering, mixture
-reduction, symmetry, and determinism."""
+"""The discrepancy family: sorted projections and their tie order, clouds of
+sizes n and m with n dividing m, zeros, frozen worked examples, concentration
+limits, the sandwich ordering, mixture reduction, symmetry, and determinism."""
 
 import numpy as np
 import pytest
@@ -28,7 +28,15 @@ from ssfgw.discrepancies import (
     slice_costs,
     ssfg,
 )
-from ssfgw.fgw import FgwConfig, as_point_cloud, fgw_1d, project, stable_sort_rows
+from ssfgw.fgw import (
+    FgwConfig,
+    as_point_cloud,
+    fgw_1d,
+    fgw_1d_bruteforce,
+    fgw_1d_grad,
+    project,
+    stable_sort_rows,
+)
 from ssfgw.sampling import VmfParams, make_rng
 from ssfgw.sphere_opt import GradientMethod
 
@@ -235,6 +243,160 @@ def test_sort_paths_agree_on_forced_duplicates(pair):
             a, _ = _kernels.cost_batch(sorted_only, B, 0.3, r_exp, r_exp == 2)
             b, _ = _kernels.cost_batch(ordered, B, 0.3, r_exp, r_exp == 2)
             assert_same_costs(a, b)
+
+
+# ---------------------------------------------------------------------------
+# clouds of sizes n and m, n dividing m
+# ---------------------------------------------------------------------------
+
+
+def _eval_ordered(X, Y, thetas, cfg, swap):
+    # _eval_slices with the clouds passed as (X, Y) or as (Y, X); the
+    # gradients come back in (X, Y) order either way
+    if not swap:
+        return _eval_slices(X, Y, thetas, cfg, want_grads=True)
+    costs, gy, gx = _eval_slices(Y, X, thetas, cfg, want_grads=True)
+    return costs, gx, gy
+
+
+def assert_matches_replication(samp, ref, thetas, cfg, floor=0.0, grad_floor=0.0):
+    """``_eval_slices`` on an n-point sample and an m-point reference agrees,
+    in both argument orders, with the same call on the sample replicated
+    m // n times: costs within 1e-12 relative, theta gradients within 1e-12
+    of their largest entry, and the sample gradients with the replica sums of
+    the replicated ones within 1e-12 of the largest gradient entry. The
+    floors add absolute slack for last-bit differences between the gemm
+    projections of a cloud and of its replication."""
+    n, L = samp.shape[0], thetas.shape[0]
+    rep = np.repeat(samp, ref.shape[0] // n, axis=0)
+    for swap in (False, True):
+        c, gs, gr = _eval_ordered(samp, ref, thetas, cfg, swap)
+        c_rep, gs_rep, gr_rep = _eval_ordered(rep, ref, thetas, cfg, swap)
+        assert gs.shape == (L, n) and gr.shape == gr_rep.shape
+        assert np.all(np.abs(c - c_rep) <= 1e-12 * np.abs(c_rep) + floor)
+        t, t_rep = gs @ samp + gr @ ref, gs_rep @ rep + gr_rep @ ref
+        assert np.abs(t - t_rep).max() <= 1e-12 * np.abs(t_rep).max() + floor
+        scale = max(np.abs(gs_rep).max(), np.abs(gr_rep).max())
+        folded = gs_rep.reshape(L, n, -1).sum(axis=2)
+        assert np.abs(gs - folded).max() <= 1e-12 * scale + grad_floor
+        assert np.abs(gr - gr_rep).max() <= 1e-12 * scale + grad_floor
+
+
+def _divisor_distinct(r):
+    return r.normal(size=(8, 3)), r.normal(size=(32, 3)) * 1.4 + 0.3, _unit_rows(r, 20, 3)
+
+
+def _divisor_tied(r):
+    # integer grid: repeated sample points, ties on the axis directions
+    samp = r.integers(-2, 3, size=(6, 3)).astype(np.float64)
+    ref = r.integers(-3, 4, size=(30, 3)).astype(np.float64)
+    return samp, ref, np.vstack([_unit_rows(r, 6, 3), np.eye(3), -np.eye(3)])
+
+
+def _divisor_single_point(r):
+    return r.normal(size=(1, 3)), r.normal(size=(5, 3)), _unit_rows(r, 7, 3)
+
+
+DIVISOR_CASES = {
+    "distinct": _divisor_distinct,
+    "tied": _divisor_tied,
+    "n1": _divisor_single_point,
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVISOR_CASES))
+def test_divisor_sizes_match_replicated_clouds(case):
+    samp, ref, thetas = DIVISOR_CASES[case](make_rng(73))
+    for beta in (0.0, 0.1, 1.0):
+        assert_matches_replication(samp, ref, thetas, FgwConfig(beta=beta, exponent=2))
+
+
+@pytest.mark.parametrize("case", sorted(DIVISOR_CASES))
+def test_divisor_sizes_swap_symmetric_bitwise(case):
+    samp, ref, thetas = DIVISOR_CASES[case](make_rng(74))
+    c, gs, gr = _eval_slices(samp, ref, thetas, CFG, want_grads=True)
+    c_sw, gs_sw, gr_sw = _eval_ordered(samp, ref, thetas, CFG, swap=True)
+    assert_bitwise(c, c_sw)
+    assert_bitwise(gs, gs_sw)
+    assert_bitwise(gr, gr_sw)
+    opt = OptimizerConfig(max_iter=3, num_projections=10)
+    one = ssfg(samp, ref, CFG, 10.0, opt, rng=make_rng(5))
+    other = ssfg(ref, samp, CFG, 10.0, opt, rng=make_rng(5))
+    assert one.value == other.value and one.trace == other.trace
+
+
+def test_divisor_sizes_match_reference_oracle():
+    samp, ref, thetas = _divisor_tied(make_rng(75))
+    costs, gx, gy = _eval_slices(samp, ref, thetas, CFG, want_grads=True)
+    for row, theta in enumerate(thetas):
+        xs, ys = project(samp, theta), project(ref, theta)
+        cost = fgw_1d(xs, ys, CFG, method="reference")
+        ref_gx, ref_gy, _ = fgw_1d_grad(xs, ys, CFG, method="reference")
+        assert ref_gx.shape == (6,) and ref_gy.shape == (30,)
+        assert abs(costs[row] - cost) <= 1e-12 * cost
+        scale = max(np.abs(ref_gx).max(), np.abs(ref_gy).max())
+        assert np.abs(gx[row] - ref_gx).max() <= 1e-12 * scale
+        assert np.abs(gy[row] - ref_gy).max() <= 1e-12 * scale
+    with pytest.raises(ValueError):
+        fgw_1d_bruteforce(project(samp[:3], thetas[0]), project(ref[:6], thetas[0]), CFG)
+
+
+@pytest.mark.parametrize("sizes", [(12, 30), (30, 12)])
+def test_sizes_that_do_not_divide_are_rejected_naming_both(sizes):
+    r = make_rng(76)
+    X, Y = r.normal(size=(sizes[0], 2)), r.normal(size=(sizes[1], 2))
+    message = f"{sizes[0]} and {sizes[1]}"
+    with pytest.raises(ValueError, match=message):
+        sfg(X, Y, CFG, L=5, rng=make_rng(0))
+    with pytest.raises(ValueError, match=message):
+        fgw_1d(project(X, np.array([1.0, 0.0])), project(Y, np.array([1.0, 0.0])), CFG)
+
+
+# Nonzero pool values are at least 1/4 in magnitude, so the scale 10^k sets
+# the magnitude of every nonzero coordinate.
+_DIVISOR_POOL = st.one_of(st.just(0.0), st.floats(0.25, 4.0), st.floats(-4.0, -0.25))
+
+
+@st.composite
+def divisor_clouds(draw):
+    """An n-point sample, n in [1, 12], and an (n r)-point reference, r in
+    [1, 6], in d = 2 or 3, with coordinates from one pool of at most 6 values
+    at one scale 10^k, k in [-30, 30] (so points and projections tie), plus
+    random and axis directions."""
+    n, reps, d = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.sampled_from([2, 3]))
+    pool = draw(
+        hnp.arrays(np.float64, st.integers(1, 6), elements=_DIVISOR_POOL, fill=st.nothing())
+    )
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    clouds = []
+    for size in (n, n * reps):
+        index = draw(
+            hnp.arrays(np.intp, (size, d), elements=st.integers(0, pool.size - 1), fill=st.nothing())
+        )
+        clouds.append(pool[index] * scale)
+    thetas = np.vstack([_unit_rows(make_rng(draw(st.integers(0, 2**16))), 3, d), np.eye(d)])
+    return clouds[0], clouds[1], thetas, draw(st.floats(0.0, 1.0))
+
+
+@given(divisor_clouds())
+def test_divisor_sizes_properties_across_scales(case):
+    samp, ref, thetas, beta = case
+    cfg = FgwConfig(beta=beta, exponent=2)
+    top = max(np.abs(samp).max(), np.abs(ref).max(), 1e-300)
+    floor = 1e-24 * ((1.0 - beta) * top**2 + beta * top**4)
+    assert_matches_replication(
+        samp, ref, thetas, cfg, floor, 1e-24 * ((1.0 - beta) * top + beta * top**3)
+    )
+    c, gs, gr = _eval_slices(samp, ref, thetas, cfg, want_grads=True)
+    c_sw, gs_sw, gr_sw = _eval_ordered(samp, ref, thetas, cfg, swap=True)
+    assert_bitwise(c, c_sw)
+    # exact, but a zero gradient entry may change its sign (at beta = 0 the
+    # kernels add a -0.0 Gromov part), as it does for equal sizes
+    assert np.array_equal(gs, gs_sw) and np.array_equal(gr, gr_sw)
+    # a cloud against its own replication: 0 up to the gemm's last bits
+    own, _, _ = _eval_slices(samp, np.repeat(samp, ref.shape[0] // samp.shape[0], axis=0),
+                             thetas, cfg, want_grads=False)
+    assert (own >= 0.0).all() and own.max() <= floor
 
 
 # ---------------------------------------------------------------------------

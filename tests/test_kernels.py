@@ -57,13 +57,33 @@ def test_moment_gradients_match_pairwise():
         assert np.abs(gb_m - gb_r).max() <= 1e-9 * scale
 
 
+def _with_mirrored_rows(A, B, rng):
+    """A and B with rows appended on which the reversed coupling wins: each
+    new A row is skewed and its B row mirrors it, shifted so that A is the
+    lexicographically smaller row on even rows and B on odd ones. Summation
+    order matters on these rows, so only the canonical traversal keeps them
+    swap-symmetric."""
+    L, n = A.shape
+    MA = np.sort(rng.exponential(2.0, size=(L, n)), axis=1)
+    shift = np.where(np.arange(L) % 2 == 0, 30.0, -30.0)[:, None]
+    MB = np.sort(-1.3 * MA + shift + 0.05 * rng.normal(size=(L, n)), axis=1)
+    return np.vstack([A, MA]), np.vstack([B, MB])
+
+
+def _assert_reversed_with_both_leads(A, B, orients):
+    b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)])[orients == 1]
+    assert b_lead.sum() >= 4 and (~b_lead).sum() >= 4
+
+
 def test_cost_rows_swap_symmetric_bitwise():
     rng = np.random.default_rng(4)
     for use_moments in (True, False):
         A = np.sort(rng.normal(size=(32, 17)), axis=1)
         B = np.sort(rng.normal(size=(32, 17)) * 2.1 - 1.0, axis=1)
-        c1, _ = _kernels.cost_batch(A, B, 0.25, 2, use_moments)
+        A, B = _with_mirrored_rows(A, B, rng)
+        c1, o1 = _kernels.cost_batch(A, B, 0.25, 2, use_moments)
         c2, _ = _kernels.cost_batch(B, A, 0.25, 2, use_moments)
+        _assert_reversed_with_both_leads(A, B, o1)
         assert np.array_equal(c1, c2)
 
 
@@ -72,7 +92,9 @@ def test_gradients_swap_symmetric_bitwise():
     for use_moments in (True, False):
         A = np.sort(rng.normal(size=(16, 9)), axis=1)
         B = np.sort(rng.normal(size=(16, 9)) * 0.6 + 0.4, axis=1)
+        A, B = _with_mirrored_rows(A, B, rng)
         _, o1 = _kernels.cost_batch(A, B, 0.4, 2, use_moments)
+        _assert_reversed_with_both_leads(A, B, o1)
         _, o2 = _kernels.cost_batch(B, A, 0.4, 2, use_moments)
         ga1, gb1 = _kernels.grad_batch(A, B, 0.4, o1, use_moments)
         ga2, gb2 = _kernels.grad_batch(B, A, 0.4, o2, use_moments)
