@@ -44,10 +44,11 @@ Exact swap symmetry
 discrepancies promise exact symmetry under argument swap). Swapping the rows
 negates delta, u, mean(delta) and sum u exactly (y-x is -(x-y)) and keeps s
 (y+x is x+y): every cost term is even in them, g_delta is negated and g_s
-kept, which exchanges the two gradients. The pairwise route is symmetric
-elementwise. The reversed coupling is traversed along the lexicographically
-smaller row, as (a, b[::-1]) or (a[::-1], b), so its summation order does not
-depend on argument order either.
+kept, which exchanges the two gradients: they are equal as floats, though with
+beta = 0 a zero gradient may be -0.0 one way and +0.0 the other. The pairwise
+route is symmetric elementwise. The reversed coupling is traversed along the
+lexicographically smaller row, as (a, b[::-1]) or (a[::-1], b), so its
+summation order does not depend on argument order either.
 """
 
 from __future__ import annotations

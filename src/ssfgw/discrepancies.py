@@ -10,7 +10,8 @@
   the exact ssfg path (identical stream, identical trace).
 
 All four ascents draw directions and step their locations through
-``sphere_opt.SlicingAscent``. A non-finite ascent objective, location
+``sphere_opt.SlicingAscent``, and the smoothed engines draw their final
+values with it too. A non-finite ascent objective, location
 gradient or final value raises ``DivergenceError`` naming the engine.
 
 The clouds may hold n and m points where one size divides the other; the
@@ -421,18 +422,14 @@ def _smoothed_engine(engine, family, mu, nu, cfg, kappas, alphas, opt, rng):
         opt.adam_beta2,
     )
     trace, projections = _ascend(engine, X, Y, cfg, ascent, opt, L, pathwise, rng)
-    locs = ascent.locs
+    comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(ascent.locs, kappas))
     if engine == "mssfg":
-        params = MixtureVmfParams(
-            tuple(VmfParams(locs[i], kappas[i]) for i in range(len(kappas))), alphas
-        )
-        final_slicing = MixtureVmfSlicing(params)
+        final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, alphas))
     elif family == "vmf":
-        final_slicing = VmfSlicing(VmfParams(locs[0], kappas[0]))
+        final_slicing = VmfSlicing(comps[0])
     else:
-        final_slicing = PowerSphericalSlicing(PowerSphericalParams(locs[0], kappas[0]))
-    final_dirs = sample_slicing(final_slicing, d, L, rng)
-    final_costs, _, _ = _eval_slices(X, Y, final_dirs, cfg, want_grads=False)
+        final_slicing = PowerSphericalSlicing(PowerSphericalParams(ascent.locs[0], kappas[0]))
+    final_costs, _, _ = _eval_slices(X, Y, ascent.draw(L, rng)[0], cfg, want_grads=False)
     return _report(engine, final_costs, final_slicing, trace, projections + L)
 
 

@@ -9,11 +9,14 @@ state). Every public sampler accepts an optional ``size`` for batched draws;
 ``size=None`` returns a single direction. Identical seeds give bit-identical
 streams.
 
-The non-uniform samplers share one construction: draw the radial coordinate
-omega = eps^T theta, draw an independent uniform tangent direction v on
-S^{d-2}, assemble h = (omega, sqrt(1-omega^2) v) around the first axis, and
-map e_1 to the location eps with the Householder reflection
-U = I - 2 u u^T, u = (e_1 - eps)/||e_1 - eps||.
+The non-uniform samplers and every slicing ascent draw through one routine,
+``_draw_directions``. In this order it draws the component indices (only for
+mixtures of k > 1), the radial coordinates omega = eps^T theta component by
+component, and one uniform tangent direction v on S^{d-2} per sample; it then
+assembles h = (omega, sqrt(1-omega^2) v) around the first axis and maps e_1 to
+each location eps with the Householder reflection U = I - 2 u u^T,
+u = (e_1 - eps)/||e_1 - eps||. At kappa = 0 the vMF rejection step accepts
+every proposal and omega is the uniform law's first coordinate.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def _check_direction(location) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VmfParams:
-    """Location and concentration of a von Mises-Fisher distribution."""
+class _LocationConcentration:
+    """A location on S^{d-1} and a concentration >= 0."""
 
     location: np.ndarray
     concentration: float
@@ -89,22 +92,13 @@ class VmfParams:
 
 
 @dataclass(frozen=True)
-class PowerSphericalParams:
+class VmfParams(_LocationConcentration):
+    """Location and concentration of a von Mises-Fisher distribution."""
+
+
+@dataclass(frozen=True)
+class PowerSphericalParams(_LocationConcentration):
     """Location and concentration of a power spherical distribution."""
-
-    location: np.ndarray
-    concentration: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "location", _check_direction(self.location))
-        kappa = float(self.concentration)
-        if not math.isfinite(kappa) or kappa < 0.0:
-            raise ValueError("concentration must be finite and >= 0")
-        object.__setattr__(self, "concentration", kappa)
-
-    @property
-    def dim(self) -> int:
-        return self.location.size
 
 
 @dataclass(frozen=True)
@@ -232,20 +226,6 @@ def _ps_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def householder_matrix(location) -> np.ndarray:
-    """The reflection U = I - 2uu^T with U e_1 = location (identity when
-    location is within 1e-12 of e_1)."""
-    eps = np.asarray(location, dtype=np.float64)
-    d = eps.size
-    w = -eps.copy()
-    w[0] += 1.0  # w = e_1 - eps
-    rho = float(np.linalg.norm(w))
-    if rho < _UNIT_TOL:
-        return np.eye(d)
-    u = w / rho
-    return np.eye(d) - 2.0 * np.outer(u, u)
-
-
 def _pole_gap(location: np.ndarray):
     # (u, rho) for the reflection, or (None, 0.0) in the degenerate case.
     w = -location.copy()
@@ -256,13 +236,21 @@ def _pole_gap(location: np.ndarray):
     return w / rho, rho
 
 
+def householder_matrix(location) -> np.ndarray:
+    """The reflection U = I - 2uu^T with U e_1 = location (identity when
+    location is within 1e-12 of e_1)."""
+    eps = np.asarray(location, dtype=np.float64)
+    u, _ = _pole_gap(eps)
+    if u is None:
+        return np.eye(eps.size)
+    return np.eye(eps.size) - 2.0 * np.outer(u, u)
+
+
 def _reflect(location: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # Apply the reflection to rows of h (or to a single vector).
+    # Apply the reflection to the rows of h.
     u, _ = _pole_gap(location)
     if u is None:
         return h.copy()
-    if h.ndim == 1:
-        return h - (2.0 * float(h @ u)) * u
     return h - 2.0 * np.outer(h @ u, u)
 
 
@@ -275,64 +263,69 @@ def _assemble_directions(location: np.ndarray, omega: np.ndarray, v: np.ndarray)
     return _reflect(location, h), h
 
 
+def _components(idx: np.ndarray, k: int):
+    # (component, mask of its directions) for every component that drew any
+    for i in range(k):
+        sel = idx == i
+        if sel.any():
+            yield i, sel
+
+
+def _draw_directions(family: str, locs: np.ndarray, kappas, weights, L: int, rng: Rng):
+    """(thetas, idx, omega, v, frames) for L directions from a mixture of one
+    family ("vmf" or "power_spherical") around the (k, d) ``locs``, with
+    component probabilities ``weights`` (unused when k = 1). ``frames`` are
+    the pole-frame samples h that the gradient code pulls back."""
+    k, d = locs.shape
+    idx = np.zeros(L, dtype=np.int64) if k == 1 else rng.choice(k, size=L, p=weights)
+    radial = _vmf_omega if family == "vmf" else _ps_omega
+    omega = np.empty(L)
+    for i, sel in _components(idx, k):
+        omega[sel] = radial(kappas[i], d, int(sel.sum()), rng)
+    v = _uniform_sphere(d - 1, rng, L)
+    thetas = np.empty((L, d))
+    frames = np.empty((L, d))
+    for i, sel in _components(idx, k):
+        thetas[sel], frames[sel] = _assemble_directions(locs[i], omega[sel], v[sel])
+    return thetas, idx, omega, v, frames
+
+
 # ---------------------------------------------------------------------------
 # public samplers
 # ---------------------------------------------------------------------------
 
 
-def sample_vmf(params: VmfParams, rng: Rng, size=None) -> np.ndarray:
-    """Draw from vMF(location, concentration) on S^{d-1}.
+def _sample(family, comps, weights, rng: Rng, size):
+    # (directions, component indices) through the one draw routine; a single
+    # draw when size is None
+    locs = np.stack([comp.location for comp in comps])
+    kappas = [comp.concentration for comp in comps]
+    m = 1 if size is None else int(size)
+    thetas, idx = _draw_directions(family, locs, kappas, weights, m, rng)[:2]
+    return (thetas[0], int(idx[0])) if size is None else (thetas, idx)
 
-    kappa = 0 dispatches to the exact uniform sampler instead of running the
-    (always-accepting) rejection loop.
-    """
-    d = params.dim
-    if params.concentration == 0.0:
-        return sample_uniform_sphere(d, rng, size)
-    single = size is None
-    m = 1 if single else int(size)
-    omega = _vmf_omega(params.concentration, d, m, rng)
-    v = _uniform_sphere(d - 1, rng, m)
-    thetas, _ = _assemble_directions(params.location, omega, v)
-    return thetas[0] if single else thetas
+
+def sample_vmf(params: VmfParams, rng: Rng, size=None) -> np.ndarray:
+    """Draw from vMF(location, concentration) on S^{d-1}: the radial
+    coordinates first, then the tangent directions."""
+    return _sample("vmf", (params,), None, rng, size)[0]
 
 
 def sample_power_spherical(params: PowerSphericalParams, rng: Rng, size=None) -> np.ndarray:
     """Draw from the power spherical law, density proportional to
     (1 + location^T x)^concentration."""
-    d = params.dim
-    single = size is None
-    m = 1 if single else int(size)
-    omega = _ps_omega(params.concentration, d, m, rng)
-    v = _uniform_sphere(d - 1, rng, m)
-    thetas, _ = _assemble_directions(params.location, omega, v)
-    return thetas[0] if single else thetas
+    return _sample("power_spherical", (params,), None, rng, size)[0]
 
 
 def sample_mixture_vmf(params: MixtureVmfParams, rng: Rng, size=None):
     """Draw (direction, component_index) from a mixture of vMF components.
 
-    A single-component mixture skips the categorical draw entirely, so its
-    stream is identical to ``sample_vmf`` under a shared seed. Batched draws
-    consume the generator component by component in index order.
+    The generator gives the component indices, then the radial coordinates
+    component by component in index order, then the tangent directions of the
+    whole batch. A single-component mixture skips the categorical draw, so
+    its stream is identical to ``sample_vmf`` under a shared seed.
     """
-    k = len(params.components)
-    single = size is None
-    m = 1 if single else int(size)
-    if k == 1:
-        dirs = sample_vmf(params.components[0], rng, size=m)
-        idx = np.zeros(m, dtype=np.int64)
-    else:
-        idx = rng.choice(k, size=m, p=params.weights)
-        dirs = np.empty((m, params.dim))
-        for i in range(k):
-            sel = idx == i
-            count = int(sel.sum())
-            if count:
-                dirs[sel] = sample_vmf(params.components[i], rng, size=count)
-    if single:
-        return dirs[0], int(idx[0])
-    return dirs, idx
+    return _sample("vmf", params.components, params.weights, rng, size)
 
 
 # ---------------------------------------------------------------------------

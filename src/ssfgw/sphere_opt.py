@@ -36,16 +36,19 @@ import numpy as np
 from .sampling import (
     Rng,
     _assemble_directions,
+    _components,
+    _draw_directions,
     _pole_gap,
-    _ps_omega,
-    _uniform_sphere,
-    _vmf_omega,
     householder_matrix,
     sample_uniform_sphere,
+    unit_vector,
 )
 
+# Not called here since the draws moved into sampling._draw_directions; kept
+# importable under these names because the benchmark's tracer test pins them.
+from .sampling import _ps_omega, _uniform_sphere, _vmf_omega
+
 _FD_STEP = 1e-4
-_ZERO_NORM_TOL = 1e-12
 
 
 class GradientMethod(Enum):
@@ -102,12 +105,9 @@ def adam_step(state: AdamState, gradient, current, ascend: bool = True):
 
 
 def project_to_sphere(v) -> np.ndarray:
-    """v / ||v||; rejects near-zero vectors (caller must reinitialize)."""
-    arr = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(arr))
-    if norm <= _ZERO_NORM_TOL:
-        raise ValueError("cannot project a vector with norm <= 1e-12 to the sphere")
-    return arr / norm
+    """v / ||v|| (``sampling.unit_vector``); rejects near-zero vectors (caller
+    must reinitialize)."""
+    return unit_vector(v)
 
 
 def tangent_basis(eps) -> np.ndarray:
@@ -167,9 +167,8 @@ class SlicingAscent:
     ``family`` is "uniform" (no locations), "dirac" (each location is a
     direction), "vmf" or "power_spherical" (location of component i drawn
     with concentration ``kappas[i]``). ``locs`` is (k, d); ``alphas`` are the
-    mixture weights (uniform by default). ``draw`` consumes the generator in
-    a fixed order: component indices (only when k > 1), radial draws
-    component by component, then one (L, d-1) tangent draw.
+    mixture weights (uniform by default). The smoothed families draw through
+    ``sampling._draw_directions``, the routine behind the public samplers.
     """
 
     def __init__(self, family, locs, kappas=(), alphas=None,
@@ -186,36 +185,18 @@ class SlicingAscent:
     def draw(self, L: int, rng: Rng):
         """(thetas, ctx): L directions (k for "dirac") and the context that
         ``pathwise_gradient`` / ``fd_gradient`` need."""
-        d = self.locs.shape[1]
-        k = self.locs.shape[0]
         if self.family == "uniform":
-            return sample_uniform_sphere(d, rng, L), None
+            return sample_uniform_sphere(self.locs.shape[1], rng, L), None
         if self.family == "dirac":
-            return self.locs.copy(), _Draw(np.arange(k))
-        idx = np.zeros(L, dtype=np.int64) if k == 1 else rng.choice(k, size=L, p=self.alphas)
-        radial = _vmf_omega if self.family == "vmf" else _ps_omega
-        omega = np.empty(L)
-        for i, sel in self._components(idx):
-            omega[sel] = radial(self.kappas[i], d, int(sel.sum()), rng)
-        v = _uniform_sphere(d - 1, rng, L)
-        thetas = np.empty((L, d))
-        frames = np.empty((L, d))
-        for i, sel in self._components(idx):
-            thetas[sel], frames[sel] = assemble_directions(self.locs[i], omega[sel], v[sel])
-        return thetas, _Draw(idx, omega, v, frames)
-
-    def _components(self, idx):
-        # (component, mask of its directions) for every component that drew any
-        for i in range(self.locs.shape[0]):
-            sel = idx == i
-            if sel.any():
-                yield i, sel
+            return self.locs.copy(), _Draw(np.arange(self.locs.shape[0]))
+        thetas, *ctx = _draw_directions(self.family, self.locs, self.kappas, self.alphas, L, rng)
+        return thetas, _Draw(*ctx)
 
     def pathwise_gradient(self, ctx: _Draw, g_theta) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients from the (L, d)
         objective gradients in the drawn directions."""
         grad = np.zeros_like(self.locs)
-        for i, sel in self._components(ctx.idx):
+        for i, sel in _components(ctx.idx, len(self.locs)):
             if self.family == "dirac":
                 per_sample = g_theta[sel]
             else:
@@ -230,7 +211,7 @@ class SlicingAscent:
         (omega, v) noise (common random numbers)."""
         d = self.locs.shape[1]
         grad = np.zeros_like(self.locs)
-        for i, sel in self._components(ctx.idx):
+        for i, sel in _components(ctx.idx, len(self.locs)):
             loc = self.locs[i]
             basis = tangent_basis(loc)
             partials = np.empty(d - 1)

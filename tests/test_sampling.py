@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ssfgw import sampling
 from ssfgw.sampling import (
     MixtureVmfParams,
     PowerSphericalParams,
@@ -19,6 +20,7 @@ from ssfgw.sampling import (
     unit_vector,
     vmf_mean_resultant_oracle,
 )
+from ssfgw.sphere_opt import SlicingAscent
 
 
 def _random_location(rng, d):
@@ -131,17 +133,35 @@ def test_householder_degenerate_pole_is_identity():
 # ---------------------------------------------------------------------------
 
 
+def test_vmf_kappa_zero_accepts_every_proposal(monkeypatch):
+    # at kappa = 0 the rejection test reduces to 0 >= log(u): one proposal
+    # batch per call, and omega = 1 - 2 psi is the uniform first coordinate
+    calls = []
+
+    def counted(alpha, beta, rng, m):
+        calls.append(m)
+        return beta_draw(alpha, beta, rng, m)
+
+    beta_draw = sampling._beta_draw
+    monkeypatch.setattr(sampling, "_beta_draw", counted)
+    for d in (2, 3, 5, 16, 100, 1000):
+        calls.clear()
+        omega = sampling._vmf_omega(0.0, d, 257, make_rng(d))
+        assert calls == [257], d
+        assert np.all(np.abs(omega) <= 1.0)
+
+
 def test_kappa_zero_is_uniform():
     rng = make_rng(14)
-    d = 5
-    loc = _random_location(rng, d)
-    batch = sample_vmf(VmfParams(loc, 0.0), rng, 40000)
-    # mean of each coordinate is 0 with variance 1/d per sample
-    se = math.sqrt(1.0 / d / 40000)
-    assert np.abs(batch.mean(axis=0)).max() <= 3.0 * se
-    # second moment matrix is I/d
-    second = batch.T @ batch / 40000
-    assert np.abs(second - np.eye(d) / d).max() <= 5.0 * se
+    for d in (2, 3, 5):
+        loc = _random_location(rng, d)
+        batch = sample_vmf(VmfParams(loc, 0.0), rng, 40000)
+        # mean of each coordinate is 0 with variance 1/d per sample
+        se = math.sqrt(1.0 / d / 40000)
+        assert np.abs(batch.mean(axis=0)).max() <= 3.0 * se, d
+        # second moment matrix is I/d
+        second = batch.T @ batch / 40000
+        assert np.abs(second - np.eye(d) / d).max() <= 5.0 * se, d
 
 
 def test_vmf_mean_resultant_matches_quadrature():
@@ -195,6 +215,19 @@ def test_single_component_mixture_matches_vmf_stream():
     plain = sample_vmf(VmfParams(loc, 6.0), make_rng(77), 500)
     assert np.array_equal(dirs, plain)
     assert np.array_equal(idx, np.zeros(500, dtype=np.int64))
+
+
+def test_mixture_draws_through_the_ascent_routine():
+    rng = make_rng(81)
+    locs = np.stack([_random_location(rng, 4) for _ in range(3)])
+    kappas = (2.0, 0.0, 40.0)
+    alphas = np.array([0.2, 0.3, 0.5])
+    mix = _mixture(*zip(locs, kappas), weights=alphas)
+    dirs, idx = sample_mixture_vmf(mix, make_rng(82), 300)
+    thetas, ctx = SlicingAscent("vmf", locs, kappas, alphas).draw(300, make_rng(82))
+    assert np.array_equal(dirs, thetas)
+    assert np.array_equal(idx, ctx.idx)
+    assert set(idx.tolist()) == {0, 1, 2}
 
 
 def test_degenerate_weights_always_pick_first():

@@ -144,6 +144,25 @@ def test_slicing_draw_shapes_and_ranges():
         SlicingAscent("gaussian", _locations(rng, 1, 6), kappas=(5.0,))
 
 
+@pytest.mark.parametrize("family", ["vmf", "power_spherical"])
+@pytest.mark.parametrize("kappa", [0.0, 10.0])
+def test_slicing_draw_at_the_degenerate_points(family, kappa):
+    rng = make_rng(35)
+    # at e_1 the reflection is the identity: directions are the pole-frame
+    # samples and the pullback is zero
+    pole = np.array([1.0, 0.0, 0.0, 0.0])
+    ascent = SlicingAscent(family, pole, kappas=(kappa,))
+    thetas, ctx = ascent.draw(50, rng)
+    assert np.array_equal(ctx.frames, thetas)
+    g_theta = rng.normal(size=thetas.shape)
+    assert np.array_equal(ascent.pathwise_gradient(ctx, g_theta), np.zeros((1, 4)))
+    # at d = 2 the tangent draw lives on S^0
+    ascent = SlicingAscent(family, _locations(rng, 2, 2), kappas=(kappa, kappa))
+    thetas, ctx = ascent.draw(50, rng)
+    assert np.array_equal(np.abs(ctx.v), np.ones((50, 1)))
+    assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
+
+
 def test_location_gradient_is_tangent():
     rng = make_rng(34)
     a = rng.normal(size=5)
