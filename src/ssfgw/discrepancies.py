@@ -1,7 +1,8 @@
 """The sliced fused Gromov-Wasserstein discrepancy family.
 
 * ``sfg``: Monte Carlo average of the 1D fused cost over uniform directions.
-* ``max_sfg``: projected Adam ascent of the single-direction cost, multi-start.
+* ``max_sfg``: projected Adam ascent of the single-direction cost from R
+  starts, ascended together as the rows of one Dirac slicing.
 * ``ssfg`` / ``pssfg``: ascent of the vMF- / power-spherical-smoothed cost in
   the slicing location via reparameterized (or finite-difference) gradients.
 * ``mssfg``: joint ascent of all locations of a mixture-of-vMF slicing
@@ -40,10 +41,8 @@ from .sampling import (
     Rng,
     VmfParams,
     _check_direction,
-    sample_mixture_vmf,
-    sample_power_spherical,
+    _sample,
     sample_uniform_sphere,
-    sample_vmf,
 )
 from .sphere_opt import GradientMethod, SlicingAscent
 
@@ -125,11 +124,10 @@ def sample_slicing(slicing: SlicingDistribution, d: int, L: int, rng: Rng) -> np
     params = slicing.params
     if params.dim != d:
         raise ValueError("slicing dimension does not match the clouds")
-    if isinstance(slicing, VmfSlicing):
-        return sample_vmf(params, rng, size=L)
-    if isinstance(slicing, PowerSphericalSlicing):
-        return sample_power_spherical(params, rng, size=L)
-    return sample_mixture_vmf(params, rng, size=L)[0]
+    if isinstance(slicing, MixtureVmfSlicing):
+        return _sample("vmf", params.components, params.weights, rng, L)[0]
+    family = "vmf" if isinstance(slicing, VmfSlicing) else "power_spherical"
+    return _sample(family, (params,), None, rng, L)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +311,10 @@ def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> Discr
 
 def _ascend(engine, X, Y, cfg, ascent: SlicingAscent, opt, L, pathwise, rng):
     """Ascend the slicing locations for up to ``opt.max_iter`` iterations, until
-    they move less than the convergence tolerance. Returns (trace,
-    projections used)."""
+    they move less than the convergence tolerance. Returns (the costs of every
+    iteration's directions, projections used)."""
     d = X.shape[1]
-    trace = []
+    history = []
     projections = 0
 
     def costs_at(thetas):
@@ -325,9 +323,8 @@ def _ascend(engine, X, Y, cfg, ascent: SlicingAscent, opt, L, pathwise, rng):
     for it in range(1, opt.max_iter + 1):
         thetas, ctx = ascent.draw(L, rng)
         costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=pathwise)
-        value = float(costs.mean())
-        _check_finite(engine, "ascent objective", value, it)
-        trace.append((it, value))
+        _check_finite(engine, "ascent objective", float(costs.mean()), it)
+        history.append(costs)
         projections += thetas.shape[0]
         if pathwise:
             grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
@@ -337,7 +334,7 @@ def _ascend(engine, X, Y, cfg, ascent: SlicingAscent, opt, L, pathwise, rng):
         _check_finite(engine, "location gradient", grad, it)
         if ascent.step(grad) < _CONVERGENCE_TOL:
             break
-    return trace, projections
+    return history, projections
 
 
 def max_sfg(
@@ -349,31 +346,25 @@ def max_sfg(
     num_restarts: int = 8,
 ) -> DiscrepancyReport:
     """Largest single-direction fused cost, by projected Adam ascent with
-    multi-start (best of ``num_restarts`` uniform initializations). The
+    multi-start: the ``num_restarts`` uniform initializations are the rows of
+    one Dirac ``SlicingAscent``, each with weight 1, and they stop together.
+    Reports the first restart with the highest final cost and its trace. The
     gradient is pathwise for r=2 and finite-difference otherwise."""
     opt = opt or OptimizerConfig()
     rng = _resolve_rng(rng, opt)
     X, Y = _validate_pair(mu, nu)
-    if int(num_restarts) < 1:
+    R = int(num_restarts)
+    if R < 1:
         raise ValueError("num_restarts must be >= 1")
-    best = None
-    projections = 0
-    for _ in range(int(num_restarts)):
-        ascent = SlicingAscent(
-            "dirac",
-            sample_uniform_sphere(X.shape[1], rng),
-            learning_rate=opt.learning_rate,
-            beta1=opt.adam_beta1,
-            beta2=opt.adam_beta2,
-        )
-        trace, used = _ascend("max_sfg", X, Y, cfg, ascent, opt, 1, cfg.exponent == 2, rng)
-        costs, _, _ = _eval_slices(X, Y, ascent.locs, cfg, want_grads=False)
-        _check_finite("max_sfg", "final value", costs, len(trace))
-        projections += used + 1
-        if best is None or costs[0] > best[0][0]:
-            best = (costs, ascent.locs[0], trace)
-    costs, theta, trace = best
-    return _report("max_sfg", costs, DiracSlicing(theta), trace, projections)
+    ascent = SlicingAscent("dirac", sample_uniform_sphere(X.shape[1], rng, R), (), np.ones(R),
+                           opt.learning_rate, opt.adam_beta1, opt.adam_beta2)
+    history, projections = _ascend("max_sfg", X, Y, cfg, ascent, opt, R, cfg.exponent == 2, rng)
+    costs, _, _ = _eval_slices(X, Y, ascent.locs, cfg, want_grads=False)
+    # argmax picks a NaN or inf row if there is one, and _report rejects it
+    best = int(np.argmax(costs))
+    trace = [(it, float(row[best])) for it, row in enumerate(history, 1)]
+    return _report("max_sfg", costs[best:best + 1], DiracSlicing(ascent.locs[best]), trace,
+                   projections + R)
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +403,10 @@ def _smoothed_engine(engine, family, mu, nu, cfg, kappas, alphas, opt, rng):
         raise ValueError(
             "pathwise gradients need the r=2 closed form; use FiniteDifference"
         )
-    ascent = SlicingAscent(
-        family,
-        np.stack([sample_uniform_sphere(d, rng) for _ in kappas]),
-        kappas,
-        alphas,
-        opt.learning_rate,
-        opt.adam_beta1,
-        opt.adam_beta2,
-    )
-    trace, projections = _ascend(engine, X, Y, cfg, ascent, opt, L, pathwise, rng)
+    ascent = SlicingAscent(family, sample_uniform_sphere(d, rng, len(kappas)), kappas, alphas,
+                           opt.learning_rate, opt.adam_beta1, opt.adam_beta2)
+    history, projections = _ascend(engine, X, Y, cfg, ascent, opt, L, pathwise, rng)
+    trace = [(it, float(costs.mean())) for it, costs in enumerate(history, 1)]
     comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(ascent.locs, kappas))
     if engine == "mssfg":
         final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, alphas))

@@ -306,7 +306,7 @@ def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
     else:
         kappas, alphas = _mixture([objective.kappa], None)
     family = "power_spherical" if objective.kind == "pssfg" else "vmf"
-    locs = np.stack([sample_uniform_sphere(d, rng) for _ in kappas])
+    locs = sample_uniform_sphere(d, rng, len(kappas))
     return SlicingAscent(family, locs, kappas, alphas, *adam)
 
 

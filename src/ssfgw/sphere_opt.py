@@ -169,6 +169,8 @@ class SlicingAscent:
     with concentration ``kappas[i]``). ``locs`` is (k, d); ``alphas`` are the
     mixture weights (uniform by default). The smoothed families draw through
     ``sampling._draw_directions``, the routine behind the public samplers.
+    ``max_sfg``'s restarts are the rows of one "dirac" ascent with unit
+    weights: they share one Adam state and stop together.
     """
 
     def __init__(self, family, locs, kappas=(), alphas=None,
@@ -207,26 +209,31 @@ class SlicingAscent:
     def fd_gradient(self, ctx: _Draw, costs_at) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients by central
         differences along a tangent basis of each location. ``costs_at`` maps
-        (m, d) directions to m costs; the perturbed locations replay the drawn
-        (omega, v) noise (common random numbers)."""
-        d = self.locs.shape[1]
+        (m, d) directions to m costs; it is called once per tangent index and
+        sign, on the drawn directions of every location moved together, and
+        the moved locations replay the drawn (omega, v) noise (common random
+        numbers)."""
+        k, d = self.locs.shape
+        comps = list(_components(ctx.idx, k))
+        bases = [tangent_basis(loc) for loc in self.locs]
+        partials = np.empty((k, d - 1))
+
+        def moved_costs(j, sign):
+            # costs of the drawn directions, every location moved along its
+            # j-th tangent
+            thetas = np.empty((ctx.idx.size, d))
+            for i, sel in comps:
+                moved = project_to_sphere(self.locs[i] + sign * _FD_STEP * bases[i][:, j])
+                thetas[sel] = self._around(moved, ctx, sel)
+            return costs_at(thetas)
+
+        for j in range(d - 1):
+            f_plus, f_minus = moved_costs(j, 1.0), moved_costs(j, -1.0)
+            for i, sel in comps:
+                partials[i, j] = (f_plus[sel].mean() - f_minus[sel].mean()) / (2.0 * _FD_STEP)
         grad = np.zeros_like(self.locs)
-        for i, sel in _components(ctx.idx, len(self.locs)):
-            loc = self.locs[i]
-            basis = tangent_basis(loc)
-            partials = np.empty(d - 1)
-            for j in range(d - 1):
-                plus = project_to_sphere(loc + _FD_STEP * basis[:, j])
-                minus = project_to_sphere(loc - _FD_STEP * basis[:, j])
-                f_plus = costs_at(self._around(plus, ctx, sel)).mean()
-                f_minus = costs_at(self._around(minus, ctx, sel)).mean()
-                partials[j] = (f_plus - f_minus) / (2.0 * _FD_STEP)
-            ambient = basis @ partials
-            # tangent by construction; the smoothed families re-project it,
-            # and each keeps its order of operations so results reproduce
-            if self.family != "dirac":
-                ambient = _tangent(loc, ambient)
-            grad[i] = self.alphas[i] * ambient
+        for i, _ in comps:
+            grad[i] = self.alphas[i] * _tangent(self.locs[i], bases[i] @ partials[i])
         return grad
 
     def _around(self, loc, ctx: _Draw, sel):
@@ -237,10 +244,7 @@ class SlicingAscent:
     def step(self, grad) -> float:
         """One projected Adam ascent step; returns how far the locations moved."""
         updated, self.adam = adam_step(self.adam, grad, self.locs, ascend=True)
-        if self.family == "dirac":
-            updated = np.stack([project_to_sphere(row) for row in updated])
-        else:
-            updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
+        updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
         delta = float(np.linalg.norm(updated - self.locs))
         self.locs = updated
         return delta

@@ -578,6 +578,21 @@ def test_max_sfg_dominates_sfg():
     assert hi.std_error == 0.0
 
 
+def test_max_sfg_restart_bookkeeping():
+    # the restarts are the rows of one ascent: every row counts its slices,
+    # the trace has one entry per iteration, and the value is the reported
+    # direction's cost
+    R, T, d = 3, 4, 3
+    X, Y = iid_pair(49, d=d)
+    opt = OptimizerConfig(max_iter=T)
+    for cfg, per_iteration in ((CFG, R), (FgwConfig(beta=0.1, exponent=3), R * (2 * d - 1))):
+        rep = max_sfg(X, Y, cfg, opt, make_rng(24), num_restarts=R)
+        assert rep.num_projections_used == T * per_iteration + R
+        assert len(rep.trace) == T
+        direct = float(slice_costs(X, Y, cfg, rep.final_slicing.direction)[0])
+        assert rep.value == pytest.approx(direct, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # concentration limits
 # ---------------------------------------------------------------------------

@@ -105,6 +105,15 @@ def test_bitwise_determinism_under_shared_seed():
         assert np.array_equal(first, second)
 
 
+def test_batched_uniform_draws_equal_single_draws():
+    # max_sfg draws its restarts' starts in one batch
+    for d in (2, 3, 8):
+        batch = sample_uniform_sphere(d, make_rng(998), 7)
+        rng = make_rng(998)
+        singles = np.stack([sample_uniform_sphere(d, rng) for _ in range(7)])
+        assert np.array_equal(batch, singles)
+
+
 # ---------------------------------------------------------------------------
 # reflection frame
 # ---------------------------------------------------------------------------

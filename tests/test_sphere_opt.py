@@ -182,6 +182,57 @@ def test_location_gradient_is_tangent():
                     assert abs(float(loc @ g)) <= 1e-12 * np.linalg.norm(g), (family, k)
 
 
+def _fd_reference(ascent, ctx, costs_at):
+    # one costs_at call per location, tangent index and sign
+    d = ascent.locs.shape[1]
+    grad = np.zeros_like(ascent.locs)
+    for i, loc in enumerate(ascent.locs):
+        sel = ctx.idx == i
+        if not sel.any():
+            continue
+        basis = tangent_basis(loc)
+        partials = np.empty(d - 1)
+        for j in range(d - 1):
+            f = [
+                costs_at(assemble_directions(
+                    project_to_sphere(loc + sign * 1e-4 * basis[:, j]), ctx.omega[sel], ctx.v[sel]
+                )[0]).mean()
+                for sign in (1.0, -1.0)
+            ]
+            partials[j] = (f[0] - f[1]) / (2.0 * 1e-4)
+        ambient = basis @ partials
+        grad[i] = ascent.alphas[i] * (ambient - loc * float(loc @ ambient))
+    return grad
+
+
+@pytest.mark.parametrize(
+    "family, k", [("vmf", 1), ("vmf", 3), ("power_spherical", 1), ("dirac", 3)]
+)
+def test_fd_gradient_makes_one_call_per_tangent_index_and_sign(family, k):
+    rng = make_rng(36)
+    d, L = 5, 40
+    a = rng.normal(size=d)
+
+    def costs_at(thetas):
+        # row by row, so a row's cost does not depend on the rows beside it
+        return np.cos(3.0 * thetas[:, 0]) + ((thetas * a).sum(axis=1)) ** 2
+
+    alphas = np.array([0.2, 0.3, 0.5]) if k == 3 else None
+    ascent = SlicingAscent(family, _locations(rng, k, d), (10.0,) * k, alphas)
+    thetas, ctx = ascent.draw(L, rng)
+    rows = []
+
+    def counting(directions):
+        rows.append(directions.shape[0])
+        return costs_at(directions)
+
+    grad = ascent.fd_gradient(ctx, counting)
+    assert len(rows) == 2 * (d - 1)
+    assert max(rows) <= thetas.shape[0] == (k if family == "dirac" else L)
+    if family != "dirac":
+        assert np.array_equal(grad, _fd_reference(ascent, ctx, costs_at))
+
+
 def test_assemble_directions_radial_component():
     rng = make_rng(24)
     eps = unit_vector(rng.normal(size=4))
