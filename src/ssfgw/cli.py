@@ -20,6 +20,7 @@ import sys
 import numpy as np
 
 from .discrepancies import (
+    KINDS,
     OptimizerConfig,
     max_sfg,
     mssfg,
@@ -169,6 +170,13 @@ def _add_opt_flags(sub):
     )
 
 
+def _add_slicing_flags(sub, kappa: float):
+    sub.add_argument("--kind", choices=tuple(k.replace("_", "-") for k in KINDS), default="ssfg")
+    sub.add_argument("--kappa", type=float, default=kappa)
+    sub.add_argument("--kappas", type=_float_list, default=None, help="mssfg concentrations")
+    sub.add_argument("--alphas", type=_float_list, default=None, help="mssfg weights")
+
+
 def _add_common_flags(sub):
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--output", default=None, help="results CSV path (stdout if omitted)")
@@ -181,15 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     disc = commands.add_parser("discrepancy", help="one discrepancy between two clouds")
     disc.add_argument("source", help="CSV point cloud")
     disc.add_argument("target", help="CSV point cloud")
-    disc.add_argument(
-        "--kind",
-        choices=("sfg", "max-sfg", "ssfg", "pssfg", "mssfg"),
-        default="ssfg",
-    )
+    _add_slicing_flags(disc, kappa=10.0)
     _add_cost_flags(disc)
-    disc.add_argument("--kappa", type=float, default=10.0)
-    disc.add_argument("--kappas", type=_float_list, default=None, help="mssfg concentrations")
-    disc.add_argument("--alphas", type=_float_list, default=None, help="mssfg weights")
     disc.add_argument("--restarts", type=int, default=8, help="max-sfg restarts")
     _add_opt_flags(disc)
     _add_common_flags(disc)
@@ -215,15 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     flow = commands.add_parser("flow", help="particle gradient flow toward a target cloud")
     flow.add_argument("target")
-    flow.add_argument(
-        "--kind",
-        choices=("sfg", "max-sfg", "ssfg", "pssfg", "mssfg"),
-        default="ssfg",
-    )
+    _add_slicing_flags(flow, kappa=1000.0)
     _add_cost_flags(flow)
-    flow.add_argument("--kappa", type=float, default=1000.0)
-    flow.add_argument("--kappas", type=_float_list, default=None)
-    flow.add_argument("--alphas", type=_float_list, default=None)
     flow.add_argument("--num-particles", type=int, default=None, help="defaults to target size")
     flow.add_argument("--steps", type=int, default=3000)
     flow.add_argument("--step-size", type=float, default=0.01)
@@ -235,15 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     gmm = commands.add_parser("gmm-fit", help="fit a diagonal GMM to a cloud")
     gmm.add_argument("target")
     gmm.add_argument("--components", type=int, default=10)
-    gmm.add_argument(
-        "--kind",
-        choices=("sfg", "max-sfg", "ssfg", "pssfg", "mssfg"),
-        default="ssfg",
-    )
+    _add_slicing_flags(gmm, kappa=10.0)
     _add_cost_flags(gmm)
-    gmm.add_argument("--kappa", type=float, default=10.0)
-    gmm.add_argument("--kappas", type=_float_list, default=None)
-    gmm.add_argument("--alphas", type=_float_list, default=None)
     gmm.add_argument("--steps", type=int, default=1000)
     gmm.add_argument("--step-size", type=float, default=0.01)
     gmm.add_argument("--batch", type=int, default=128)
@@ -270,9 +257,13 @@ def _opt_from_args(args) -> OptimizerConfig:
     )
 
 
-def _default_mixture(kappa: float):
-    # default mixture: 10 components, all at --kappa
-    return tuple([float(kappa)] * 10)
+def _kind_kappas(args):
+    """The kind in the library's spelling and the mssfg concentrations: by
+    default a mixture of 10 components, all at --kappa."""
+    kind = args.kind.replace("-", "_")
+    if kind == "mssfg" and args.kappas is None:
+        return kind, (float(args.kappa),) * 10
+    return kind, args.kappas
 
 
 def _cmd_discrepancy(args):
@@ -281,21 +272,17 @@ def _cmd_discrepancy(args):
     cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
     opt = _opt_from_args(args)
     rng = np.random.default_rng(args.seed)
-    kind = args.kind.replace("-", "_")
+    kind, kappas = _kind_kappas(args)
     if kind == "sfg":
         report = sfg(X, Y, cfg, L=args.L, rng=rng)
         param = ""
     elif kind == "max_sfg":
         report = max_sfg(X, Y, cfg, opt, rng=rng, num_restarts=args.restarts)
         param = ""
-    elif kind == "ssfg":
-        report = ssfg(X, Y, cfg, args.kappa, opt, rng=rng)
-        param = repr(float(args.kappa))
-    elif kind == "pssfg":
-        report = pssfg(X, Y, cfg, args.kappa, opt, rng=rng)
+    elif kind in ("ssfg", "pssfg"):
+        report = (ssfg if kind == "ssfg" else pssfg)(X, Y, cfg, args.kappa, opt, rng=rng)
         param = repr(float(args.kappa))
     else:
-        kappas = args.kappas if args.kappas is not None else _default_mixture(args.kappa)
         report = mssfg(X, Y, cfg, kappas, args.alphas, opt, rng=rng)
         param = ",".join(repr(float(k)) for k in kappas)
     rows = [(kind, param, report.value, report.std_error)]
@@ -337,10 +324,9 @@ def _cmd_convergence(args):
 
 
 def _flow_objective(args) -> FlowObjective:
-    kind = args.kind.replace("-", "_")
-    kappas = args.kappas
-    if kind == "mssfg" and kappas is None:
-        kappas = _default_mixture(args.kappa)
+    if args.exponent != 2:
+        raise CliInputError(f"{args.command} needs --exponent 2 (gradients use the closed form)")
+    kind, kappas = _kind_kappas(args)
     return FlowObjective(
         kind=kind,
         beta=args.beta,
@@ -356,8 +342,7 @@ def _flow_objective(args) -> FlowObjective:
 
 def _cmd_flow(args):
     Y = parse_point_cloud(args.target)
-    if args.exponent != 2:
-        raise CliInputError("flow needs --exponent 2 (gradients use the closed form)")
+    objective = _flow_objective(args)
     num_particles = args.num_particles if args.num_particles is not None else Y.shape[0]
     if num_particles != Y.shape[0]:
         raise CliInputError(
@@ -367,7 +352,7 @@ def _cmd_flow(args):
     result = particle_flow(
         Y,
         num_particles,
-        _flow_objective(args),
+        objective,
         steps=args.steps,
         step_size=args.step_size,
         rng=np.random.default_rng(args.seed),
@@ -387,8 +372,6 @@ def _cmd_flow(args):
 
 def _cmd_gmm(args):
     Y = parse_point_cloud(args.target)
-    if args.exponent != 2:
-        raise CliInputError("gmm-fit needs --exponent 2 (gradients use the closed form)")
     params = gmm_fit(
         Y,
         args.components,

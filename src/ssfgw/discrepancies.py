@@ -10,10 +10,11 @@
   and scaled by that component's weight. A single-component mixture follows
   the exact ssfg path (identical stream, identical trace).
 
-All four ascents draw directions and step their locations through
-``sphere_opt.SlicingAscent``, and the smoothed engines draw their final
-values with it too. A non-finite ascent objective, location
-gradient or final value raises ``DivergenceError`` naming the engine.
+The four ascents and the flows draw directions and step their locations
+through the ``sphere_opt.SlicingAscent`` that ``_slicing_ascent`` builds for
+one of the ``KINDS``; the smoothed engines draw their final values with it
+too. A non-finite ascent objective, location gradient or final value raises
+``DivergenceError`` naming the engine.
 
 The clouds may hold n and m points where one size divides the other; the
 engines then compare their quantile functions (``fgw.spread_rows``).
@@ -51,6 +52,10 @@ from .sphere_opt import GradientMethod, SlicingAscent
 from .sphere_opt import adam_step, assemble_directions
 
 _CONVERGENCE_TOL = 1e-6
+
+KINDS = ("sfg", "max_sfg", "ssfg", "pssfg", "mssfg")
+# the direction family that each ascending kind's SlicingAscent draws from
+_FAMILIES = {"max_sfg": "dirac", "ssfg": "vmf", "pssfg": "power_spherical", "mssfg": "vmf"}
 
 
 class DivergenceError(RuntimeError):
@@ -305,8 +310,40 @@ def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> Discr
 
 
 # ---------------------------------------------------------------------------
-# slicing ascent shared by max_sfg, ssfg, pssfg and mssfg
+# slicing ascents of every kind, shared with the flows
 # ---------------------------------------------------------------------------
+
+
+def _mixture(kappas, alphas):
+    """Validated concentrations (a list) and weights (uniform by default)."""
+    kappas = [float(kappa) for kappa in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
+    if len(kappas) < 1:
+        raise ValueError("need at least one concentration")
+    if any(kappa < 0.0 for kappa in kappas):
+        raise ValueError("concentrations must be >= 0")
+    k = len(kappas)
+    alphas = np.full(k, 1.0 / k) if alphas is None else np.asarray(alphas, dtype=np.float64)
+    if alphas.shape != (k,):
+        raise ValueError("alphas length must match the number of concentrations")
+    if np.any(alphas < 0.0) or abs(float(alphas.sum()) - 1.0) > 1e-12:
+        raise ValueError("alphas must be nonnegative and sum to 1 within 1e-12")
+    return kappas, alphas
+
+
+def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):
+    """The ``SlicingAscent`` of a kind in dimension d: no locations for sfg,
+    ``starts`` uniform directions of weight 1 for max_sfg, one uniform location
+    per validated concentration otherwise. ``settings`` (``OptimizerConfig``
+    or ``FlowObjective``) gives the Adam learning rate and betas."""
+    if kind == "sfg":
+        return SlicingAscent("uniform", np.empty((0, d)))
+    if kind == "max_sfg":
+        kappas, alphas = (), np.ones(starts)
+    else:
+        kappas, alphas = _mixture(kappas, alphas)
+        starts = len(kappas)
+    return SlicingAscent(_FAMILIES[kind], sample_uniform_sphere(d, rng, starts), kappas, alphas,
+                         settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
 
 
 def _ascend(engine, X, Y, cfg, ascent: SlicingAscent, opt, L, pathwise, rng):
@@ -356,8 +393,7 @@ def max_sfg(
     R = int(num_restarts)
     if R < 1:
         raise ValueError("num_restarts must be >= 1")
-    ascent = SlicingAscent("dirac", sample_uniform_sphere(X.shape[1], rng, R), (), np.ones(R),
-                           opt.learning_rate, opt.adam_beta1, opt.adam_beta2)
+    ascent = _slicing_ascent("max_sfg", X.shape[1], rng, opt, starts=R)
     history, projections = _ascend("max_sfg", X, Y, cfg, ascent, opt, R, cfg.exponent == 2, rng)
     costs, _, _ = _eval_slices(X, Y, ascent.locs, cfg, want_grads=False)
     # argmax picks a NaN or inf row if there is one, and _report rejects it
@@ -372,48 +408,25 @@ def max_sfg(
 # ---------------------------------------------------------------------------
 
 
-def _mixture(kappas, alphas):
-    """Validated concentrations (a list) and weights (uniform by default)."""
-    kappas = [float(kappa) for kappa in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
-    if len(kappas) < 1:
-        raise ValueError("need at least one concentration")
-    if any(kappa < 0.0 for kappa in kappas):
-        raise ValueError("concentrations must be >= 0")
-    k = len(kappas)
-    if alphas is None:
-        alphas = np.full(k, 1.0 / k)
-    else:
-        alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.shape != (k,):
-        raise ValueError("alphas length must match the number of concentrations")
-    if np.any(alphas < 0.0) or abs(float(alphas.sum()) - 1.0) > 1e-12:
-        raise ValueError("alphas must be nonnegative and sum to 1 within 1e-12")
-    return kappas, alphas
-
-
-def _smoothed_engine(engine, family, mu, nu, cfg, kappas, alphas, opt, rng):
+def _smoothed_engine(engine, mu, nu, cfg, kappas, alphas, opt, rng):
     opt = opt or OptimizerConfig()
     rng = _resolve_rng(rng, opt)
     X, Y = _validate_pair(mu, nu)
-    kappas, alphas = _mixture(kappas, alphas)
-    d = X.shape[1]
+    ascent = _slicing_ascent(engine, X.shape[1], rng, opt, kappas, alphas)
     L = opt.num_projections
     pathwise = opt.gradient_method is GradientMethod.PATHWISE
     if pathwise and cfg.exponent != 2:
-        raise ValueError(
-            "pathwise gradients need the r=2 closed form; use FiniteDifference"
-        )
-    ascent = SlicingAscent(family, sample_uniform_sphere(d, rng, len(kappas)), kappas, alphas,
-                           opt.learning_rate, opt.adam_beta1, opt.adam_beta2)
+        raise ValueError("pathwise gradients need the r=2 closed form; use FiniteDifference")
     history, projections = _ascend(engine, X, Y, cfg, ascent, opt, L, pathwise, rng)
     trace = [(it, float(costs.mean())) for it, costs in enumerate(history, 1)]
-    comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(ascent.locs, kappas))
+    locs, kappas = ascent.locs, ascent.kappas
+    comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(locs, kappas))
     if engine == "mssfg":
-        final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, alphas))
-    elif family == "vmf":
+        final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, ascent.alphas))
+    elif engine == "ssfg":
         final_slicing = VmfSlicing(comps[0])
     else:
-        final_slicing = PowerSphericalSlicing(PowerSphericalParams(ascent.locs[0], kappas[0]))
+        final_slicing = PowerSphericalSlicing(PowerSphericalParams(locs[0], kappas[0]))
     final_costs, _, _ = _eval_slices(X, Y, ascent.draw(L, rng)[0], cfg, want_grads=False)
     return _report(engine, final_costs, final_slicing, trace, projections + L)
 
@@ -428,7 +441,7 @@ def ssfg(
 ) -> DiscrepancyReport:
     """Spherical SFG: ascends the location of a vMF(eps, kappa) slicing
     distribution and reports the smoothed objective at the optimum."""
-    return _smoothed_engine("ssfg", "vmf", mu, nu, cfg, [kappa], None, opt, rng)
+    return _smoothed_engine("ssfg", mu, nu, cfg, [kappa], None, opt, rng)
 
 
 def pssfg(
@@ -440,7 +453,7 @@ def pssfg(
     rng: Optional[Rng] = None,
 ) -> DiscrepancyReport:
     """Power spherical SFG: ssfg with the rejection-free PS sampler."""
-    return _smoothed_engine("pssfg", "power_spherical", mu, nu, cfg, [kappa], None, opt, rng)
+    return _smoothed_engine("pssfg", mu, nu, cfg, [kappa], None, opt, rng)
 
 
 def mssfg(
@@ -454,4 +467,4 @@ def mssfg(
 ) -> DiscrepancyReport:
     """Mixture spherical SFG: jointly ascends all k vMF locations; sample
     gradients are routed by the drawing component and scaled by its weight."""
-    return _smoothed_engine("mssfg", "vmf", mu, nu, cfg, kappas, alphas, opt, rng)
+    return _smoothed_engine("mssfg", mu, nu, cfg, kappas, alphas, opt, rng)

@@ -20,23 +20,25 @@ step size would have to grow with n; the scaling makes step_size n-free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .fgw import FgwConfig, as_point_cloud
 from .discrepancies import (
+    KINDS,
     DivergenceError,
     OptimizerConfig,
     _eval_slices,
     _mc_std_error,
-    _mixture,
+    _resolve_rng,
+    _slicing_ascent,
     max_sfg,
     sfg,
     ssfg,
 )
-from .sampling import Rng, sample_uniform_sphere
+from .sampling import Rng
 from .sphere_opt import SlicingAscent
 
 # Not called here since the flows ascend through SlicingAscent; kept
@@ -93,12 +95,18 @@ class GmmParams:
         object.__setattr__(self, "weights", weights)
 
 
+def _draw_gmm(means, log_std, weights, n: int, rng: Rng):
+    """n reparameterized draws from a diagonal GMM: (samples, the component
+    of each, their standard-normal noise)."""
+    k, d = means.shape
+    comp = rng.choice(k, size=n, p=weights) if k > 1 else np.zeros(n, dtype=np.int64)
+    eta = rng.standard_normal((n, d))
+    return means[comp] + np.exp(log_std[comp]) * eta, comp, eta
+
+
 def sample_gmm(params: GmmParams, n: int, rng: Rng) -> np.ndarray:
     """n draws from a diagonal GMM."""
-    k, d = params.means.shape
-    comp = rng.choice(k, size=int(n), p=params.weights) if k > 1 else np.zeros(int(n), dtype=np.int64)
-    eta = rng.standard_normal((int(n), d))
-    return params.means[comp] + np.exp(params.log_std_devs[comp]) * eta
+    return _draw_gmm(params.means, params.log_std_devs, params.weights, int(n), rng)[0]
 
 
 _FOUR_MODES = np.array([[4.0, 4.0], [4.0, -4.0], [-4.0, 4.0], [-4.0, -4.0]])
@@ -141,28 +149,20 @@ def kappa_sweep(
     if int(trials) < 1:
         raise ValueError("trials must be >= 1")
     trials = int(trials)
-    rng = rng if rng is not None else np.random.default_rng(opt.seed)
+    rng = _resolve_rng(rng, opt)
     kappas = [float(k) for k in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
-    rows = []
-    for kappa in kappas:
-        children = rng.spawn(trials)
-        values = np.array(
-            [ssfg(mu, nu, cfg, kappa, opt, rng=child).value for child in children]
-        )
-        mean, se = _mean_se(values)
-        rows.append(Record("ssfg", _fmt_param(kappa), mean, se))
-    children = rng.spawn(trials)
-    values = np.array(
-        [sfg(mu, nu, cfg, L=opt.num_projections, rng=child).value for child in children]
-    )
-    mean, se = _mean_se(values)
-    rows.append(Record("sfg", "", mean, se))
-    children = rng.spawn(trials)
-    values = np.array(
-        [max_sfg(mu, nu, cfg, opt, rng=child).value for child in children]
-    )
-    mean, se = _mean_se(values)
-    rows.append(Record("max_sfg", "", mean, se))
+
+    def row(metric, parameter, engine):
+        # one trial per spawned generator; engine maps a generator to a report
+        values = np.array([engine(child).value for child in rng.spawn(trials)])
+        return Record(metric, parameter, *_mean_se(values))
+
+    rows = [
+        row("ssfg", _fmt_param(kappa), lambda child: ssfg(mu, nu, cfg, kappa, opt, rng=child))
+        for kappa in kappas
+    ]
+    rows.append(row("sfg", "", lambda child: sfg(mu, nu, cfg, L=opt.num_projections, rng=child)))
+    rows.append(row("max_sfg", "", lambda child: max_sfg(mu, nu, cfg, opt, rng=child)))
     metadata = {
         "experiment": "kappa_sweep",
         "kappas": kappas,
@@ -175,15 +175,7 @@ def kappa_sweep(
 
 
 def _opt_echo(opt: OptimizerConfig) -> dict:
-    return {
-        "learning_rate": opt.learning_rate,
-        "adam_beta1": opt.adam_beta1,
-        "adam_beta2": opt.adam_beta2,
-        "max_iter": opt.max_iter,
-        "num_projections": opt.num_projections,
-        "gradient_method": opt.gradient_method.value,
-        "seed": opt.seed,
-    }
+    return {**asdict(opt), "gradient_method": opt.gradient_method.value}
 
 
 def convergence_rate(
@@ -216,7 +208,7 @@ def convergence_rate(
     if metric not in ("ssfg", "w1_control"):
         raise ValueError("metric must be 'ssfg' or 'w1_control'")
     trials = int(trials)
-    rng = rng if rng is not None else np.random.default_rng(opt.seed)
+    rng = _resolve_rng(rng, opt)
     m = 16 * max(sizes)
     rows = []
     means = []
@@ -262,9 +254,6 @@ def convergence_rate(
 # ---------------------------------------------------------------------------
 
 
-_FLOW_KINDS = ("sfg", "max_sfg", "ssfg", "pssfg", "mssfg")
-
-
 @dataclass(frozen=True)
 class FlowObjective:
     """Which discrepancy a flow descends, and its slicing-ascent settings."""
@@ -280,8 +269,8 @@ class FlowObjective:
     adam_beta2: float = 0.999
 
     def __post_init__(self):
-        if self.kind not in _FLOW_KINDS:
-            raise ValueError(f"kind must be one of {_FLOW_KINDS}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if int(self.num_projections) < 1:
             raise ValueError("num_projections must be >= 1")
         object.__setattr__(self, "num_projections", int(self.num_projections))
@@ -293,21 +282,12 @@ class FlowObjective:
 
 def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
     """The flow's slicing distribution, ascended one warm-started step per
-    flow step."""
-    adam = (objective.learning_rate, objective.adam_beta1, objective.adam_beta2)
-    if objective.kind == "sfg":
-        return SlicingAscent("uniform", np.empty((0, d)))
-    if objective.kind == "max_sfg":
-        return SlicingAscent("dirac", sample_uniform_sphere(d, rng), (), None, *adam)
-    if objective.kind == "mssfg":
-        if objective.kappas is None:
-            raise ValueError("mssfg flow needs kappas")
-        kappas, alphas = _mixture(objective.kappas, objective.alphas)
-    else:
-        kappas, alphas = _mixture([objective.kappa], None)
-    family = "power_spherical" if objective.kind == "pssfg" else "vmf"
-    locs = sample_uniform_sphere(d, rng, len(kappas))
-    return SlicingAscent(family, locs, kappas, alphas, *adam)
+    flow step. Only mssfg reads ``kappas`` and ``alphas``."""
+    if objective.kind != "mssfg":
+        return _slicing_ascent(objective.kind, d, rng, objective, [objective.kappa])
+    if objective.kappas is None:
+        raise ValueError("mssfg flow needs kappas")
+    return _slicing_ascent("mssfg", d, rng, objective, objective.kappas, objective.alphas)
 
 
 def _slice_step(ascent, objective, cfg, A, B, rng, step):
@@ -356,7 +336,7 @@ def particle_flow(
         raise ValueError("num_particles must equal the target size")
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng()
+    rng = _resolve_rng(rng, None)
     cfg = objective.fgw_config()
     X = 0.1 * rng.standard_normal((n, d))
     ascent = _flow_ascent(objective, d, rng)
@@ -401,7 +381,7 @@ def gmm_fit(
         raise ValueError("batch must lie in [1, target size]")
     if int(steps) < 0:
         raise ValueError("steps must be >= 0")
-    rng = rng if rng is not None else np.random.default_rng()
+    rng = _resolve_rng(rng, None)
     cfg = objective.fgw_config()
     means = 0.1 * rng.standard_normal((k, d))
     log_std = np.zeros((k, d))
@@ -410,9 +390,7 @@ def gmm_fit(
         return GmmParams(means, log_std, weights)
     ascent = _flow_ascent(objective, d, rng)
     for step in range(1, int(steps) + 1):
-        comp = rng.choice(k, size=batch, p=weights) if k > 1 else np.zeros(batch, dtype=np.int64)
-        eta = rng.standard_normal((batch, d))
-        Z = means[comp] + np.exp(log_std[comp]) * eta
+        Z, comp, eta = _draw_gmm(means, log_std, weights, batch, rng)
         sel_rows = rng.choice(n, size=batch, replace=False)
         _, gz, thetas = _slice_step(ascent, objective, cfg, Z, Y[sel_rows], rng, step)
         sample_grad = (gz.T @ thetas) / thetas.shape[0]

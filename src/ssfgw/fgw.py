@@ -18,10 +18,10 @@ Sizes n and m may differ when one divides the other: sorted values are then
 spread to the quantile function on max(n, m) cells (``spread_rows``) and
 gradients summed back over the cells (``fold_rows``). The oracle keeps n = m.
 
-The default evaluation is the O(n^2) double sum. ``method="moments"`` opts
-into the O(n) r=2 evaluation from the centered difference and sum of the
-paired values, accurate also on nearly-agreeing clouds; the Monte Carlo
-engines use that route after it is validated against the reference in tests.
+``fgw_1d`` and ``fgw_1d_grad`` evaluate the O(n^2) double sum
+(``method="reference"``, the only method). They are the reference against
+which the tests validate the O(n) r=2 kernel of the Monte Carlo engines
+(``_kernels``, from the centered difference and sum of the paired values).
 """
 
 from __future__ import annotations
@@ -159,25 +159,17 @@ def fold_rows(G, n: int):
     return G if G.shape[1] == n else G.reshape(G.shape[0], n, -1).sum(axis=2)
 
 
-def _paired_sorted(xs: Projected1D, ys: Projected1D):
+def _paired_sorted(xs: Projected1D, ys: Projected1D, method: str):
+    if method != "reference":
+        raise ValueError(f"method must be 'reference', got {method!r}")
     k = common_size(len(xs), len(ys))
     return tuple(spread_rows(p.sorted_values()[None, :], k) for p in (xs, ys))
 
 
-def _use_moments(cfg: FgwConfig, method: str) -> bool:
-    if method == "reference":
-        return False
-    if method == "moments":
-        if cfg.exponent != 2:
-            raise ValueError("the moments fast path requires exponent r=2")
-        return True
-    raise ValueError("method must be 'reference' or 'moments'")
-
-
 def fgw_1d(xs: Projected1D, ys: Projected1D, cfg: FgwConfig, method: str = "reference") -> float:
     """Fused 1D cost, minimized over the two monotone couplings."""
-    a, b = _paired_sorted(xs, ys)
-    costs, _ = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, _use_moments(cfg, method))
+    a, b = _paired_sorted(xs, ys, method)
+    costs, _ = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, False)
     return float(costs[0])
 
 
@@ -221,10 +213,9 @@ def fgw_1d_grad(xs: Projected1D, ys: Projected1D, cfg: FgwConfig, method: str = 
     """
     if cfg.exponent != 2:
         raise ValueError("fgw_1d_grad requires exponent r=2")
-    a, b = _paired_sorted(xs, ys)
-    use_moments = _use_moments(cfg, method)
-    costs, orients = _kernels.cost_batch(a, b, cfg.beta, 2, use_moments)
-    ga, gb = _kernels.grad_batch(a, b, cfg.beta, orients, use_moments)
+    a, b = _paired_sorted(xs, ys, method)
+    costs, orients = _kernels.cost_batch(a, b, cfg.beta, 2, False)
+    ga, gb = _kernels.grad_batch(a, b, cfg.beta, orients, False)
     grad_xs = np.empty(len(xs))
     grad_ys = np.empty(len(ys))
     grad_xs[xs.sort_permutation] = fold_rows(ga, len(xs))[0]

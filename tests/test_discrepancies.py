@@ -2,6 +2,9 @@
 sizes n and m with n dividing m, zeros, frozen worked examples, concentration
 limits, the sandwich ordering, mixture reduction, symmetry, and determinism."""
 
+import dataclasses
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,8 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 from ssfgw import _kernels
 from ssfgw.discrepancies import (
+    KINDS,
     DiracSlicing,
     DiscrepancyReport,
+    DivergenceError,
     MixtureVmfSlicing,
     OptimizerConfig,
     PowerSphericalSlicing,
@@ -37,7 +42,7 @@ from ssfgw.fgw import (
     project,
     stable_sort_rows,
 )
-from ssfgw.sampling import VmfParams, make_rng
+from ssfgw.sampling import MixtureVmfParams, VmfParams, make_rng, sample_mixture_vmf
 from ssfgw.sphere_opt import GradientMethod
 
 CFG = FgwConfig(beta=0.1, exponent=2)
@@ -413,6 +418,12 @@ def test_sample_slicing_dispatch():
     vmf = sample_slicing(VmfSlicing(VmfParams(theta, 50.0)), 3, 100, rng)
     assert np.abs(np.linalg.norm(vmf, axis=1) - 1.0).max() <= 1e-12
     assert (vmf @ theta).mean() > 0.9
+    comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(np.eye(3), (5.0, 50.0, 0.0)))
+    params = MixtureVmfParams(comps, np.array([0.5, 0.3, 0.2]))
+    mixture = sample_slicing(MixtureVmfSlicing(params), 3, 40, make_rng(41))
+    assert np.array_equal(mixture, sample_mixture_vmf(params, make_rng(41), 40)[0])
+    with pytest.raises(ValueError):
+        sample_slicing(MixtureVmfSlicing(params), 4, 40, rng)
 
 
 def test_sample_slicing_dimension_mismatch():
@@ -488,6 +499,74 @@ def test_final_slicing_types_per_engine():
 
 
 # ---------------------------------------------------------------------------
+# engine-level properties: whole reports under a shared seed
+# ---------------------------------------------------------------------------
+
+
+class EngineCase(NamedTuple):
+    kind: str
+    cfg: FgwConfig
+    opt: OptimizerConfig
+    kappas: list
+    seed: int
+    clouds: tuple
+
+
+@st.composite
+def engine_cases(draw):
+    """One engine call: a kind, its gradient route (pathwise needs r = 2;
+    max_sfg takes the pathwise route exactly at r = 2), a mixture of 1 to 3
+    concentrations (the smoothed kinds but mssfg use the first), 1 to 3
+    iterations of 1 to 6 projections, a seed, and clouds of n and n * reps
+    points, n in [1, 6], reps in [1, 3], d = 2 or 3, with coordinates from
+    one pool at one scale 10^k, k in [-150, 150]."""
+    kind = draw(st.sampled_from(KINDS))
+    method = draw(st.sampled_from([GradientMethod.PATHWISE, GradientMethod.FINITE_DIFFERENCE]))
+    exponent = 2 if method is GradientMethod.PATHWISE else draw(st.sampled_from([2, 3]))
+    opt = OptimizerConfig(
+        learning_rate=0.05, max_iter=draw(st.integers(1, 3)),
+        num_projections=draw(st.integers(1, 6)), gradient_method=method,
+    )
+    kappas = draw(st.lists(st.sampled_from([0.0, 1.0, 10.0, 300.0]), min_size=1, max_size=3))
+    n, reps, d = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    pool = draw(
+        hnp.arrays(np.float64, st.integers(1, 6), elements=_DIVISOR_POOL, fill=st.nothing())
+    )
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    clouds = tuple(
+        pool[draw(hnp.arrays(np.intp, (size, d), elements=st.integers(0, pool.size - 1),
+                             fill=st.nothing()))] * scale
+        for size in (n, n * reps)
+    )
+    cfg = FgwConfig(beta=draw(st.sampled_from([0.0, 0.3, 1.0])), exponent=exponent)
+    return EngineCase(kind, cfg, opt, kappas, draw(st.integers(0, 2**16)), clouds)
+
+
+def run_engine(case, a, b):
+    rng = make_rng(case.seed)
+    with np.errstate(all="ignore"):
+        if case.kind == "sfg":
+            return sfg(a, b, case.cfg, L=case.opt.num_projections, rng=rng)
+        if case.kind == "max_sfg":
+            return max_sfg(a, b, case.cfg, case.opt, rng, num_restarts=2)
+        if case.kind == "mssfg":
+            return mssfg(a, b, case.cfg, case.kappas, opt=case.opt, rng=rng)
+        engine = ssfg if case.kind == "ssfg" else pssfg
+        return engine(a, b, case.cfg, case.kappas[0], case.opt, rng=rng)
+
+
+def report_bits(x):
+    """A report (or a slicing, or its parameters) as nested tuples, with every
+    number as its bytes."""
+    if dataclasses.is_dataclass(x):
+        fields = (getattr(x, f.name) for f in dataclasses.fields(x))
+        return (type(x).__name__,) + tuple(report_bits(v) for v in fields)
+    if isinstance(x, (tuple, list)):
+        return tuple(report_bits(v) for v in x)
+    return np.asarray(x).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
 
@@ -502,17 +581,21 @@ def test_identical_clouds_give_exact_zero_everywhere():
     assert mssfg(X, X, CFG, kappas=[1.0, 10.0], opt=opt, rng=make_rng(10)).value == 0.0
 
 
-def test_row_permuted_cloud_gives_exact_zero():
-    X, _ = iid_pair(44, d=4)
-    perm = make_rng(11).permutation(X.shape[0])
-    assert sfg(X, X[perm], CFG, L=60, rng=make_rng(12)).value == 0.0
-    assert (
-        ssfg(
-            X, X[perm], CFG, kappa=5.0,
-            opt=OptimizerConfig(max_iter=2, num_projections=20), rng=make_rng(13),
-        ).value
-        == 0.0
-    )
+@given(engine_cases())
+def test_row_permuted_cloud_gives_exact_zero(case):
+    X = case.clouds[0]
+    perm = make_rng(case.seed).permutation(X.shape[0])
+    try:
+        rep = run_engine(case, X, X[perm])
+    except DivergenceError as exc:
+        # where finite: the slice costs overflow, and the cloud against itself
+        # raises the same error
+        with pytest.raises(DivergenceError) as same:
+            run_engine(case, X, X)
+        assert str(same.value) == str(exc)
+        return
+    assert rep.value == 0.0 and rep.std_error == 0.0
+    assert all(value == 0.0 for _, value in rep.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -721,20 +804,16 @@ def test_sandwich_on_random_instances():
 # ---------------------------------------------------------------------------
 
 
-def test_swap_symmetry_exact_for_all_engines():
-    X, Y = iid_pair(51, d=3)
-    opt = OptimizerConfig(learning_rate=0.02, max_iter=5, num_projections=40)
-
-    def runs(a, b):
-        return [
-            sfg(a, b, CFG, L=50, rng=make_rng(26)).value,
-            max_sfg(a, b, CFG, opt, make_rng(27), num_restarts=3).value,
-            ssfg(a, b, CFG, kappa=8.0, opt=opt, rng=make_rng(28)).value,
-            pssfg(a, b, CFG, kappa=8.0, opt=opt, rng=make_rng(29)).value,
-            mssfg(a, b, CFG, kappas=[2.0, 16.0], opt=opt, rng=make_rng(30)).value,
-        ]
-
-    assert runs(X, Y) == runs(Y, X)
+@given(engine_cases())
+def test_swap_symmetry_exact_for_all_engines(case):
+    X, Y = case.clouds
+    outcomes = []
+    for a, b in ((X, Y), (Y, X)):
+        try:
+            outcomes.append(report_bits(run_engine(case, a, b)))
+        except DivergenceError as exc:
+            outcomes.append((str(exc), exc.step))
+    assert outcomes[0] == outcomes[1]
 
 
 def _smoothed_monotone(trace, window=5):
