@@ -12,6 +12,7 @@ orientation : per-row tag; 0 pairs both rows ascending, 1 pairs the first row
 use_moments : evaluate the r=2 cost in O(n) through the identity below
     instead of the O(n^2) double sum. Callers must pass use_moments=True only
     for r=2; the two routes are validated against each other in the tests.
+    A pair of equal distances adds exactly 0 to the double sum, even if their powers overflow.
 
 The per-row cost is
 
@@ -40,15 +41,14 @@ rounding of their means, on the scale of a and b, in delta.
 
 Exact swap symmetry
 -------------------
-`cost_batch(A, B) == cost_batch(B, A)` must hold bit-for-bit (the public
-discrepancies promise exact symmetry under argument swap). Swapping the rows
-negates delta, u, mean(delta) and sum u exactly (y-x is -(x-y)) and keeps s
-(y+x is x+y): every cost term is even in them, g_delta is negated and g_s
-kept, which exchanges the two gradients: they are equal as floats, though with
-beta = 0 a zero gradient may be -0.0 one way and +0.0 the other. The pairwise
-route is symmetric elementwise. The reversed coupling is traversed along the
-lexicographically smaller row, as (a, b[::-1]) or (a[::-1], b), so its
-summation order does not depend on argument order either.
+`cost_batch(A, B) == cost_batch(B, A)` holds bit for bit (the public
+discrepancies promise exact symmetry), by one pairing rule: on the reversed
+coupling the lexicographically larger row runs backwards (``_flipped``), so
+either argument order sums the same pairs in the same order. A swap then
+negates delta, u, mean(delta) and sum u exactly (y-x is -(x-y)) and keeps s:
+every cost term is even in them, g_delta is negated and g_s kept, which
+exchanges the two gradients as floats (with beta = 0 a zero gradient may be
+-0.0 one way and +0.0 the other). The pairwise route is symmetric elementwise.
 """
 
 from __future__ import annotations
@@ -66,49 +66,13 @@ def _center_rows(X):
     return m
 
 
-def _first(p, q, out, where):
-    return np.copyto(out, p, where=where)
-
-
-def _second(p, q, out, where):
-    return np.copyto(out, q, where=where)
-
-
-# A traversal is a sequence of (reverse p, reverse q, rows) triples.
-_ASCENDING = ((False, False, True),)
-_FLIPS = ((False, False), (False, True), (True, False))
-
-
-def _traversal(rev, b_lead):
-    # (a, b) on ascending rows; (a, b[::-1]) on reversed ones, or (a[::-1], b)
-    # where b_lead marks b as the lexicographically smaller row.
-    out = []
-    for flips, rows in zip(_FLIPS, (~rev, rev & ~b_lead, rev & b_lead)):
-        if rows.all():
-            return [(*flips, True)]
-        if rows.any():
-            out.append((*flips, rows[:, None]))
-    return out
-
-
-def _traversed(ufunc, A, B, traversal):
-    """``ufunc(p, q)`` per row for (p, q) in traversal order, by masked writes
-    into one array, so no row is copied. The same maps take gradients wrt
-    (p, q) back to (a, b): ``_traversed(_first, gp, gq, t)`` is the gradient
-    wrt a and ``_traversed(_second, gp, gq, t)`` the one wrt b.
-    """
-    out = np.empty_like(A)
-    for rev_p, rev_q, rows in traversal:
-        p = A[:, ::-1] if rev_p else A
-        q = B[:, ::-1] if rev_q else B
-        ufunc(p, q, out=out, where=rows)
-    return out
-
-
-def _paired(A, B, traversal, use_moments):
-    # The rows a route works on: raw delta and s, or p and q.
-    f, g = (np.subtract, np.add) if use_moments else (_first, _second)
-    return _traversed(f, A, B, traversal), _traversed(g, A, B, traversal)
+def _flipped(X, rows):
+    # X with the marked rows reversed (X itself if none is, a view if all are)
+    if rows.all():
+        return X[:, ::-1]
+    if not rows.any():
+        return X
+    return np.where(rows[:, None], X[:, ::-1], X)
 
 
 # Row blocks in the O(n^2) route keep scratch matrices near this many entries.
@@ -126,19 +90,25 @@ def _cost_pairwise_np(P, Q, beta, r):
         for l, (p, q) in enumerate(zip(P, Q)):
             for i0 in range(0, n, block):
                 sl = slice(i0, min(i0 + block, n))
-                dd = np.abs(p[sl, None] - p[None, :]) ** r - np.abs(q[sl, None] - q[None, :]) ** r
-                g[l] += float(np.sum(dd * dd))
+                ea, eb = np.abs(p[sl, None] - p[None, :]), np.abs(q[sl, None] - q[None, :])
+                dd = ea ** r - eb ** r
+                term = float(np.sum(dd * dd))
+                if not np.isfinite(term):  # inf - inf where equal distances overflow
+                    dd[ea == eb] = 0.0
+                    term = float(np.sum(dd * dd))
+                g[l] += term
         g /= n * n
     return (1.0 - beta) * w + beta * g
 
 
-def _cost_ds_np(d, s, beta):
-    # d and s are the raw delta and s rows; both are overwritten.
-    n = d.shape[1]
+def _cost_ds_np(P, Q, beta):
+    n = P.shape[1]
+    d = P - Q
     m = _center_rows(d)
     s_dd = _row_dot(d, d)
     c = (1.0 - beta) * (s_dd / n + m * m)
     if beta != 0.0:
+        s = P + Q
         _center_rows(s)
         s_ss = _row_dot(s, s)
         u = np.multiply(d, s, out=s)
@@ -159,9 +129,9 @@ def _b_lead_rows(A, B):
     return differs.any(axis=1) & (B[rows, first] < A[rows, first])
 
 
-def _grad_ds_np(d, s, beta):
-    # Gradients wrt (p, q) from the raw delta and s rows (overwritten).
-    n = d.shape[1]
+def _grad_ds_np(P, Q, beta):
+    n = P.shape[1]
+    d, s = P - Q, P + Q
     m = _center_rows(d)
     _center_rows(s)
     s_dd = _row_dot(d, d)
@@ -214,12 +184,10 @@ def _as_batch(x):
 def cost_batch(A, B, beta, r, use_moments):
     """Per-row coupling-minimized cost and the chosen orientation."""
     A, B, beta, r, use_moments = _as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments)
-    reversed_ = _traversal(np.ones(A.shape[0], bool), _b_lead_rows(A, B))
+    b_lead = _b_lead_rows(A, B)
     c_asc, c_rev = (
-        _cost_ds_np(*_paired(A, B, t, True), beta)
-        if use_moments
-        else _cost_pairwise_np(*_paired(A, B, t, False), beta, r)
-        for t in (_ASCENDING, reversed_)
+        _cost_ds_np(P, Q, beta) if use_moments else _cost_pairwise_np(P, Q, beta, r)
+        for P, Q in ((A, B), (_flipped(A, b_lead), _flipped(B, ~b_lead)))
     )
     orients = (c_rev < c_asc).astype(np.uint8)
     return np.where(orients == 1, c_rev, c_asc), orients
@@ -229,7 +197,9 @@ def grad_batch(A, B, beta, orients, use_moments):
     """Per-row gradients (wrt A and wrt B) of the r=2 cost under the given
     orientations (the coupling is held fixed)."""
     A, B, beta, use_moments = _as_batch(A), _as_batch(B), float(beta), bool(use_moments)
-    t = _traversal(np.asarray(orients, dtype=np.uint8) == 1, _b_lead_rows(A, B))
+    rev = np.asarray(orients, dtype=np.uint8) == 1
+    b_lead = _b_lead_rows(A, B)
+    flip_a, flip_b = rev & b_lead, rev & ~b_lead
     grad = _grad_ds_np if use_moments else _grad_pairwise_np
-    gp, gq = grad(*_paired(A, B, t, use_moments), beta)
-    return _traversed(_first, gp, gq, t), _traversed(_second, gp, gq, t)
+    gp, gq = grad(_flipped(A, flip_a), _flipped(B, flip_b), beta)
+    return _flipped(gp, flip_a), _flipped(gq, flip_b)

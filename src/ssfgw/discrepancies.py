@@ -41,7 +41,9 @@ from .sampling import (
     PowerSphericalParams,
     Rng,
     VmfParams,
+    _check_concentration,
     _check_direction,
+    _check_weights,
     _sample,
     sample_uniform_sphere,
 )
@@ -316,18 +318,12 @@ def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> Discr
 
 def _mixture(kappas, alphas):
     """Validated concentrations (a list) and weights (uniform by default)."""
-    kappas = [float(kappa) for kappa in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
+    kappas = np.atleast_1d(np.asarray(kappas, dtype=np.float64))
+    kappas = [_check_concentration(kappa) for kappa in kappas]
     if len(kappas) < 1:
         raise ValueError("need at least one concentration")
-    if any(kappa < 0.0 for kappa in kappas):
-        raise ValueError("concentrations must be >= 0")
     k = len(kappas)
-    alphas = np.full(k, 1.0 / k) if alphas is None else np.asarray(alphas, dtype=np.float64)
-    if alphas.shape != (k,):
-        raise ValueError("alphas length must match the number of concentrations")
-    if np.any(alphas < 0.0) or abs(float(alphas.sum()) - 1.0) > 1e-12:
-        raise ValueError("alphas must be nonnegative and sum to 1 within 1e-12")
-    return kappas, alphas
+    return kappas, _check_weights(np.full(k, 1.0 / k) if alphas is None else alphas, k, "alphas")
 
 
 def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):

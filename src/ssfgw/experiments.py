@@ -38,7 +38,7 @@ from .discrepancies import (
     sfg,
     ssfg,
 )
-from .sampling import Rng
+from .sampling import Rng, _check_weights
 from .sphere_opt import SlicingAscent
 
 # Not called here since the flows ascend through SlicingAscent; kept
@@ -81,15 +81,11 @@ class GmmParams:
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
         log_std = np.asarray(self.log_std_devs, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
         if means.ndim != 2 or log_std.shape != means.shape:
             raise ValueError("means and log_std_devs must share a (k, d) shape")
-        if weights.shape != (means.shape[0],):
-            raise ValueError("weights length must match the number of components")
+        weights = _check_weights(self.weights, means.shape[0])
         if not (np.isfinite(means).all() and np.isfinite(log_std).all()):
             raise ValueError("GMM parameters must be finite")
-        if np.any(weights < 0.0) or abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "log_std_devs", log_std)
         object.__setattr__(self, "weights", weights)
@@ -336,6 +332,10 @@ def particle_flow(
         raise ValueError("num_particles must equal the target size")
     if int(steps) < 1:
         raise ValueError("steps must be >= 1")
+    if int(snapshot_every) < 1:
+        raise ValueError("snapshot_every must be >= 1")
+    if not np.isfinite(float(step_size)):
+        raise ValueError("step_size must be finite")
     rng = _resolve_rng(rng, None)
     cfg = objective.fgw_config()
     X = 0.1 * rng.standard_normal((n, d))
@@ -381,6 +381,8 @@ def gmm_fit(
         raise ValueError("batch must lie in [1, target size]")
     if int(steps) < 0:
         raise ValueError("steps must be >= 0")
+    if not np.isfinite(float(step_size)):
+        raise ValueError("step_size must be finite")
     rng = _resolve_rng(rng, None)
     cfg = objective.fgw_config()
     means = 0.1 * rng.standard_normal((k, d))

@@ -72,6 +72,23 @@ def _check_direction(location) -> np.ndarray:
     return arr
 
 
+def _check_concentration(kappa) -> float:
+    kappa = float(kappa)
+    if not math.isfinite(kappa) or kappa < 0.0:
+        raise ValueError("concentration must be finite and >= 0")
+    return kappa
+
+
+def _check_weights(weights, k: int, name: str = "weights") -> np.ndarray:
+    # k mixture weights: finite, nonnegative and summing to 1 within 1e-12
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (k,):
+        raise ValueError(f"{name} length must match the number of components")
+    if not np.isfinite(w).all() or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+        raise ValueError(f"{name} must be finite, nonnegative and sum to 1 within 1e-12")
+    return w
+
+
 @dataclass(frozen=True)
 class _LocationConcentration:
     """A location on S^{d-1} and a concentration >= 0."""
@@ -81,10 +98,7 @@ class _LocationConcentration:
 
     def __post_init__(self):
         object.__setattr__(self, "location", _check_direction(self.location))
-        kappa = float(self.concentration)
-        if not math.isfinite(kappa) or kappa < 0.0:
-            raise ValueError("concentration must be finite and >= 0")
-        object.__setattr__(self, "concentration", kappa)
+        object.__setattr__(self, "concentration", _check_concentration(self.concentration))
 
     @property
     def dim(self) -> int:
@@ -118,15 +132,8 @@ class MixtureVmfParams:
         dims = {comp.dim for comp in comps}
         if len(dims) != 1:
             raise ValueError("mixture components must share one dimension")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (len(comps),):
-            raise ValueError("weights length must match number of components")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _check_weights(self.weights, len(comps)))
 
     @property
     def dim(self) -> int:

@@ -34,7 +34,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .sampling import (
+    PowerSphericalParams,
     Rng,
+    VmfParams,
     _assemble_directions,
     _components,
     _draw_directions,
@@ -266,7 +268,9 @@ def estimate_location_gradient(
     ``(value, grad_theta)`` tuple; the pathwise method requires the tuple
     form. Returns a (d,) tangent vector at eps (both methods project out the
     radial component, which carries no information on the sphere). Draws
-    and gradients go through ``SlicingAscent`` with one location.
+    and gradients go through ``SlicingAscent`` with one location; eps and
+    kappa are validated as the family's parameters (a unit location, a
+    finite concentration >= 0).
     """
     L = int(L)
     if L < 1:
@@ -274,7 +278,8 @@ def estimate_location_gradient(
     if family not in ("vmf", "power_spherical"):
         raise ValueError(f"unknown directional family: {family!r}")
     method = GradientMethod(method)
-    ascent = SlicingAscent(family, eps, kappas=(kappa,))
+    params = (VmfParams if family == "vmf" else PowerSphericalParams)(eps, kappa)
+    ascent = SlicingAscent(family, params.location, kappas=(params.concentration,))
     thetas, ctx = ascent.draw(L, rng)
 
     def evaluate(theta):

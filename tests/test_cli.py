@@ -141,6 +141,35 @@ def test_bad_config_value_is_an_input_error(clouds, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "ssfg", "--kappa", "inf"], "concentration must be finite"),
+    (["--kind", "pssfg", "--kappa", "nan"], "concentration must be finite"),
+    (["--kind", "mssfg", "--kappas", "1,inf"], "concentration must be finite"),
+    (["--kind", "mssfg", "--kappas", "5", "--alphas", "nan"], "alphas must be finite"),
+])
+def test_non_finite_slicing_parameters_are_input_errors(clouds, capsys, flags, message):
+    a, b = clouds
+    code, out, err = run_cli(["discrepancy", a, b, "--max-iter", "1", "--L", "4", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--steps", "3", "--snapshot-every", "0"], "snapshot_every must be >= 1"),
+    (["flow", "--steps", "3", "--step-size", "nan"], "step_size must be finite"),
+    (["gmm-fit", "--steps", "3", "--batch", "8", "--step-size", "nan"],
+     "step_size must be finite"),
+])
+def test_bad_flow_settings_are_input_errors(tmp_path, capsys, argv, message):
+    target = tmp_path / "t.csv"
+    write_point_cloud(target, four_mode_gmm(16, make_rng(501)))
+    code, out, err = run_cli([argv[0], str(target), *argv[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_divergent_flow_exits_two(tmp_path, capsys):
     target = tmp_path / "t.csv"
     write_point_cloud(target, four_mode_gmm(128, make_rng(500)))

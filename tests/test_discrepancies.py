@@ -458,6 +458,15 @@ def test_engine_input_validation():
         mssfg(X, X, CFG, kappas=[1.0, 2.0], alphas=[0.9, 0.2], rng=make_rng(0))
     with pytest.raises(ValueError):
         mssfg(X, X, CFG, kappas=[1.0, 2.0], alphas=[1.0], rng=make_rng(0))
+    for kappa in (np.inf, np.nan):
+        for engine in (ssfg, pssfg):
+            with pytest.raises(ValueError, match="concentration must be finite"):
+                engine(X, X, CFG, kappa, rng=make_rng(0))
+        with pytest.raises(ValueError, match="concentration must be finite"):
+            mssfg(X, X, CFG, kappas=[1.0, kappa], rng=make_rng(0))
+    for kappas in ([5.0], [5.0, 50.0]):
+        with pytest.raises(ValueError, match="alphas must be finite"):
+            mssfg(X, X, CFG, kappas, alphas=[np.nan] * len(kappas), rng=make_rng(0))
     with pytest.raises(ValueError):
         # pathwise gradients need the quadratic closed form
         ssfg(
@@ -585,17 +594,21 @@ def test_identical_clouds_give_exact_zero_everywhere():
 def test_row_permuted_cloud_gives_exact_zero(case):
     X = case.clouds[0]
     perm = make_rng(case.seed).permutation(X.shape[0])
-    try:
-        rep = run_engine(case, X, X[perm])
-    except DivergenceError as exc:
-        # where finite: the slice costs overflow, and the cloud against itself
-        # raises the same error
-        with pytest.raises(DivergenceError) as same:
-            run_engine(case, X, X)
-        assert str(same.value) == str(exc)
-        return
+    rep = run_engine(case, X, X[perm])
     assert rep.value == 0.0 and rep.std_error == 0.0
     assert all(value == 0.0 for _, value in rep.trace)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_row_permuted_cloud_gives_exact_zero_where_r3_distances_overflow(kind):
+    # |x_i - x_j|^3 overflows: equal distances must still contribute exactly 0
+    X = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]) * 1e110
+    opt = OptimizerConfig(learning_rate=0.05, max_iter=2, num_projections=4,
+                          gradient_method=GradientMethod.FINITE_DIFFERENCE)
+    case = EngineCase(kind, FgwConfig(beta=0.3, exponent=3), opt, [1.0, 10.0], 0, (X, X))
+    for Y in (X[::-1], X):
+        rep = run_engine(case, X, Y)
+        assert rep.value == 0.0 and all(value == 0.0 for _, value in rep.trace)
 
 
 # ---------------------------------------------------------------------------

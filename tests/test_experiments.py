@@ -212,6 +212,18 @@ def test_flow_objective_validation():
             four_mode_gmm(32, make_rng(0)), 32, FlowObjective(kind="mssfg"),
             steps=5, step_size=0.01, rng=make_rng(0),
         )
+    for every in (0, -3):
+        with pytest.raises(ValueError, match="snapshot_every must be >= 1"):
+            particle_flow(
+                four_mode_gmm(32, make_rng(0)), 32, FlowObjective(), steps=5,
+                step_size=0.01, rng=make_rng(0), snapshot_every=every,
+            )
+    for step_size in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            particle_flow(
+                four_mode_gmm(32, make_rng(0)), 32, FlowObjective(), steps=5,
+                step_size=step_size, rng=make_rng(0),
+            )
 
 
 def test_flow_stationary_at_target():
@@ -327,6 +339,28 @@ def test_gmm_validation():
         gmm_fit(target, 2, FlowObjective(), steps=5, step_size=0.01, batch=65, rng=make_rng(0))
     with pytest.raises(ValueError):
         gmm_fit(target, 2, FlowObjective(), steps=-1, step_size=0.01, rng=make_rng(0))
+    for step_size in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step_size must be finite"):
+            gmm_fit(target, 2, FlowObjective(), steps=5, step_size=step_size, batch=16,
+                    rng=make_rng(0))
+    for weights in ([np.nan], [0.5, np.nan], [np.inf, 0.0]):
+        k = len(weights)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            GmmParams(np.zeros((k, 2)), np.zeros((k, 2)), weights)
+
+
+@pytest.mark.parametrize("objective", [
+    FlowObjective(kind="ssfg", kappa=np.inf),
+    FlowObjective(kind="pssfg", kappa=np.nan),
+    FlowObjective(kind="mssfg", kappas=(1.0, np.inf)),
+    FlowObjective(kind="mssfg", kappas=(5.0,), alphas=(np.nan,)),
+], ids=["ssfg-inf", "pssfg-nan", "mssfg-inf", "mssfg-nan-weight"])
+def test_flows_reject_non_finite_slicing_parameters(objective):
+    target = four_mode_gmm(32, make_rng(25))
+    with pytest.raises(ValueError, match="must be finite"):
+        particle_flow(target, 32, objective, steps=2, step_size=0.01, rng=make_rng(0))
+    with pytest.raises(ValueError, match="must be finite"):
+        gmm_fit(target, 2, objective, steps=2, step_size=0.01, batch=16, rng=make_rng(0))
 
 
 def test_gmm_zero_steps_returns_initialization():

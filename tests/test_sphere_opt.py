@@ -412,6 +412,20 @@ def test_estimator_validation():
         estimate_location_gradient(
             lambda th: 1.0, eps, 1.0, 4, GradientMethod.PATHWISE, make_rng(0)
         )
+    # the location and the concentration are validated as the family's parameters
+    for family in ("vmf", "power_spherical"):
+        for method in GradientMethod:
+            for loc, kappa, message in (
+                (eps, np.inf, "concentration must be finite"),
+                (eps, np.nan, "concentration must be finite"),
+                (eps, -1.0, "concentration must be finite"),
+                (np.array([0.0, 2.0, 0.0]), 5.0, "not unit norm"),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    estimate_location_gradient(
+                        lambda th: (1.0, np.zeros_like(th)), loc, kappa, 4, method,
+                        make_rng(0), family,
+                    )
 
 
 def test_oracle_consistency_of_smoothed_linear_objective():
