@@ -10,11 +10,15 @@
   and scaled by that component's weight. A single-component mixture follows
   the exact ssfg path (identical stream, identical trace).
 
-The four ascents and the flows draw directions and step their locations
-through the ``sphere_opt.SlicingAscent`` that ``_slicing_ascent`` builds for
-one of the ``KINDS``; the smoothed engines draw their final values with it
-too. A non-finite ascent objective, location gradient or final value raises
-``DivergenceError`` naming the engine.
+SSFG, PSSFG and MSSFG differ only in the distribution whose locations they
+ascend, and max_sfg is its Dirac limit. So the four ascents and the flows run
+one iteration, ``_ascent_step``: draw directions from the
+``sphere_opt.SlicingAscent`` that ``_slicing_ascent`` builds for one of the
+``KINDS`` (it validates its own parameters), evaluate the slices and pull
+their gradients back to the locations; the caller takes the Adam step.
+``_engine`` drives the four ascents and draws their final values from the
+same ascent. A non-finite ascent objective, location gradient or final value
+raises ``DivergenceError`` naming the kind.
 
 The clouds may hold n and m points where one size divides the other; the
 engines then compare their quantile functions (``fgw.spread_rows``).
@@ -41,9 +45,7 @@ from .sampling import (
     PowerSphericalParams,
     Rng,
     VmfParams,
-    _check_concentration,
     _check_direction,
-    _check_weights,
     _sample,
     sample_uniform_sphere,
 )
@@ -316,58 +318,75 @@ def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> Discr
 # ---------------------------------------------------------------------------
 
 
-def _mixture(kappas, alphas):
-    """Validated concentrations (a list) and weights (uniform by default)."""
-    kappas = np.atleast_1d(np.asarray(kappas, dtype=np.float64))
-    kappas = [_check_concentration(kappa) for kappa in kappas]
-    if len(kappas) < 1:
-        raise ValueError("need at least one concentration")
-    k = len(kappas)
-    return kappas, _check_weights(np.full(k, 1.0 / k) if alphas is None else alphas, k, "alphas")
-
-
 def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):
     """The ``SlicingAscent`` of a kind in dimension d: no locations for sfg,
-    ``starts`` uniform directions of weight 1 for max_sfg, one uniform location
-    per validated concentration otherwise. ``settings`` (``OptimizerConfig``
-    or ``FlowObjective``) gives the Adam learning rate and betas."""
+    ``starts`` uniform directions for max_sfg, one uniform location per
+    concentration otherwise. ``settings`` (``OptimizerConfig`` or
+    ``FlowObjective``) gives the Adam learning rate and betas."""
     if kind == "sfg":
         return SlicingAscent("uniform", np.empty((0, d)))
-    if kind == "max_sfg":
-        kappas, alphas = (), np.ones(starts)
-    else:
-        kappas, alphas = _mixture(kappas, alphas)
+    if kind != "max_sfg":
+        kappas = np.atleast_1d(np.asarray(kappas, dtype=np.float64))
         starts = len(kappas)
     return SlicingAscent(_FAMILIES[kind], sample_uniform_sphere(d, rng, starts), kappas, alphas,
                          settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
 
 
-def _ascend(engine, X, Y, cfg, ascent: SlicingAscent, opt, L, pathwise, rng):
-    """Ascend the slicing locations for up to ``opt.max_iter`` iterations, until
-    they move less than the convergence tolerance. Returns (the costs of every
-    iteration's directions, projections used)."""
-    d = X.shape[1]
-    history = []
-    projections = 0
+def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, iteration):
+    """One iteration of every engine's and flow's ascent: draw L directions,
+    evaluate their slices (with point gradients when ``pathwise``) and take
+    the location gradient, raising DivergenceError on a non-finite objective
+    or gradient. Returns (directions, costs, per-slice gradients wrt the rows
+    of X, location gradient); the caller takes the Adam step."""
+    thetas, ctx = ascent.draw(L, rng)
+    costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=pathwise)
+    _check_finite(engine, "ascent objective", float(costs.mean()), iteration)
+    if pathwise:
+        grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
+    else:
+        grad = ascent.fd_gradient(ctx, lambda t: _eval_slices(X, Y, t, cfg, want_grads=False)[0])
+    _check_finite(engine, "location gradient", grad, iteration)
+    return thetas, costs, gx, grad
 
-    def costs_at(thetas):
-        return _eval_slices(X, Y, thetas, cfg, want_grads=False)[0]
 
+def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> DiscrepancyReport:
+    """Ascend a kind's slicing for up to ``opt.max_iter`` iterations, until the
+    locations move less than the convergence tolerance, and report the value
+    at the final slicing (for max_sfg, at its first best restart)."""
+    opt = opt or OptimizerConfig()
+    rng = _resolve_rng(rng, opt)
+    X, Y = _validate_pair(mu, nu)
+    ascent = _slicing_ascent(kind, X.shape[1], rng, opt, kappas, alphas, starts)
+    pathwise = (cfg.exponent == 2 if kind == "max_sfg"
+                else opt.gradient_method is GradientMethod.PATHWISE)
+    if pathwise and cfg.exponent != 2:
+        raise ValueError("pathwise gradients need the r=2 closed form; use FiniteDifference")
+    L = opt.num_projections
+    history, projections = [], 0
     for it in range(1, opt.max_iter + 1):
-        thetas, ctx = ascent.draw(L, rng)
-        costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=pathwise)
-        _check_finite(engine, "ascent objective", float(costs.mean()), it)
+        _, costs, _, grad = _ascent_step(kind, X, Y, cfg, ascent, L, pathwise, rng, it)
         history.append(costs)
-        projections += thetas.shape[0]
-        if pathwise:
-            grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
-        else:
-            grad = ascent.fd_gradient(ctx, costs_at)
-            projections += 2 * (d - 1) * thetas.shape[0]
-        _check_finite(engine, "location gradient", grad, it)
+        # a finite-difference gradient evaluates 2(d-1) moved copies of every slice
+        projections += costs.size * (1 if pathwise else 2 * X.shape[1] - 1)
         if ascent.step(grad) < _CONVERGENCE_TOL:
             break
-    return history, projections
+    costs = _eval_slices(X, Y, ascent.draw(L, rng)[0], cfg, want_grads=False)[0]
+    projections += costs.size
+    locs, kappas = ascent.locs, ascent.kappas
+    if kind == "max_sfg":
+        # argmax picks a NaN or inf row if there is one, and _report rejects it
+        best = int(np.argmax(costs))
+        trace = [(it, float(row[best])) for it, row in enumerate(history, 1)]
+        return _report(kind, costs[best:best + 1], DiracSlicing(locs[best]), trace, projections)
+    trace = [(it, float(row.mean())) for it, row in enumerate(history, 1)]
+    comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(locs, kappas))
+    if kind == "mssfg":
+        final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, ascent.alphas))
+    elif kind == "ssfg":
+        final_slicing = VmfSlicing(comps[0])
+    else:
+        final_slicing = PowerSphericalSlicing(PowerSphericalParams(locs[0], kappas[0]))
+    return _report(kind, costs, final_slicing, trace, projections)
 
 
 def max_sfg(
@@ -383,48 +402,15 @@ def max_sfg(
     one Dirac ``SlicingAscent``, each with weight 1, and they stop together.
     Reports the first restart with the highest final cost and its trace. The
     gradient is pathwise for r=2 and finite-difference otherwise."""
-    opt = opt or OptimizerConfig()
-    rng = _resolve_rng(rng, opt)
-    X, Y = _validate_pair(mu, nu)
     R = int(num_restarts)
     if R < 1:
         raise ValueError("num_restarts must be >= 1")
-    ascent = _slicing_ascent("max_sfg", X.shape[1], rng, opt, starts=R)
-    history, projections = _ascend("max_sfg", X, Y, cfg, ascent, opt, R, cfg.exponent == 2, rng)
-    costs, _, _ = _eval_slices(X, Y, ascent.locs, cfg, want_grads=False)
-    # argmax picks a NaN or inf row if there is one, and _report rejects it
-    best = int(np.argmax(costs))
-    trace = [(it, float(row[best])) for it, row in enumerate(history, 1)]
-    return _report("max_sfg", costs[best:best + 1], DiracSlicing(ascent.locs[best]), trace,
-                   projections + R)
+    return _engine("max_sfg", mu, nu, cfg, opt, rng, starts=R)
 
 
 # ---------------------------------------------------------------------------
 # smoothed discrepancies: ssfg / pssfg / mssfg
 # ---------------------------------------------------------------------------
-
-
-def _smoothed_engine(engine, mu, nu, cfg, kappas, alphas, opt, rng):
-    opt = opt or OptimizerConfig()
-    rng = _resolve_rng(rng, opt)
-    X, Y = _validate_pair(mu, nu)
-    ascent = _slicing_ascent(engine, X.shape[1], rng, opt, kappas, alphas)
-    L = opt.num_projections
-    pathwise = opt.gradient_method is GradientMethod.PATHWISE
-    if pathwise and cfg.exponent != 2:
-        raise ValueError("pathwise gradients need the r=2 closed form; use FiniteDifference")
-    history, projections = _ascend(engine, X, Y, cfg, ascent, opt, L, pathwise, rng)
-    trace = [(it, float(costs.mean())) for it, costs in enumerate(history, 1)]
-    locs, kappas = ascent.locs, ascent.kappas
-    comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(locs, kappas))
-    if engine == "mssfg":
-        final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, ascent.alphas))
-    elif engine == "ssfg":
-        final_slicing = VmfSlicing(comps[0])
-    else:
-        final_slicing = PowerSphericalSlicing(PowerSphericalParams(locs[0], kappas[0]))
-    final_costs, _, _ = _eval_slices(X, Y, ascent.draw(L, rng)[0], cfg, want_grads=False)
-    return _report(engine, final_costs, final_slicing, trace, projections + L)
 
 
 def ssfg(
@@ -437,7 +423,7 @@ def ssfg(
 ) -> DiscrepancyReport:
     """Spherical SFG: ascends the location of a vMF(eps, kappa) slicing
     distribution and reports the smoothed objective at the optimum."""
-    return _smoothed_engine("ssfg", mu, nu, cfg, [kappa], None, opt, rng)
+    return _engine("ssfg", mu, nu, cfg, opt, rng, [kappa])
 
 
 def pssfg(
@@ -449,7 +435,7 @@ def pssfg(
     rng: Optional[Rng] = None,
 ) -> DiscrepancyReport:
     """Power spherical SFG: ssfg with the rejection-free PS sampler."""
-    return _smoothed_engine("pssfg", mu, nu, cfg, [kappa], None, opt, rng)
+    return _engine("pssfg", mu, nu, cfg, opt, rng, [kappa])
 
 
 def mssfg(
@@ -463,4 +449,4 @@ def mssfg(
 ) -> DiscrepancyReport:
     """Mixture spherical SFG: jointly ascends all k vMF locations; sample
     gradients are routed by the drawing component and scaled by its weight."""
-    return _smoothed_engine("mssfg", mu, nu, cfg, kappas, alphas, opt, rng)
+    return _engine("mssfg", mu, nu, cfg, opt, rng, kappas, alphas)

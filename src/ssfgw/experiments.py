@@ -7,7 +7,7 @@
   slope; a classical 1D Wasserstein control mode validates the harness.
 * ``particle_flow``: free particles descend a chosen discrepancy toward a
   target cloud; the slicing parameters ascend online (warm-started) from step
-  to step.
+  to step, one engine iteration (``discrepancies._ascent_step``) per step.
 * ``gmm_fit``: a reparameterized diagonal GMM (fixed uniform weights) descends
   the discrepancy between its sample batch and target batches, with
   straight-through routing of sample gradients to the drawing component.
@@ -30,7 +30,7 @@ from .discrepancies import (
     KINDS,
     DivergenceError,
     OptimizerConfig,
-    _eval_slices,
+    _ascent_step,
     _mc_std_error,
     _resolve_rng,
     _slicing_ascent,
@@ -41,8 +41,10 @@ from .discrepancies import (
 from .sampling import Rng, _check_weights
 from .sphere_opt import SlicingAscent
 
-# Not called here since the flows ascend through SlicingAscent; kept
-# importable under these names because the benchmark's tracer test pins them.
+# Not called here since the flows ascend through discrepancies._ascent_step;
+# kept importable under these names because the benchmark's tracer test pins
+# them.
+from .discrepancies import _eval_slices
 from .sampling import _uniform_sphere
 from .sphere_opt import adam_step, reflection_location_grads
 
@@ -287,19 +289,18 @@ def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
 
 
 def _slice_step(ascent, objective, cfg, A, B, rng, step):
-    """One flow step's slices: draw the directions, evaluate them with
-    gradients, stop on a runaway cost, and move the slicing distribution one
-    warm-started ascent step. Returns (mean cost, per-slice gradients wrt the
-    rows of A, directions)."""
-    thetas, ctx = ascent.draw(objective.num_projections, rng)
-    costs, ga, gb = _eval_slices(A, B, thetas, cfg, want_grads=True)
+    """One flow step's slices: the engines' ascent iteration
+    (``discrepancies._ascent_step``, pathwise), a stop on a runaway cost, and
+    one warm-started Adam step of the slicing distribution. Returns (mean
+    cost, per-slice gradients wrt the rows of A, directions)."""
+    L = objective.num_projections
+    thetas, costs, ga, grad = _ascent_step(objective.kind, A, B, cfg, ascent, L, True, rng, step)
     value = costs.mean()
     # catch runaway dynamics while every float is still finite, before
     # squared gradients in the slicing ascent can overflow
-    if not np.isfinite(value) or value > _DIVERGENCE_CAP:
+    if value > _DIVERGENCE_CAP:
         raise DivergenceError(f"diverging discrepancy at step {step}", step)
-    if objective.kind != "sfg":
-        ascent.step(ascent.pathwise_gradient(ctx, ga @ A + gb @ B))
+    ascent.step(grad)
     return value, ga, thetas
 
 
@@ -388,8 +389,6 @@ def gmm_fit(
     means = 0.1 * rng.standard_normal((k, d))
     log_std = np.zeros((k, d))
     weights = np.full(k, 1.0 / k)
-    if int(steps) == 0:
-        return GmmParams(means, log_std, weights)
     ascent = _flow_ascent(objective, d, rng)
     for step in range(1, int(steps) + 1):
         Z, comp, eta = _draw_gmm(means, log_std, weights, batch, rng)

@@ -7,7 +7,8 @@ that every engine, the flows and ``estimate_location_gradient`` run through.
 It draws directions around k locations of one family (uniform, Dirac, vMF or
 power spherical; k > 1 is a mixture), maps objective information to
 alpha-weighted tangent gradients of the locations, and takes the projected
-Adam step. Two gradient estimators:
+Adam step. It checks its own locations, concentrations and weights, so no
+caller needs to. Two gradient estimators:
 
 * Pathwise: directions are reparameterized as theta = U(eps) h where the
   pole-frame sample h = (omega, sqrt(1-omega^2) v) depends only on noise and
@@ -34,10 +35,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .sampling import (
-    PowerSphericalParams,
     Rng,
-    VmfParams,
     _assemble_directions,
+    _check_concentration,
+    _check_direction,
+    _check_weights,
     _components,
     _draw_directions,
     _pole_gap,
@@ -168,11 +170,12 @@ class SlicingAscent:
 
     ``family`` is "uniform" (no locations), "dirac" (each location is a
     direction), "vmf" or "power_spherical" (location of component i drawn
-    with concentration ``kappas[i]``). ``locs`` is (k, d); ``alphas`` are the
-    mixture weights (uniform by default). The smoothed families draw through
-    ``sampling._draw_directions``, the routine behind the public samplers.
-    ``max_sfg``'s restarts are the rows of one "dirac" ascent with unit
-    weights: they share one Adam state and stop together.
+    with concentration ``kappas[i]``, finite and >= 0). ``locs`` is (k, d),
+    unit rows; ``alphas`` are mixture weights, uniform by default (1 for each
+    "dirac" location). All are validated here. The smoothed families draw
+    through ``sampling._draw_directions``, the routine behind the public
+    samplers. ``max_sfg``'s restarts are the rows of one "dirac" ascent: they
+    share one Adam state and stop together. A "uniform" ascent moves nothing.
     """
 
     def __init__(self, family, locs, kappas=(), alphas=None,
@@ -181,16 +184,25 @@ class SlicingAscent:
             raise ValueError(f"unknown directional family: {family!r}")
         self.family = family
         self.locs = np.atleast_2d(np.asarray(locs, dtype=np.float64))
+        for loc in self.locs:
+            _check_direction(loc)
         k = self.locs.shape[0]
-        self.kappas = [float(kappa) for kappa in kappas]
-        self.alphas = np.ones(k) / k if alphas is None else np.asarray(alphas, dtype=np.float64)
+        smoothed = family in ("vmf", "power_spherical")
+        if smoothed and k < 1:
+            raise ValueError("need at least one concentration")
+        if smoothed and len(kappas) != k:
+            raise ValueError("need one concentration per location")
+        self.kappas = [_check_concentration(kappa) for kappa in kappas] if smoothed else []
+        default = np.full(k, 1.0 / k) if smoothed else np.ones(k)
+        self.alphas = default if alphas is None else _check_weights(alphas, k, "alphas")
         self.adam = adam_init(self.locs.shape, learning_rate, beta1, beta2)
 
     def draw(self, L: int, rng: Rng):
         """(thetas, ctx): L directions (k for "dirac") and the context that
-        ``pathwise_gradient`` / ``fd_gradient`` need."""
+        ``pathwise_gradient`` / ``fd_gradient`` need; a "uniform" draw's
+        component index is empty."""
         if self.family == "uniform":
-            return sample_uniform_sphere(self.locs.shape[1], rng, L), None
+            return sample_uniform_sphere(self.locs.shape[1], rng, L), _Draw(np.empty(0, np.int64))
         if self.family == "dirac":
             return self.locs.copy(), _Draw(np.arange(self.locs.shape[0]))
         thetas, *ctx = _draw_directions(self.family, self.locs, self.kappas, self.alphas, L, rng)
@@ -268,9 +280,8 @@ def estimate_location_gradient(
     ``(value, grad_theta)`` tuple; the pathwise method requires the tuple
     form. Returns a (d,) tangent vector at eps (both methods project out the
     radial component, which carries no information on the sphere). Draws
-    and gradients go through ``SlicingAscent`` with one location; eps and
-    kappa are validated as the family's parameters (a unit location, a
-    finite concentration >= 0).
+    and gradients go through ``SlicingAscent`` with one location, which
+    validates eps (a unit vector) and kappa (finite, >= 0).
     """
     L = int(L)
     if L < 1:
@@ -278,8 +289,7 @@ def estimate_location_gradient(
     if family not in ("vmf", "power_spherical"):
         raise ValueError(f"unknown directional family: {family!r}")
     method = GradientMethod(method)
-    params = (VmfParams if family == "vmf" else PowerSphericalParams)(eps, kappa)
-    ascent = SlicingAscent(family, params.location, kappas=(params.concentration,))
+    ascent = SlicingAscent(family, [eps], kappas=(kappa,))
     thetas, ctx = ascent.draw(L, rng)
 
     def evaluate(theta):

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -817,7 +817,23 @@ def test_sandwich_on_random_instances():
 # ---------------------------------------------------------------------------
 
 
+# Hypothesis derives the derandomized examples from the test's source, so the
+# drawn cases need not reach the r = 3 overflow region (cubes of distances
+# above about 1e103); these pin it with two different 1e110 clouds.
+def _overflow_case(kind):
+    opt = OptimizerConfig(learning_rate=0.05, max_iter=2, num_projections=4,
+                          gradient_method=GradientMethod.FINITE_DIFFERENCE)
+    clouds = (np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0]]) * 1e110,
+              np.array([[0.0, 2.0], [1.0, 1.0], [3.0, 0.0]]) * 1e110)
+    return EngineCase(kind, FgwConfig(beta=0.3, exponent=3), opt, [1.0, 10.0], 0, clouds)
+
+
 @given(engine_cases())
+@example(_overflow_case("sfg"))
+@example(_overflow_case("max_sfg"))
+@example(_overflow_case("ssfg"))
+@example(_overflow_case("pssfg"))
+@example(_overflow_case("mssfg"))
 def test_swap_symmetry_exact_for_all_engines(case):
     X, Y = case.clouds
     outcomes = []

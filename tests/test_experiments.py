@@ -349,18 +349,26 @@ def test_gmm_validation():
             GmmParams(np.zeros((k, 2)), np.zeros((k, 2)), weights)
 
 
-@pytest.mark.parametrize("objective", [
-    FlowObjective(kind="ssfg", kappa=np.inf),
-    FlowObjective(kind="pssfg", kappa=np.nan),
-    FlowObjective(kind="mssfg", kappas=(1.0, np.inf)),
-    FlowObjective(kind="mssfg", kappas=(5.0,), alphas=(np.nan,)),
-], ids=["ssfg-inf", "pssfg-nan", "mssfg-inf", "mssfg-nan-weight"])
-def test_flows_reject_non_finite_slicing_parameters(objective):
+@pytest.mark.parametrize("objective, message", [
+    pytest.param(FlowObjective(kind="ssfg", kappa=np.inf), "must be finite", id="ssfg-inf"),
+    pytest.param(FlowObjective(kind="pssfg", kappa=np.nan), "must be finite", id="pssfg-nan"),
+    pytest.param(FlowObjective(kind="mssfg", kappas=(1.0, np.inf)), "must be finite", id="mssfg-inf"),
+    pytest.param(FlowObjective(kind="mssfg", kappas=(5.0,), alphas=(np.nan,)), "must be finite",
+                 id="mssfg-nan-weight"),
+    pytest.param(FlowObjective(kind="mssfg"), "needs kappas", id="mssfg-no-kappas"),
+    pytest.param(FlowObjective(kappa=-5.0), "concentration must be finite", id="kappa-negative"),
+    pytest.param(FlowObjective(learning_rate=-1.0), "learning_rate must be positive",
+                 id="learning-rate-negative"),
+    pytest.param(FlowObjective(adam_beta1=1.5), "Adam betas", id="beta1-above-one"),
+])
+def test_flows_reject_non_finite_slicing_parameters(objective, message):
     target = four_mode_gmm(32, make_rng(25))
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match=message):
         particle_flow(target, 32, objective, steps=2, step_size=0.01, rng=make_rng(0))
-    with pytest.raises(ValueError, match="must be finite"):
-        gmm_fit(target, 2, objective, steps=2, step_size=0.01, batch=16, rng=make_rng(0))
+    # the slicing ascent is built before the first step, so steps=0 checks it too
+    for steps in (0, 2):
+        with pytest.raises(ValueError, match=message):
+            gmm_fit(target, 2, objective, steps=steps, step_size=0.01, batch=16, rng=make_rng(0))
 
 
 def test_gmm_zero_steps_returns_initialization():

@@ -145,6 +145,43 @@ def test_slicing_draw_shapes_and_ranges():
 
 
 @pytest.mark.parametrize("family", ["vmf", "power_spherical"])
+def test_slicing_ascent_validates_its_parameters(family):
+    e1 = [[1.0, 0.0, 0.0]]
+    two = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    for locs, kappas, alphas, message in (
+        (e1, (np.inf,), None, "concentration must be finite and >= 0"),
+        (e1, (np.nan,), None, "concentration must be finite and >= 0"),
+        (e1, (-1.0,), None, "concentration must be finite and >= 0"),
+        ([[0.0, 2.0, 0.0]], (5.0,), None, "not unit norm"),
+        ([[np.nan, 1.0, 0.0]], (5.0,), None, "non-finite"),
+        (two, (5.0,), None, "one concentration per location"),
+        (np.empty((0, 3)), (), None, "at least one concentration"),
+        (two, (5.0, 5.0), (np.nan, 1.0), "alphas must be finite"),
+        (two, (5.0, 5.0), (0.7, 0.7), "alphas must be finite"),
+        (two, (5.0, 5.0), (1.0,), "alphas length"),
+    ):
+        # rejected when built, not at the first draw
+        with pytest.raises(ValueError, match=message):
+            SlicingAscent(family, locs, kappas, alphas)
+    ascent = SlicingAscent(family, two, (0.0, 5.0))
+    assert ascent.kappas == [0.0, 5.0] and np.array_equal(ascent.alphas, [0.5, 0.5])
+    # Dirac locations carry weight 1 each unless weights are given
+    assert np.array_equal(SlicingAscent("dirac", two).alphas, [1.0, 1.0])
+    with pytest.raises(ValueError, match="not unit norm"):
+        SlicingAscent("dirac", [[0.0, 2.0, 0.0]])
+
+
+def test_uniform_ascent_moves_nothing():
+    rng = make_rng(37)
+    uniform = SlicingAscent("uniform", np.empty((0, 4)))
+    thetas, ctx = uniform.draw(9, rng)
+    assert thetas.shape == (9, 4) and ctx.idx.size == 0
+    grad = uniform.pathwise_gradient(ctx, rng.normal(size=thetas.shape))
+    assert grad.shape == (0, 4)
+    assert uniform.step(grad) == 0.0 and uniform.locs.shape == (0, 4)
+
+
+@pytest.mark.parametrize("family", ["vmf", "power_spherical"])
 @pytest.mark.parametrize("kappa", [0.0, 10.0])
 def test_slicing_draw_at_the_degenerate_points(family, kappa):
     rng = make_rng(35)
