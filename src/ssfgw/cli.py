@@ -37,7 +37,7 @@ from .experiments import (
     particle_flow,
 )
 from .fgw import FgwConfig, as_point_cloud
-from .sampling import QuadratureError, SamplingError
+from .sampling import SamplingError
 from .sphere_opt import GradientMethod
 
 _DEFAULT_KAPPA_GRID = (1.0, 5.0, 10.0, 50.0, 100.0)
@@ -460,7 +460,7 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, SamplingError, QuadratureError) as exc:
+    except (DivergenceError, SamplingError) as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

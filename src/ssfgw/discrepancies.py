@@ -49,7 +49,7 @@ from .sampling import (
     _sample,
     sample_uniform_sphere,
 )
-from .sphere_opt import GradientMethod, SlicingAscent
+from .sphere_opt import GradientMethod, SlicingAscent, _check_adam_settings
 
 # Not called here since the ascent moved into SlicingAscent; kept importable
 # under these names because the benchmark's tracer test pins them.
@@ -161,10 +161,7 @@ class OptimizerConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 < self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
-            raise ValueError("Adam betas must lie in (0, 1)")
+        _check_adam_settings(self.learning_rate, self.adam_beta1, self.adam_beta2)
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be >= 1")
         if int(self.num_projections) < 1:
@@ -323,13 +320,14 @@ def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):
     ``starts`` uniform directions for max_sfg, one uniform location per
     concentration otherwise. ``settings`` (``OptimizerConfig`` or
     ``FlowObjective``) gives the Adam learning rate and betas."""
+    adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
     if kind == "sfg":
-        return SlicingAscent("uniform", np.empty((0, d)))
+        return SlicingAscent("uniform", np.empty((0, d)), (), None, *adam)
     if kind != "max_sfg":
         kappas = np.atleast_1d(np.asarray(kappas, dtype=np.float64))
         starts = len(kappas)
     return SlicingAscent(_FAMILIES[kind], sample_uniform_sphere(d, rng, starts), kappas, alphas,
-                         settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
+                         *adam)
 
 
 def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, iteration):

@@ -9,10 +9,14 @@ broken by point index); ``fgw_1d`` evaluates the fused cost
     + beta * (1/n^2) * sum_{ij} (|x_(i) - x_(j)|^r - |y_(sigma(i)) - y_(sigma(j))|^r)^2
 
 minimized over the two monotone couplings sigma (sorted-ascending against
-sorted-ascending, and against sorted-descending). ``fgw_1d_bruteforce`` is the
-exhaustive-permutation oracle used to validate that closed form, and
-``fgw_1d_grad`` differentiates the cost with the optimal coupling frozen
-(envelope gradient; r=2 only).
+sorted-ascending, and against sorted-descending). That minimum is an upper
+bound on the optimum over all permutations: Beinert, Heiss & Steidl (on
+assignment problems related to Gromov-Wasserstein distances on the real line)
+show that neither monotone coupling need be optimal in 1D.
+``fgw_1d_bruteforce`` is the exact exhaustive-permutation oracle for n <= 8;
+acceptance criterion 1 compares it with ``fgw_1d`` only at beta = 0 and
+beta = 1. ``fgw_1d_grad`` differentiates the cost with the optimal monotone
+coupling frozen (envelope gradient; r=2 only).
 
 Sizes n and m may differ when one divides the other: sorted values are then
 spread to the quantile function on max(n, m) cells (``spread_rows``) and

@@ -2,7 +2,9 @@
 
 Samplers for the uniform, von Mises-Fisher (vMF), power spherical (PS), and
 mixture-of-vMF distributions, plus the quadrature oracle for the vMF mean
-resultant length used by the statistical tests.
+resultant length used by the statistical tests. The oracle is the package's
+only use of scipy: it imports ``scipy.integrate`` when called, so importing
+this module needs numpy alone.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (no global
 state). Every public sampler accepts an optional ``size`` for batched draws;
@@ -26,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 Rng = np.random.Generator
 
@@ -350,7 +351,13 @@ def vmf_mean_resultant_oracle(kappa: float, d: int) -> float:
     the ratio and avoids overflow). Interior break points keep the adaptive
     rule from overlooking the concentration spike at large kappa. No Bessel
     functions involved.
+
+    A test oracle: no engine, flow or CLI command calls it. It needs scipy,
+    which the ``dev`` extra installs; without it the call raises
+    ``ModuleNotFoundError``.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     kappa = float(kappa)
     d = int(d)
     if kappa < 0.0 or not math.isfinite(kappa):

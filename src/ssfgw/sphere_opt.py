@@ -75,15 +75,22 @@ class AdamState:
     epsilon_stability: float = 1e-8
 
 
-def adam_init(shape, learning_rate: float, beta1: float = 0.5, beta2: float = 0.999) -> AdamState:
-    """Fresh Adam state with zero moments for a parameter of ``shape``."""
-    lr = float(learning_rate)
-    b1 = float(beta1)
-    b2 = float(beta2)
-    if lr <= 0.0:
+def _check_adam_settings(learning_rate, beta1, beta2):
+    """The Adam settings as floats: a finite learning rate > 0 and both betas
+    in (0, 1). Raises ValueError otherwise."""
+    lr, b1, b2 = float(learning_rate), float(beta1), float(beta2)
+    if not lr > 0.0:
         raise ValueError("learning_rate must be positive")
+    if not np.isfinite(lr):
+        raise ValueError("learning_rate must be finite")
     if not (0.0 < b1 < 1.0 and 0.0 < b2 < 1.0):
         raise ValueError("Adam betas must lie in (0, 1)")
+    return lr, b1, b2
+
+
+def adam_init(shape, learning_rate: float, beta1: float = 0.5, beta2: float = 0.999) -> AdamState:
+    """Fresh Adam state with zero moments for a parameter of ``shape``."""
+    lr, b1, b2 = _check_adam_settings(learning_rate, beta1, beta2)
     zeros = np.zeros(shape, dtype=np.float64)
     return AdamState(zeros, zeros.copy(), 0, lr, b1, b2)
 

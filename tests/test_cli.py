@@ -139,6 +139,12 @@ def test_bad_config_value_is_an_input_error(clouds, capsys):
     code, _, err = run_cli(["discrepancy", a, b, "--beta", "1.5"], capsys)
     assert code == 1
     assert err.startswith("error:")
+    # a non-finite learning rate is an input error, not a divergence (exit 2)
+    for rate in ("inf", "nan"):
+        code, out, err = run_cli(["discrepancy", a, b, "--learning-rate", rate], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "learning_rate must be" in err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -160,6 +166,8 @@ def test_non_finite_slicing_parameters_are_input_errors(clouds, capsys, flags, m
     (["flow", "--steps", "3", "--step-size", "nan"], "step_size must be finite"),
     (["gmm-fit", "--steps", "3", "--batch", "8", "--step-size", "nan"],
      "step_size must be finite"),
+    (["flow", "--steps", "3", "--learning-rate", "inf"], "learning_rate must be finite"),
+    (["flow", "--steps", "3", "--kind", "sfg", "--adam-beta1", "1.5"], "Adam betas"),
 ])
 def test_bad_flow_settings_are_input_errors(tmp_path, capsys, argv, message):
     target = tmp_path / "t.csv"

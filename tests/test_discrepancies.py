@@ -434,6 +434,10 @@ def test_sample_slicing_dimension_mismatch():
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
+    with pytest.raises(ValueError, match="learning_rate must be positive"):
+        OptimizerConfig(learning_rate=np.nan)
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        OptimizerConfig(learning_rate=np.inf)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iter=0)
     with pytest.raises(ValueError):

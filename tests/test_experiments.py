@@ -360,6 +360,12 @@ def test_gmm_validation():
     pytest.param(FlowObjective(learning_rate=-1.0), "learning_rate must be positive",
                  id="learning-rate-negative"),
     pytest.param(FlowObjective(adam_beta1=1.5), "Adam betas", id="beta1-above-one"),
+    pytest.param(FlowObjective(learning_rate=np.inf), "learning_rate must be finite",
+                 id="learning-rate-inf"),
+    pytest.param(FlowObjective(kind="sfg", learning_rate=-1.0), "learning_rate must be positive",
+                 id="sfg-learning-rate-negative"),
+    pytest.param(FlowObjective(kind="sfg", adam_beta1=1.5), "Adam betas",
+                 id="sfg-beta1-above-one"),
 ])
 def test_flows_reject_non_finite_slicing_parameters(objective, message):
     target = four_mode_gmm(32, make_rng(25))

@@ -1,9 +1,16 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the package imports no scipy at run time."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ssfgw.cli import write_point_cloud
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ssfgw"
 
@@ -44,3 +51,31 @@ def test_every_imported_name_is_used(path):
 def test_unused_import_is_caught():
     tree = ast.parse("from .sampling import VmfParams, unit_vector\nunit_vector(1)\n")
     assert _unused_imports(tree) == {"VmfParams"}
+
+
+# Run in a fresh interpreter: this test session has already loaded scipy
+# through the quadrature-oracle tests.
+_NO_SCIPY_SCRIPT = """
+import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import ssfgw
+assert scipy_modules() == [], scipy_modules()
+from ssfgw.cli import main
+assert main(["discrepancy", *sys.argv[1:], "--L", "4", "--max-iter", "2"]) == 0
+assert scipy_modules() == [], scipy_modules()
+"""
+
+
+def test_import_and_cli_run_load_no_scipy(tmp_path):
+    clouds = []
+    for name, seed in (("a.csv", 0), ("b.csv", 1)):
+        write_point_cloud(tmp_path / name, np.random.default_rng(seed).normal(size=(16, 2)))
+        clouds.append(str(tmp_path / name))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, *clouds],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("metric,")

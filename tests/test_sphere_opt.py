@@ -98,6 +98,10 @@ def test_adam_step_is_pure():
 def test_adam_init_validation():
     with pytest.raises(ValueError):
         adam_init((2,), learning_rate=0.0)
+    with pytest.raises(ValueError, match="learning_rate must be positive"):
+        adam_init((2,), learning_rate=np.nan)
+    with pytest.raises(ValueError, match="learning_rate must be finite"):
+        adam_init((2,), learning_rate=np.inf)
     with pytest.raises(ValueError):
         adam_init((2,), learning_rate=0.1, beta1=1.0)
     state = adam_init((3,), learning_rate=0.1)
