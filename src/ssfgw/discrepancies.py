@@ -46,6 +46,7 @@ from .sampling import (
     Rng,
     VmfParams,
     _check_direction,
+    _check_directions,
     _sample,
     sample_uniform_sphere,
 )
@@ -190,6 +191,8 @@ class DiscrepancyReport:
     def __post_init__(self):
         if not np.isfinite(self.value) or self.value < 0.0:
             raise ValueError("discrepancy value must be finite and >= 0")
+        if not np.isfinite(self.std_error) or self.std_error < 0.0:
+            raise ValueError("std_error must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +248,9 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
 
 
 def slice_costs(mu, nu, cfg: FgwConfig, directions) -> np.ndarray:
-    """Fused 1D costs of two clouds along given (L, d) directions."""
+    """Fused 1D costs of two clouds along (L, d) unit directions or one (d,)."""
     X, Y = _validate_pair(mu, nu)
-    thetas = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    thetas = _check_directions(np.atleast_2d(directions))
     if thetas.shape[1] != X.shape[1]:
         raise ValueError("direction dimension does not match the clouds")
     costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
@@ -257,7 +260,10 @@ def slice_costs(mu, nu, cfg: FgwConfig, directions) -> np.ndarray:
 def _mc_std_error(costs: np.ndarray) -> float:
     if costs.size < 2:
         return 0.0
-    return float(np.std(costs, ddof=1) / np.sqrt(costs.size))
+    # exact power-of-two scaling keeps np.std's squares from over/underflowing
+    _, exponent = np.frexp(np.abs(costs).max())
+    spread = np.std(np.ldexp(costs, -exponent), ddof=1) / np.sqrt(costs.size)
+    return float(np.ldexp(spread, exponent))
 
 
 def _resolve_rng(rng, opt: Optional[OptimizerConfig]) -> Rng:

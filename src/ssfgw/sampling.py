@@ -18,7 +18,8 @@ component, and one uniform tangent direction v on S^{d-2} per sample; it then
 assembles h = (omega, sqrt(1-omega^2) v) around the first axis and maps e_1 to
 each location eps with the Householder reflection U = I - 2 u u^T,
 u = (e_1 - eps)/||e_1 - eps||. At kappa = 0 the vMF rejection step accepts
-every proposal and omega is the uniform law's first coordinate.
+every proposal and omega is the uniform law's first coordinate. The
+reflection only samples: no location gradient differentiates through it.
 """
 
 from __future__ import annotations
@@ -60,17 +61,25 @@ def unit_vector(v) -> np.ndarray:
     return arr / norm
 
 
+def _check_directions(rows) -> np.ndarray:
+    # every row of an (L, d) array: d >= 2, finite, unit norm within 1e-9
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError("directions must be a 2D (L, d) array")
+    if arr.shape[1] < 2:
+        raise ValueError("directions live on S^{d-1} with d >= 2")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("direction has non-finite entries")
+    if np.any(np.abs(np.linalg.norm(arr, axis=1) - 1.0) > 1e-9):
+        raise ValueError("direction is not unit norm; normalize with unit_vector")
+    return arr
+
+
 def _check_direction(location) -> np.ndarray:
     arr = np.asarray(location, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError("direction must be a 1D vector")
-    if arr.size < 2:
-        raise ValueError("directions live on S^{d-1} with d >= 2")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("direction has non-finite entries")
-    if abs(float(np.linalg.norm(arr)) - 1.0) > 1e-9:
-        raise ValueError("direction is not unit norm; normalize with unit_vector")
-    return arr
+    return _check_directions(arr[None, :])[0]
 
 
 def _check_concentration(kappa) -> float:
@@ -235,40 +244,32 @@ def _ps_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
 
 
 def _pole_gap(location: np.ndarray):
-    # (u, rho) for the reflection, or (None, 0.0) in the degenerate case.
+    # the unit axis u of the reflection, or None within 1e-12 of e_1
     w = -location.copy()
     w[0] += 1.0
     rho = float(np.linalg.norm(w))
-    if rho < _UNIT_TOL:
-        return None, 0.0
-    return w / rho, rho
+    return None if rho < _UNIT_TOL else w / rho
 
 
 def householder_matrix(location) -> np.ndarray:
     """The reflection U = I - 2uu^T with U e_1 = location (identity when
     location is within 1e-12 of e_1)."""
     eps = np.asarray(location, dtype=np.float64)
-    u, _ = _pole_gap(eps)
+    u = _pole_gap(eps)
     if u is None:
         return np.eye(eps.size)
     return np.eye(eps.size) - 2.0 * np.outer(u, u)
 
 
-def _reflect(location: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # Apply the reflection to the rows of h.
-    u, _ = _pole_gap(location)
-    if u is None:
-        return h.copy()
-    return h - 2.0 * np.outer(h @ u, u)
-
-
-def _assemble_directions(location: np.ndarray, omega: np.ndarray, v: np.ndarray):
+def _assemble_directions(location: np.ndarray, omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Build pole-frame samples h = (omega, sqrt(1-omega^2) v) and reflect
-    them onto ``location``. Returns (thetas, h); h is retained by gradient
-    code."""
+    them onto ``location``."""
     radial = np.sqrt(np.clip(1.0 - omega * omega, 0.0, None))
     h = np.concatenate([omega[:, None], radial[:, None] * v], axis=1)
-    return _reflect(location, h), h
+    u = _pole_gap(location)
+    if u is None:
+        return h
+    return h - 2.0 * np.outer(h @ u, u)
 
 
 def _components(idx: np.ndarray, k: int):
@@ -280,10 +281,10 @@ def _components(idx: np.ndarray, k: int):
 
 
 def _draw_directions(family: str, locs: np.ndarray, kappas, weights, L: int, rng: Rng):
-    """(thetas, idx, omega, v, frames) for L directions from a mixture of one
-    family ("vmf" or "power_spherical") around the (k, d) ``locs``, with
-    component probabilities ``weights`` (unused when k = 1). ``frames`` are
-    the pole-frame samples h that the gradient code pulls back."""
+    """(thetas, idx): L directions from a mixture of one family ("vmf" or
+    "power_spherical") around the (k, d) ``locs``, with component
+    probabilities ``weights`` (unused when k = 1), and their component
+    indices. The location gradients use the directions, not the noise."""
     k, d = locs.shape
     idx = np.zeros(L, dtype=np.int64) if k == 1 else rng.choice(k, size=L, p=weights)
     radial = _vmf_omega if family == "vmf" else _ps_omega
@@ -292,10 +293,9 @@ def _draw_directions(family: str, locs: np.ndarray, kappas, weights, L: int, rng
         omega[sel] = radial(kappas[i], d, int(sel.sum()), rng)
     v = _uniform_sphere(d - 1, rng, L)
     thetas = np.empty((L, d))
-    frames = np.empty((L, d))
     for i, sel in _components(idx, k):
-        thetas[sel], frames[sel] = _assemble_directions(locs[i], omega[sel], v[sel])
-    return thetas, idx, omega, v, frames
+        thetas[sel] = _assemble_directions(locs[i], omega[sel], v[sel])
+    return thetas, idx
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def _sample(family, comps, weights, rng: Rng, size):
     locs = np.stack([comp.location for comp in comps])
     kappas = [comp.concentration for comp in comps]
     m = 1 if size is None else int(size)
-    thetas, idx = _draw_directions(family, locs, kappas, weights, m, rng)[:2]
+    thetas, idx = _draw_directions(family, locs, kappas, weights, m, rng)
     return (thetas[0], int(idx[0])) if size is None else (thetas, idx)
 
 

@@ -8,19 +8,22 @@ It draws directions around k locations of one family (uniform, Dirac, vMF or
 power spherical; k > 1 is a mixture), maps objective information to
 alpha-weighted tangent gradients of the locations, and takes the projected
 Adam step. It checks its own locations, concentrations and weights, so no
-caller needs to. Two gradient estimators:
+caller needs to.
 
-* Pathwise: directions are reparameterized as theta = U(eps) h where the
-  pole-frame sample h = (omega, sqrt(1-omega^2) v) depends only on noise and
-  the (fixed) concentration, and U is the Householder reflection mapping e_1
-  to eps. The objective gradient in theta is pulled back through U's
-  eps-Jacobian and averaged; no score-function term is needed because the
-  accepted radial noise is independent of eps. For a Dirac location the
-  direction is the location and the pullback is the identity.
+Both gradient estimators move a location eps to eps' by one transport: the
+rotation in the plane of eps and eps' that maps eps to eps' carries every
+direction drawn around eps. The families are rotation-symmetric about their
+location, so the carried draws are draws around eps': a reparameterization
+with no frame and no special point.
+
+* Pathwise: the derivative of that transport. The per-sample tangent
+  gradient is omega g - (g^T eps) theta, with omega = eps^T theta and g the
+  objective's gradient in theta. No score-function term is needed because
+  the accepted radial noise is independent of eps.
 * FiniteDifference: central differences of the smoothed objective along an
-  orthonormal tangent basis at eps, replaying the same (omega, v) noise at
-  every perturbed location (common random numbers), step 1e-4, assembled in
-  the basis.
+  orthonormal tangent basis at eps, evaluating the carried draws at every
+  perturbed location (common random numbers), step 1e-4, assembled in the
+  basis.
 
 Both return the tangent (Riemannian) gradient, scaled by the component
 weight.
@@ -30,19 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .sampling import (
     Rng,
-    _assemble_directions,
     _check_concentration,
-    _check_direction,
+    _check_directions,
     _check_weights,
     _components,
     _draw_directions,
-    _pole_gap,
     householder_matrix,
     sample_uniform_sphere,
     unit_vector,
@@ -127,32 +128,33 @@ def tangent_basis(eps) -> np.ndarray:
     return householder_matrix(eps)[:, 1:]
 
 
-def reflection_location_grads(eps, h, grad_theta) -> np.ndarray:
-    """Pull per-sample objective gradients back through the Householder map.
-
-    With w = e_1 - eps, rho = ||w||, u = w/rho and theta = h - 2(u^T h)u, the
-    eps-Jacobian transpose applied to g is
-        (2/rho) * [ (u^T g)(I - uu^T)h + (u^T h)(I - uu^T)g ].
-    ``h`` and ``grad_theta`` are (L, d); returns per-sample (L, d) gradients.
-    At eps = e_1 the reflection degenerates to the identity and the gradient
-    is taken as zero for those samples.
-    """
-    u, rho = _pole_gap(np.asarray(eps, dtype=np.float64))
-    if u is None:
-        return np.zeros_like(np.asarray(grad_theta, dtype=np.float64))
-    h = np.asarray(h, dtype=np.float64)
+def reflection_location_grads(eps, thetas, grad_theta) -> np.ndarray:
+    """(L, d) per-sample location gradients from (L, d) directions and their
+    objective gradients g, at one (d,) location eps or one per direction.
+    The rotation of ``assemble_directions`` moves theta by t (eps^T theta) -
+    eps (t^T theta) as eps moves along a tangent t, so the gradient is
+    omega g - (g^T eps) theta, omega = eps^T theta. Only its tangent part
+    counts: it is computed as omega g - (g^T eps)(theta - eps) with
+    omega = 1 - ||theta - eps||^2 / 2, which is g itself when theta = eps."""
+    eps = np.asarray(eps, dtype=np.float64)
     g = np.asarray(grad_theta, dtype=np.float64)
-    uh = h @ u
-    ug = g @ u
-    h_perp = h - np.outer(uh, u)
-    g_perp = g - np.outer(ug, u)
-    return (2.0 / rho) * (ug[:, None] * h_perp + uh[:, None] * g_perp)
+    offsets = np.asarray(thetas, dtype=np.float64) - eps
+    omega = 1.0 - 0.5 * (offsets * offsets).sum(axis=1)
+    return omega[:, None] * g - (g * eps).sum(axis=1)[:, None] * offsets
 
 
-def assemble_directions(eps, omega, v):
-    """Map (omega, v) noise to directions around ``eps``. Returns
-    (thetas, pole_frame_samples); the latter feeds the pathwise pullback."""
-    return _assemble_directions(np.asarray(eps, dtype=np.float64), omega, v)
+def assemble_directions(eps, moved, thetas) -> np.ndarray:
+    """Carry (m, d) directions drawn around ``eps`` to ``moved`` (eps != -moved)
+    by the rotation R in their plane with R eps = moved: with w = eps + moved,
+    R x = x - (w^T x / (1 + eps^T moved)) w + 2 (eps^T x) moved, which is
+    I + K + K^2 / (1 + eps^T moved) for K = moved eps^T - eps moved^T. It acts
+    on theta - eps, so theta = eps lands on moved exactly."""
+    eps = np.asarray(eps, dtype=np.float64)
+    moved = np.asarray(moved, dtype=np.float64)
+    w = eps + moved
+    offsets = np.asarray(thetas, dtype=np.float64) - eps
+    along = (offsets @ w) / (1.0 + float(eps @ moved))
+    return moved + offsets - np.outer(along, w) + 2.0 * np.outer(offsets @ eps, moved)
 
 
 def _tangent(loc, ambient):
@@ -163,13 +165,10 @@ def _tangent(loc, ambient):
 
 
 class _Draw(NamedTuple):
-    """Component index of every direction and, for the smoothed families, the
-    (omega, v) noise and pole-frame samples that produced it."""
+    """The drawn directions and their component indices (none for "uniform")."""
 
     idx: np.ndarray
-    omega: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    frames: Optional[np.ndarray] = None
+    thetas: np.ndarray
 
 
 class SlicingAscent:
@@ -191,8 +190,7 @@ class SlicingAscent:
             raise ValueError(f"unknown directional family: {family!r}")
         self.family = family
         self.locs = np.atleast_2d(np.asarray(locs, dtype=np.float64))
-        for loc in self.locs:
-            _check_direction(loc)
+        _check_directions(self.locs)
         k = self.locs.shape[0]
         smoothed = family in ("vmf", "power_spherical")
         if smoothed and k < 1:
@@ -209,31 +207,31 @@ class SlicingAscent:
         ``pathwise_gradient`` / ``fd_gradient`` need; a "uniform" draw's
         component index is empty."""
         if self.family == "uniform":
-            return sample_uniform_sphere(self.locs.shape[1], rng, L), _Draw(np.empty(0, np.int64))
-        if self.family == "dirac":
-            return self.locs.copy(), _Draw(np.arange(self.locs.shape[0]))
-        thetas, *ctx = _draw_directions(self.family, self.locs, self.kappas, self.alphas, L, rng)
-        return thetas, _Draw(*ctx)
+            thetas, idx = sample_uniform_sphere(self.locs.shape[1], rng, L), np.empty(0, np.int64)
+        elif self.family == "dirac":
+            thetas, idx = self.locs.copy(), np.arange(self.locs.shape[0])
+        else:
+            thetas, idx = _draw_directions(self.family, self.locs, self.kappas, self.alphas, L, rng)
+        return thetas, _Draw(idx, thetas)
 
     def pathwise_gradient(self, ctx: _Draw, g_theta) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients from the (L, d)
         objective gradients in the drawn directions."""
         grad = np.zeros_like(self.locs)
+        if ctx.idx.size == 0:  # "uniform": no location to move
+            return grad
+        per_sample = reflection_location_grads(self.locs[ctx.idx], ctx.thetas, g_theta)
         for i, sel in _components(ctx.idx, len(self.locs)):
-            if self.family == "dirac":
-                per_sample = g_theta[sel]
-            else:
-                per_sample = reflection_location_grads(self.locs[i], ctx.frames[sel], g_theta[sel])
-            grad[i] = self.alphas[i] * _tangent(self.locs[i], per_sample.mean(axis=0))
+            grad[i] = self.alphas[i] * _tangent(self.locs[i], per_sample[sel].mean(axis=0))
         return grad
 
     def fd_gradient(self, ctx: _Draw, costs_at) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients by central
         differences along a tangent basis of each location. ``costs_at`` maps
         (m, d) directions to m costs; it is called once per tangent index and
-        sign, on the drawn directions of every location moved together, and
-        the moved locations replay the drawn (omega, v) noise (common random
-        numbers)."""
+        sign, on the drawn directions of every location moved together, each
+        carried to its moved location by ``assemble_directions`` (common
+        random numbers)."""
         k, d = self.locs.shape
         comps = list(_components(ctx.idx, k))
         bases = [tangent_basis(loc) for loc in self.locs]
@@ -245,7 +243,7 @@ class SlicingAscent:
             thetas = np.empty((ctx.idx.size, d))
             for i, sel in comps:
                 moved = project_to_sphere(self.locs[i] + sign * _FD_STEP * bases[i][:, j])
-                thetas[sel] = self._around(moved, ctx, sel)
+                thetas[sel] = assemble_directions(self.locs[i], moved, ctx.thetas[sel])
             return costs_at(thetas)
 
         for j in range(d - 1):
@@ -256,11 +254,6 @@ class SlicingAscent:
         for i, _ in comps:
             grad[i] = self.alphas[i] * _tangent(self.locs[i], bases[i] @ partials[i])
         return grad
-
-    def _around(self, loc, ctx: _Draw, sel):
-        if self.family == "dirac":
-            return loc[None, :]
-        return assemble_directions(loc, ctx.omega[sel], ctx.v[sel])[0]
 
     def step(self, grad) -> float:
         """One projected Adam ascent step; returns how far the locations moved."""

@@ -313,6 +313,24 @@ def test_sweep_uses_default_concentration_grid(clouds, capsys):
     assert [r[0] for r in rows[-2:]] == ["sfg", "max_sfg"]
 
 
+def test_sweep_at_a_large_cost_scale_succeeds(tmp_path, capsys):
+    # the costs of 1e40-scaled clouds reach 1e160: their squares overflow,
+    # the spread of the costs must not
+    r = make_rng(0)
+    paths = []
+    for name, scale in (("a.csv", 1e40), ("b.csv", 1.3e40)):
+        write_point_cloud(tmp_path / name, r.normal(size=(24, 2)) * scale)
+        paths.append(str(tmp_path / name))
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(
+            ["sweep-kappa", *paths, "--kappas", "2,20", "--trials", "2", "--L", "8",
+             "--max-iter", "1", "--seed", "3"],
+            capsys,
+        )
+    assert code == 0, err
+    assert all(np.isfinite(float(row[3])) for row in rows_of(out))
+
+
 def test_convergence_command_emits_slope_row(capsys):
     code, out, _ = run_cli(
         ["convergence", "--d", "2", "--sizes", "8,16", "--trials", "2",

@@ -638,6 +638,40 @@ def test_slice_costs_match_reference_route():
         assert batched[i] == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+def test_slice_costs_apply_the_direction_rule():
+    X, Y = iid_pair(45, d=3, n=12)
+    unit = np.array([[0.0, 0.0, 1.0]])
+    for directions, message in (
+        (2.0 * unit, "not unit norm"),
+        (np.zeros((1, 3)), "not unit norm"),
+        (np.vstack([unit, [[np.nan, 0.0, 1.0]]]), "non-finite"),
+        (unit[None], "must be a 2D"),
+        (np.array([[1.0, 0.0]]), "direction dimension does not match"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            slice_costs(X, Y, CFG, directions)
+    # a single (d,) direction is one row
+    assert np.array_equal(slice_costs(X, Y, CFG, unit[0]), slice_costs(X, Y, CFG, unit))
+
+
+def test_std_error_survives_extreme_cost_scales():
+    # at beta = 1 every cost scales as s^4: at s = 1e40 its square overflows,
+    # at s = 1e-60 it underflows
+    X, Y = iid_pair(47, d=3, n=16)
+    cfg = FgwConfig(beta=1.0, exponent=2)
+    unit = sfg(X, Y, cfg, L=50, rng=make_rng(18))
+    for s in (1e40, 1e-60):
+        rep = sfg(s * X, s * Y, cfg, L=50, rng=make_rng(18))
+        assert rep.std_error == pytest.approx(unit.std_error * s**4, rel=1e-9)
+    opt = OptimizerConfig(max_iter=2, num_projections=20)
+    with np.errstate(over="ignore"):
+        rep = ssfg(1e40 * X, 1e40 * Y, CFG, kappa=10.0, opt=opt, rng=make_rng(19))
+    assert np.isfinite(rep.std_error) and rep.std_error > 0.0
+    for std_error in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValueError, match="std_error must be finite and >= 0"):
+            DiscrepancyReport(1.0, UniformSlicing(), (), 1, std_error)
+
+
 def test_expected_fgw_dirac_slicing_has_zero_spread():
     X, Y = iid_pair(46, d=3)
     theta = sample_slicing(UniformSlicing(), 3, 1, make_rng(16))[0]

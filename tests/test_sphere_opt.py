@@ -2,11 +2,21 @@
 and the two location-gradient estimators for smoothed directional objectives."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ssfgw.sampling import make_rng, unit_vector, vmf_mean_resultant_oracle
+from ssfgw.sampling import (
+    _assemble_directions,
+    _uniform_sphere,
+    _vmf_omega,
+    make_rng,
+    unit_vector,
+    vmf_mean_resultant_oracle,
+)
 from ssfgw.sphere_opt import (
     AdamState,
     GradientMethod,
@@ -132,12 +142,9 @@ def test_slicing_draw_shapes_and_ranges():
         for k in (1, 3):
             ascent = SlicingAscent(family, _locations(rng, k, 6), kappas=(5.0,) * k)
             thetas, ctx = ascent.draw(40, rng)
-            assert thetas.shape == (40, 6) and ctx.frames.shape == (40, 6)
+            assert thetas.shape == (40, 6) and np.array_equal(ctx.thetas, thetas)
             assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
-            assert ctx.omega.shape == (40,)
-            assert np.all(ctx.omega >= -1.0) and np.all(ctx.omega <= 1.0)
-            assert ctx.v.shape == (40, 5)
-            assert np.abs(np.linalg.norm(ctx.v, axis=1) - 1.0).max() <= 1e-12
+            assert ctx.idx.shape == (40,)
             assert set(ctx.idx.tolist()) <= set(range(k))
     dirac = SlicingAscent("dirac", _locations(rng, 3, 6))
     thetas, ctx = dirac.draw(40, rng)
@@ -185,22 +192,39 @@ def test_uniform_ascent_moves_nothing():
     assert uniform.step(grad) == 0.0 and uniform.locs.shape == (0, 4)
 
 
+def _bumpy(a):
+    # a smooth objective with no symmetry about any axis: (costs_at, gradient)
+    def costs_at(thetas):
+        return np.cos(3.0 * thetas[:, 0]) + (thetas @ a) ** 2 + thetas[:, -1]
+
+    def grad_at(thetas):
+        g = 2.0 * (thetas @ a)[:, None] * a
+        g[:, 0] -= 3.0 * np.sin(3.0 * thetas[:, 0])
+        g[:, -1] += 1.0
+        return g
+
+    return costs_at, grad_at
+
+
 @pytest.mark.parametrize("family", ["vmf", "power_spherical"])
 @pytest.mark.parametrize("kappa", [0.0, 10.0])
 def test_slicing_draw_at_the_degenerate_points(family, kappa):
     rng = make_rng(35)
-    # at e_1 the reflection is the identity: directions are the pole-frame
-    # samples and the pullback is zero
+    # at e_1 the sampling reflection is the identity; the location gradient
+    # does not see it: pathwise equals finite differences and is non-zero
     pole = np.array([1.0, 0.0, 0.0, 0.0])
+    costs_at, grad_at = _bumpy(rng.normal(size=4))
     ascent = SlicingAscent(family, pole, kappas=(kappa,))
     thetas, ctx = ascent.draw(50, rng)
-    assert np.array_equal(ctx.frames, thetas)
-    g_theta = rng.normal(size=thetas.shape)
-    assert np.array_equal(ascent.pathwise_gradient(ctx, g_theta), np.zeros((1, 4)))
+    pathwise = ascent.pathwise_gradient(ctx, grad_at(thetas))
+    fd = ascent.fd_gradient(ctx, costs_at)
+    assert np.linalg.norm(pathwise) > 0.0
+    assert np.abs(pathwise - fd).max() <= 1e-2 * np.abs(fd).max()
     # at d = 2 the tangent draw lives on S^0
+    assert np.array_equal(np.abs(_uniform_sphere(1, rng, 50)), np.ones((50, 1)))
     ascent = SlicingAscent(family, _locations(rng, 2, 2), kappas=(kappa, kappa))
     thetas, ctx = ascent.draw(50, rng)
-    assert np.array_equal(np.abs(ctx.v), np.ones((50, 1)))
+    assert thetas.shape == (50, 2)
     assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
 
 
@@ -236,8 +260,8 @@ def _fd_reference(ascent, ctx, costs_at):
         for j in range(d - 1):
             f = [
                 costs_at(assemble_directions(
-                    project_to_sphere(loc + sign * 1e-4 * basis[:, j]), ctx.omega[sel], ctx.v[sel]
-                )[0]).mean()
+                    loc, project_to_sphere(loc + sign * 1e-4 * basis[:, j]), ctx.thetas[sel]
+                )).mean()
                 for sign in (1.0, -1.0)
             ]
             partials[j] = (f[0] - f[1]) / (2.0 * 1e-4)
@@ -270,58 +294,120 @@ def test_fd_gradient_makes_one_call_per_tangent_index_and_sign(family, k):
     grad = ascent.fd_gradient(ctx, counting)
     assert len(rows) == 2 * (d - 1)
     assert max(rows) <= thetas.shape[0] == (k if family == "dirac" else L)
-    if family != "dirac":
-        assert np.array_equal(grad, _fd_reference(ascent, ctx, costs_at))
+    assert np.array_equal(grad, _fd_reference(ascent, ctx, costs_at))
 
 
 def test_assemble_directions_radial_component():
+    # the sampling draw: eps^T theta is the radial coordinate omega
     rng = make_rng(24)
     eps = unit_vector(rng.normal(size=4))
-    _, ctx = SlicingAscent("vmf", eps, kappas=(10.0,)).draw(200, rng)
-    omega = ctx.omega
-    thetas, h = assemble_directions(eps, omega, ctx.v)
+    omega = _vmf_omega(10.0, 4, 200, rng)
+    thetas = _assemble_directions(eps, omega, _uniform_sphere(3, rng, 200))
     assert np.abs(thetas @ eps - omega).max() <= 1e-12
-    assert np.abs(h[:, 0] - omega).max() == 0.0
     assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
 
 
-def test_reflection_pullback_zero_at_pole():
-    eps = np.array([1.0, 0.0, 0.0])
-    h = make_rng(25).normal(size=(7, 3))
-    g = make_rng(26).normal(size=(7, 3))
-    assert np.array_equal(reflection_location_grads(eps, h, g), np.zeros((7, 3)))
+def _rotation(eps, moved):
+    # the rotation in the plane of eps and moved that maps eps to moved, as
+    # a matrix: I + K + K^2 / (1 + eps^T moved), K = moved eps^T - eps moved^T
+    K = np.outer(moved, eps) - np.outer(eps, moved)
+    return np.eye(eps.size) + K + K @ K / (1.0 + float(eps @ moved))
+
+
+def _check_pullback_against_rotation(eps, rng):
+    # numeric derivative of g^T R_s theta as eps moves along the geodesic
+    # cos(s) eps + sin(s) t, against t^T of the per-sample pullback
+    d = eps.size
+    thetas = np.stack([unit_vector(rng.normal(size=d)) for _ in range(6)])
+    g = rng.normal(size=(6, d))
+    analytic = reflection_location_grads(eps, thetas, g)
+    step = 1e-6
+    for t in tangent_basis(eps).T:
+        up = np.cos(step) * eps + np.sin(step) * t
+        dn = np.cos(step) * eps - np.sin(step) * t
+        R_up, R_dn = _rotation(eps, up), _rotation(eps, dn)
+        assert np.abs(assemble_directions(eps, up, thetas) - thetas @ R_up.T).max() <= 1e-14
+        numeric = ((g * (thetas @ R_up.T)).sum(axis=1)
+                   - (g * (thetas @ R_dn.T)).sum(axis=1)) / (2 * step)
+        assert np.abs(numeric - analytic @ t).max() <= 1e-7 * max(1.0, np.abs(numeric).max())
+
+
+def test_reflection_pullback_at_pole_matches_numeric_derivative():
+    _check_pullback_against_rotation(np.array([1.0, 0.0, 0.0]), make_rng(25))
 
 
 def test_reflection_pullback_matches_numeric_jacobian():
     rng = make_rng(27)
-    d = 5
-    eps = unit_vector(rng.normal(size=d))
-    h_row = unit_vector(rng.normal(size=d))
-    g_row = rng.normal(size=d)
-
-    # numeric directional derivative of g . theta(eps) under ambient eps moves
-    step = 1e-6
-    analytic = reflection_location_grads(eps, h_row[None, :], g_row[None, :])[0]
-    for k in range(d):
-        e_up = eps.copy()
-        e_up[k] += step
-        e_dn = eps.copy()
-        e_dn[k] -= step
-        t_up, _ = _reflect_rows(e_up, h_row)
-        t_dn, _ = _reflect_rows(e_dn, h_row)
-        numeric = float(g_row @ (t_up - t_dn)) / (2 * step)
-        assert numeric == pytest.approx(analytic[k], rel=1e-5, abs=1e-7)
+    _check_pullback_against_rotation(unit_vector(rng.normal(size=5)), rng)
 
 
-def _reflect_rows(eps, h_row):
-    # rebuild theta = reflect(eps) applied to a fixed pole-frame vector,
-    # without renormalizing eps (the pullback is the ambient Jacobian)
-    w = -np.asarray(eps, dtype=np.float64).copy()
-    w[0] += 1.0
-    rho = float(np.linalg.norm(w))
-    u = w / rho
-    theta = h_row - 2.0 * float(h_row @ u) * u
-    return theta, u
+class PoleCase(NamedTuple):
+    family: str
+    k: int
+    d: int
+    kappa: float
+    where: object  # "e1", "-e1", "random", or j for e_1 moved by 10^-j
+    seed: int
+
+
+@st.composite
+def pole_cases(draw):
+    """A location at, beside or away from e_1, the sampling reflection's
+    degenerate point, for a vMF, a power spherical or a two-component vMF
+    mixture whose first location it is."""
+    family, k = draw(st.sampled_from([("vmf", 1), ("power_spherical", 1), ("vmf", 2)]))
+    d = draw(st.sampled_from([2, 3, 5]))
+    kappa = draw(st.sampled_from([0.0, 1.0, 10.0, 1000.0]))
+    where = draw(st.one_of(st.sampled_from(["e1", "-e1", "random"]), st.integers(3, 12)))
+    return PoleCase(family, k, d, kappa, where, draw(st.integers(0, 2**16)))
+
+
+def _pole_estimates(case, loc):
+    # pathwise and finite-difference gradients of the first location on the
+    # same draws, and the standard error of the pathwise one
+    rng = make_rng(case.seed + 1)
+    costs_at, grad_at = _bumpy(rng.normal(size=case.d))
+    locs = [loc] + [unit_vector(rng.normal(size=case.d)) for _ in range(case.k - 1)]
+    ascent = SlicingAscent(case.family, locs, (case.kappa,) * case.k)
+    thetas, ctx = ascent.draw(256, make_rng(case.seed + 2))
+    g_theta = grad_at(thetas)
+    sel = ctx.idx == 0
+    per_sample = reflection_location_grads(loc, thetas[sel], g_theta[sel])
+    per_sample = per_sample - np.outer(per_sample @ loc, loc)
+    se = per_sample.std(axis=0, ddof=1) / math.sqrt(max(int(sel.sum()), 1))
+    pathwise = ascent.pathwise_gradient(ctx, g_theta)
+    return pathwise, ascent.fd_gradient(ctx, costs_at), ascent.alphas[0] * se
+
+
+@given(pole_cases())
+@example(PoleCase("vmf", 1, 3, 10.0, "e1", 0))
+@example(PoleCase("power_spherical", 1, 5, 1000.0, "e1", 1))
+@example(PoleCase("vmf", 2, 2, 1.0, "e1", 2))
+@example(PoleCase("vmf", 1, 3, 1.0, 7, 3))
+@example(PoleCase("vmf", 1, 5, 10.0, 12, 4))
+@example(PoleCase("power_spherical", 1, 3, 1000.0, 3, 5))
+@example(PoleCase("vmf", 2, 3, 0.0, "-e1", 6))
+def test_location_gradient_at_and_near_the_pole(case):
+    rng = make_rng(case.seed)
+    pole = np.zeros(case.d)
+    pole[0] = 1.0
+    if case.where == "random":
+        loc = unit_vector(rng.normal(size=case.d))
+    elif case.where in ("e1", "-e1"):
+        loc = pole if case.where == "e1" else -pole
+    else:
+        tangent = rng.normal(size=case.d)
+        tangent[0] = 0.0
+        loc = unit_vector(pole + 10.0 ** -case.where * unit_vector(tangent))
+    pathwise, fd, se = _pole_estimates(case, loc)
+    # both estimators differentiate the same sample average
+    assert np.linalg.norm(pathwise[0]) > 0.0
+    assert np.abs(pathwise - fd).max() <= 1e-2 * np.abs(fd).max()
+    if isinstance(case.where, int):
+        # no jump across e_1: the estimate there agrees within Monte Carlo error
+        at_pole, _, se_pole = _pole_estimates(case, pole)
+        gap = np.linalg.norm(pathwise[0] - at_pole[0])
+        assert gap <= 6.0 * (np.linalg.norm(se) + np.linalg.norm(se_pole))
 
 
 # ---------------------------------------------------------------------------
