@@ -29,6 +29,13 @@ kernels are exactly swap-symmetric, so each discrepancy is exactly symmetric
 in its two clouds. Evaluation inside the engines uses the O(n) delta/s kernels
 for r=2 (validated against the O(n^2) reference in the tests, also on
 nearly-agreeing clouds) and the direct double sum otherwise.
+
+Every slice batch goes through ``_eval_slices``: one projection product per
+cloud, then sorting, kernels and the gradient scatter in row blocks of about
+``_SLICE_BLOCK_ENTRIES`` entries, so that large batches (n in the thousands)
+reuse cache-sized temporaries. Each step after the projection works row by
+row, so the blocks do not change a bit of any result; a batch that fits one
+block (every batch with L * max(n, m) <= 32,768) runs as one pass.
 """
 
 from __future__ import annotations
@@ -211,6 +218,19 @@ def _validate_pair(mu, nu):
     return X, Y
 
 
+# Row blocks of a slice batch keep each (rows, points) temporary near this
+# many entries (256 KB of float64): cache-sized, and small enough for the
+# allocator to reuse between calls instead of returning it to the system.
+_SLICE_BLOCK_ENTRIES = 32_768
+
+
+def _row_blocks(L: int, k: int) -> list:
+    """Row slices that cut an (L, k) batch into blocks of about
+    ``_SLICE_BLOCK_ENTRIES`` entries (at least one row each)."""
+    step = max(1, _SLICE_BLOCK_ENTRIES // k)
+    return [slice(i, min(i + step, L)) for i in range(0, L, step)]
+
+
 def _project_sorted(X, thetas, want_order: bool):
     """Rows of ``thetas @ X.T`` sorted ascending, and the permutation that
     sorts them when ``want_order`` (else None).
@@ -219,20 +239,35 @@ def _project_sorted(X, thetas, want_order: bool):
     (``fgw.stable_sort_rows``); it is computed only when gradients are wanted.
     The value-only path sorts values alone, which gives the same rows up to
     the order of tied signed zeros, and so the same costs.
+
+    The projection is one product over all rows: a one-row product takes
+    BLAS's matrix-vector path, which can round differently. A batch larger
+    than one row block (``_row_blocks`` at the cloud's own size) is sorted in
+    place: values alone in one in-place sort, values with their order block
+    by block. Every row is sorted on its own, so the result does not depend
+    on the blocks.
     """
     values = thetas @ X.T
+    blocks = _row_blocks(*values.shape)
+    if len(blocks) == 1:
+        if not want_order:
+            return np.sort(values, axis=1), None
+        return stable_sort_rows(values)
     if not want_order:
-        return np.sort(values, axis=1), None
-    return stable_sort_rows(values)
+        values.sort(axis=1)
+        return values, None
+    order = np.empty(values.shape, dtype=np.intp)
+    for rows in blocks:
+        values[rows], order[rows] = stable_sort_rows(values[rows])
+    return values, order
 
 
-def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
-    """Per-direction fused costs, optionally with gradients wrt the original
-    (unsorted) cloud rows. Each cloud is sorted at its own size, spread to
-    max(n, m) columns for the kernels, and its gradients folded back."""
+def _eval_sorted(A, B, cfg: FgwConfig, want_grads: bool, order_x=None, order_y=None,
+                 gx=None, gy=None):
+    """Costs of sorted rows A (n columns) and B (m columns) and, when
+    ``want_grads``, their gradients scattered through the sort orders into gx
+    and gy (allocated here when None)."""
     use_moments = cfg.exponent == 2
-    A, order_x = _project_sorted(X, thetas, want_grads)
-    B, order_y = _project_sorted(Y, thetas, want_grads)
     n, m = A.shape[1], B.shape[1]
     A, B = spread_rows(A, max(n, m)), spread_rows(B, max(n, m))
     costs, orients = _kernels.cost_batch(A, B, cfg.beta, cfg.exponent, use_moments)
@@ -240,15 +275,45 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
         return costs, None, None
     GA, GB = _kernels.grad_batch(A, B, cfg.beta, orients, use_moments)
     GA, GB = fold_rows(GA, n), fold_rows(GB, m)
-    gx = np.empty_like(GA)
-    gy = np.empty_like(GB)
+    gx = np.empty_like(GA) if gx is None else gx
+    gy = np.empty_like(GB) if gy is None else gy
     np.put_along_axis(gx, order_x, GA, axis=1)
     np.put_along_axis(gy, order_y, GB, axis=1)
     return costs, gx, gy
 
 
+def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
+    """Per-direction fused costs, optionally with gradients wrt the original
+    (unsorted) cloud rows. Each cloud is sorted at its own size, spread to
+    max(n, m) columns for the kernels, and its gradients folded back.
+
+    A batch of more than one row block (``_row_blocks`` at max(n, m)) runs the
+    kernels and the scatter block by block, into outputs allocated once. Every
+    kernel works row by row, so the results are the same bits as one pass; a
+    batch of one block is one pass, with no preallocated outputs.
+    """
+    A, order_x = _project_sorted(X, thetas, want_grads)
+    B, order_y = _project_sorted(Y, thetas, want_grads)
+    blocks = _row_blocks(A.shape[0], max(A.shape[1], B.shape[1]))
+    if len(blocks) == 1:
+        return _eval_sorted(A, B, cfg, want_grads, order_x, order_y)
+    costs = np.empty(A.shape[0])
+    gx, gy = (np.empty(A.shape), np.empty(B.shape)) if want_grads else (None, None)
+    for rows in blocks:
+        part = (order_x[rows], order_y[rows], gx[rows], gy[rows]) if want_grads else ()
+        costs[rows] = _eval_sorted(A[rows], B[rows], cfg, want_grads, *part)[0]
+    return costs, gx, gy
+
+
 def slice_costs(mu, nu, cfg: FgwConfig, directions) -> np.ndarray:
-    """Fused 1D costs of two clouds along (L, d) unit directions or one (d,)."""
+    """Fused 1D costs of two clouds along (L, d) unit directions or one (d,).
+
+    A direction evaluated alone (L = 1) can differ in the last bits from the
+    same direction inside a batch: BLAS projects a single row on its
+    matrix-vector path, which rounds differently (and at d >= 32 small
+    batches can round differently from large ones). Row blocking adds no such
+    dependence: the projection is one product over the whole batch.
+    """
     X, Y = _validate_pair(mu, nu)
     thetas = _check_directions(np.atleast_2d(directions))
     if thetas.shape[1] != X.shape[1]:

@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssfgw import _kernels
+from ssfgw import _kernels, discrepancies
 from ssfgw.discrepancies import (
     KINDS,
     DiracSlicing,
@@ -148,35 +148,41 @@ SORT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(SORT_CASES))
-def test_project_sorted_matches_stable_argsort_bitwise(case):
+def test_project_sorted_matches_stable_argsort_bitwise(case, monkeypatch):
     X, thetas = SORT_CASES[case](make_rng(70))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref_values, ref_order = stable_reference(thetas @ X.T)
-        values, order = _project_sorted(X, thetas, True)
-        sorted_only, no_order = _project_sorted(X, thetas, False)
-    assert_bitwise(values, ref_values)
-    assert_bitwise(order, ref_order)
-    assert no_order is None
-    # the value-only path sorts values alone: equal rows, NaNs last
-    assert np.array_equal(sorted_only, ref_values, equal_nan=True)
+    # one pass, then one row per block: rows with +-inf, NaN and ties cross
+    # block boundaries
+    for budget in (discrepancies._SLICE_BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_values, ref_order = stable_reference(thetas @ X.T)
+            values, order = _project_sorted(X, thetas, True)
+            sorted_only, no_order = _project_sorted(X, thetas, False)
+        assert_bitwise(values, ref_values)
+        assert_bitwise(order, ref_order)
+        assert no_order is None
+        # the value-only path sorts values alone: equal rows, NaNs last
+        assert np.array_equal(sorted_only, ref_values, equal_nan=True)
 
 
 @pytest.mark.parametrize("case", sorted(SORT_CASES))
-def test_value_only_costs_equal_permuted_path_bitwise(case):
+def test_value_only_costs_equal_permuted_path_bitwise(case, monkeypatch):
     r = make_rng(71)
     X, thetas = SORT_CASES[case](r)
     Y = X[r.permutation(X.shape[0])] * 1.5 + 0.25
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref_x, _ = stable_reference(thetas @ X.T)
-        ref_y, _ = stable_reference(thetas @ Y.T)
-        for r_exp in (1, 2, 3):
-            cfg = FgwConfig(beta=0.3, exponent=r_exp)
-            costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
-            ref, _ = _kernels.cost_batch(ref_x, ref_y, cfg.beta, r_exp, r_exp == 2)
-            assert_same_costs(costs, ref)
-        permuted, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=True)
-        value_only, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=False)
-    assert_same_costs(value_only, permuted)
+    for budget in (discrepancies._SLICE_BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_x, _ = stable_reference(thetas @ X.T)
+            ref_y, _ = stable_reference(thetas @ Y.T)
+            for r_exp in (1, 2, 3):
+                cfg = FgwConfig(beta=0.3, exponent=r_exp)
+                costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
+                ref, _ = _kernels.cost_batch(ref_x, ref_y, cfg.beta, r_exp, r_exp == 2)
+                assert_same_costs(costs, ref)
+            permuted, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=True)
+            value_only, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=False)
+        assert_same_costs(value_only, permuted)
 
 
 def test_stable_sort_rows_breaks_signed_zero_and_infinite_ties_by_index():
@@ -402,6 +408,102 @@ def test_divisor_sizes_properties_across_scales(case):
     own, _, _ = _eval_slices(samp, np.repeat(samp, ref.shape[0] // samp.shape[0], axis=0),
                              thetas, cfg, want_grads=False)
     assert (own >= 0.0).all() and own.max() <= floor
+
+
+# ---------------------------------------------------------------------------
+# row blocks: the same bits under any block budget
+# ---------------------------------------------------------------------------
+
+
+def eval_with_budget(budget, X, Y, thetas, cfg, want_grads):
+    """``_eval_slices`` with ``_SLICE_BLOCK_ENTRIES`` set to ``budget``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
+        with np.errstate(all="ignore"):
+            return _eval_slices(X, Y, thetas, cfg, want_grads)
+
+
+class BlockCase(NamedTuple):
+    X: np.ndarray  # n points
+    Y: np.ndarray  # n * reps points
+    thetas: np.ndarray
+    cfg: FgwConfig
+    want_grads: bool
+    budget: int
+
+
+# signed zeros and a few repeated values, so projections tie
+_BLOCK_POOL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0])
+
+
+def _block_case(seed, n, reps, d, L, r_exp, beta, budget, pool_only=True):
+    # a pinned BlockCase: pool coordinates (or normal ones) and random and
+    # +-axis directions
+    r = make_rng(seed)
+    clouds = [
+        _BLOCK_POOL[r.integers(0, _BLOCK_POOL.size, size=(size, d))] if pool_only
+        else r.normal(size=(size, d))
+        for size in (n, n * reps)
+    ]
+    thetas = np.vstack([_unit_rows(r, L, d), np.eye(d), -np.eye(d)])[r.integers(0, L + 2 * d, L)]
+    return BlockCase(*clouds, thetas, FgwConfig(beta=beta, exponent=r_exp), r_exp == 2, budget)
+
+
+@st.composite
+def block_cases(draw):
+    """An n-point and an (n reps)-point cloud (n in [1, 12], reps in [1, 4]),
+    d in {2, 3, 5, 7}, L in [1, 9] random or +-axis directions, coordinates
+    from a pool with signed zeros and ties (or normal), r in {1, 2, 3}, beta in
+    {0, 0.3, 1}, gradients with r = 2 or not, and a block budget: one entry
+    (one row per block), up to a few rows of max(n, m) columns, or one
+    block. Sort blocks use each cloud's own size and kernel blocks max(n, m),
+    so with n < m they fall differently."""
+    n, reps = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    d, L = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 9))
+    r_exp, beta = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([0.0, 0.3, 1.0]))
+    m = n * reps
+    budget = draw(st.one_of(st.just(1), st.integers(1, 4 * m), st.just(L * m)))
+    case = _block_case(draw(st.integers(0, 2**16)), n, reps, d, L, r_exp, beta, budget,
+                       draw(st.booleans()))
+    return case._replace(want_grads=r_exp == 2 and draw(st.booleans()))
+
+
+# the last kernel block holds one row: 5 rows in blocks of 2, 7 in blocks of 3
+@example(_block_case(80, 3, 3, 3, 5, 2, 0.3, 2 * 9))
+@example(_block_case(81, 4, 2, 5, 7, 3, 1.0, 3 * 8))
+@example(_block_case(82, 2, 4, 2, 9, 2, 0.0, 8 * 8, pool_only=False))
+@example(_block_case(83, 1, 4, 7, 3, 1, 0.3, 2 * 4))
+@given(block_cases())
+def test_row_blocks_give_the_same_bits(case):
+    X, Y, thetas, cfg, want_grads, budget = case
+    one_pass = eval_with_budget(thetas.shape[0] * Y.shape[0], X, Y, thetas, cfg, want_grads)
+    blocked = eval_with_budget(budget, X, Y, thetas, cfg, want_grads)
+    assert_bitwise(blocked[0], one_pass[0])
+    if not want_grads:
+        assert blocked[1] is None and blocked[2] is None
+        return
+    assert_bitwise(blocked[1], one_pass[1])
+    assert_bitwise(blocked[2], one_pass[2])
+
+
+def test_engine_reports_do_not_depend_on_row_blocks(monkeypatch):
+    X, Y = iid_pair(84, d=4, n=40)
+    Y = np.repeat(Y[:20], 2, axis=0)
+    opt = OptimizerConfig(max_iter=3, num_projections=12)
+    fd = OptimizerConfig(max_iter=2, num_projections=6, gradient_method="finite_difference")
+    r3 = FgwConfig(beta=0.3, exponent=3)
+
+    def collect():
+        reps = [
+            ssfg(X, Y, CFG, 10.0, opt, rng=make_rng(85)),
+            max_sfg(X, Y, CFG, opt, make_rng(86), num_restarts=3),
+            ssfg(X, Y, r3, 10.0, fd, rng=make_rng(87)),
+        ]
+        return [report_bits(rep) for rep in reps]
+
+    default = collect()
+    monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", 1)
+    assert collect() == default
 
 
 # ---------------------------------------------------------------------------
