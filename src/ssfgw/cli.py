@@ -152,17 +152,21 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
-def _add_cost_flags(sub):
+def _add_ascent_flags(sub):
+    # every command's slicing ascent: the fused weight, the batch and Adam
     sub.add_argument("--beta", type=float, default=0.1, help="fused weight in [0,1]")
-    sub.add_argument("--exponent", type=int, default=2, help="ground cost exponent r")
-
-
-def _add_opt_flags(sub):
     sub.add_argument("--L", type=int, default=50, dest="L", help="projections per iteration")
-    sub.add_argument("--max-iter", type=int, default=10)
     sub.add_argument("--learning-rate", type=float, default=0.001)
     sub.add_argument("--adam-beta1", type=float, default=0.5)
     sub.add_argument("--adam-beta2", type=float, default=0.999)
+
+
+def _add_engine_flags(sub):
+    # what only the engines read: a flow takes one pathwise r = 2 ascent step
+    # per flow step
+    _add_ascent_flags(sub)
+    sub.add_argument("--exponent", type=int, default=2, help="ground cost exponent r")
+    sub.add_argument("--max-iter", type=int, default=10)
     sub.add_argument(
         "--gradient-method",
         choices=("pathwise", "finite-difference"),
@@ -190,9 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("source", help="CSV point cloud")
     disc.add_argument("target", help="CSV point cloud")
     _add_slicing_flags(disc, kappa=10.0)
-    _add_cost_flags(disc)
     disc.add_argument("--restarts", type=int, default=8, help="max-sfg restarts")
-    _add_opt_flags(disc)
+    _add_engine_flags(disc)
     _add_common_flags(disc)
 
     sweep = commands.add_parser("sweep-kappa", help="ssfg across a concentration grid")
@@ -200,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("target")
     sweep.add_argument("--kappas", type=_float_list, default=_DEFAULT_KAPPA_GRID)
     sweep.add_argument("--trials", type=int, default=5)
-    _add_cost_flags(sweep)
-    _add_opt_flags(sweep)
+    _add_engine_flags(sweep)
     _add_common_flags(sweep)
 
     conv = commands.add_parser("convergence", help="sample-size decay of the discrepancy")
@@ -210,31 +212,28 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--trials", type=int, default=20)
     conv.add_argument("--kappa", type=float, default=10.0)
     conv.add_argument("--metric", choices=("ssfg", "w1-control"), default="ssfg")
-    _add_cost_flags(conv)
-    _add_opt_flags(conv)
+    _add_engine_flags(conv)
     _add_common_flags(conv)
 
     flow = commands.add_parser("flow", help="particle gradient flow toward a target cloud")
     flow.add_argument("target")
     _add_slicing_flags(flow, kappa=1000.0)
-    _add_cost_flags(flow)
     flow.add_argument("--num-particles", type=int, default=None, help="defaults to target size")
     flow.add_argument("--steps", type=int, default=3000)
     flow.add_argument("--step-size", type=float, default=0.01)
     flow.add_argument("--snapshot-every", type=int, default=100)
     flow.add_argument("--particles-out", default=None, help="write final particles as CSV")
-    _add_opt_flags(flow)
+    _add_ascent_flags(flow)
     _add_common_flags(flow)
 
     gmm = commands.add_parser("gmm-fit", help="fit a diagonal GMM to a cloud")
     gmm.add_argument("target")
     gmm.add_argument("--components", type=int, default=10)
     _add_slicing_flags(gmm, kappa=10.0)
-    _add_cost_flags(gmm)
     gmm.add_argument("--steps", type=int, default=1000)
     gmm.add_argument("--step-size", type=float, default=0.01)
     gmm.add_argument("--batch", type=int, default=128)
-    _add_opt_flags(gmm)
+    _add_ascent_flags(gmm)
     _add_common_flags(gmm)
 
     return parser
@@ -324,8 +323,6 @@ def _cmd_convergence(args):
 
 
 def _flow_objective(args) -> FlowObjective:
-    if args.exponent != 2:
-        raise CliInputError(f"{args.command} needs --exponent 2 (gradients use the closed form)")
     kind, kappas = _kind_kappas(args)
     return FlowObjective(
         kind=kind,

@@ -241,21 +241,19 @@ def _project_sorted(X, thetas, want_order: bool):
     the order of tied signed zeros, and so the same costs.
 
     The projection is one product over all rows: a one-row product takes
-    BLAS's matrix-vector path, which can round differently. A batch larger
-    than one row block (``_row_blocks`` at the cloud's own size) is sorted in
-    place: values alone in one in-place sort, values with their order block
-    by block. Every row is sorted on its own, so the result does not depend
-    on the blocks.
+    BLAS's matrix-vector path, which can round differently. Values alone are
+    sorted in place in one sort. Values with their order are sorted block by
+    block (``_row_blocks`` at the cloud's own size) when the batch is larger
+    than one block. Every row is sorted on its own, so the result does not
+    depend on the blocks.
     """
     values = thetas @ X.T
-    blocks = _row_blocks(*values.shape)
-    if len(blocks) == 1:
-        if not want_order:
-            return np.sort(values, axis=1), None
-        return stable_sort_rows(values)
     if not want_order:
         values.sort(axis=1)
         return values, None
+    blocks = _row_blocks(*values.shape)
+    if len(blocks) == 1:
+        return stable_sort_rows(values)
     order = np.empty(values.shape, dtype=np.intp)
     for rows in blocks:
         values[rows], order[rows] = stable_sort_rows(values[rows])

@@ -296,8 +296,8 @@ def _slice_step(ascent, objective, cfg, A, B, rng, step):
     L = objective.num_projections
     thetas, costs, ga, grad = _ascent_step(objective.kind, A, B, cfg, ascent, L, True, rng, step)
     value = costs.mean()
-    # catch runaway dynamics while every float is still finite, before
-    # squared gradients in the slicing ascent can overflow
+    # catch runaway dynamics while every float is still finite: a few steps
+    # later the particles' fourth powers in the slice costs overflow
     if value > _DIVERGENCE_CAP:
         raise DivergenceError(f"diverging discrepancy at step {step}", step)
     ascent.step(grad)

@@ -26,12 +26,15 @@ with no frame and no special point.
   basis.
 
 Both return the tangent (Riemannian) gradient, scaled by the component
-weight.
+weight. Every objective takes a batch: the engines, the flows and
+``estimate_location_gradient`` map (m, d) directions to m values (and their
+(m, d) gradients), so a pathwise estimate is one objective call and a
+finite-difference estimate 2(d-1), whatever m.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -201,6 +204,7 @@ class SlicingAscent:
         default = np.full(k, 1.0 / k) if smoothed else np.ones(k)
         self.alphas = default if alphas is None else _check_weights(alphas, k, "alphas")
         self.adam = adam_init(self.locs.shape, learning_rate, beta1, beta2)
+        self._shift = 0  # Adam sees gradients times 2^-_shift (see ``step``)
 
     def draw(self, L: int, rng: Rng):
         """(thetas, ctx): L directions (k for "dirac") and the context that
@@ -256,8 +260,22 @@ class SlicingAscent:
         return grad
 
     def step(self, grad) -> float:
-        """One projected Adam ascent step; returns how far the locations moved."""
-        updated, self.adam = adam_step(self.adam, grad, self.locs, ascend=True)
+        """One projected Adam ascent step; returns how far the locations moved.
+
+        Adam sees the gradient times 2^-shift. When that reaches 2^500 the
+        shift grows so that it lands just below 2^400, and the moments are
+        rescaled with it (the second by the square). The shift is an exact
+        power of two, so Adam's steps are unchanged while its squares stay
+        far from overflow and its epsilon negligible, at any cloud scale."""
+        g = np.ldexp(grad, -self._shift) if self._shift else grad
+        exponent = int(np.frexp(np.abs(g).max(initial=0.0))[1])
+        if exponent > 500:
+            k = exponent - 400
+            self._shift += k
+            g = np.ldexp(g, -k)
+            self.adam = replace(self.adam, first_moment=np.ldexp(self.adam.first_moment, -k),
+                                second_moment=np.ldexp(self.adam.second_moment, -2 * k))
+        updated, self.adam = adam_step(self.adam, g, self.locs, ascend=True)
         updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
         delta = float(np.linalg.norm(updated - self.locs))
         self.locs = updated
@@ -276,9 +294,11 @@ def estimate_location_gradient(
     """Monte Carlo estimate of the ambient gradient in the location eps of
     E_{theta ~ family(eps, kappa)}[objective(theta)].
 
-    ``objective`` maps a direction to either a float or a
-    ``(value, grad_theta)`` tuple; the pathwise method requires the tuple
-    form. Returns a (d,) tangent vector at eps (both methods project out the
+    ``objective`` maps (m, d) directions to m values, or to the pair (values,
+    (m, d) gradients in the directions) that the pathwise method needs. Like
+    the engines' slice batches, it is called once on the L draws (pathwise)
+    or once per tangent index and sign (finite differences, 2(d-1) calls).
+    Returns a (d,) tangent vector at eps (both methods project out the
     radial component, which carries no information on the sphere). Draws
     and gradients go through ``SlicingAscent`` with one location, which
     validates eps (a unit vector) and kappa (finite, >= 0).
@@ -291,18 +311,14 @@ def estimate_location_gradient(
     method = GradientMethod(method)
     ascent = SlicingAscent(family, [eps], kappas=(kappa,))
     thetas, ctx = ascent.draw(L, rng)
-
-    def evaluate(theta):
-        out = objective(theta)
-        return out if isinstance(out, tuple) else (out, None)
-
     if method is GradientMethod.PATHWISE:
-        grads = [evaluate(theta)[1] for theta in thetas]
-        if any(g is None for g in grads):
-            raise ValueError(
-                "pathwise estimation needs the objective to return (value, grad_theta)"
-            )
-        return ascent.pathwise_gradient(ctx, np.array(grads, dtype=np.float64))[0]
-    return ascent.fd_gradient(
-        ctx, lambda directions: np.array([float(evaluate(t)[0]) for t in directions])
-    )[0]
+        out = objective(thetas)
+        if not isinstance(out, tuple):
+            raise ValueError("pathwise estimation needs the objective to return (values, grads)")
+        return ascent.pathwise_gradient(ctx, out[1])[0]
+
+    def values_at(directions):
+        out = objective(directions)
+        return np.asarray(out[0] if isinstance(out, tuple) else out, dtype=np.float64)
+
+    return ascent.fd_gradient(ctx, values_at)[0]

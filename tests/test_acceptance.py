@@ -244,9 +244,10 @@ def test_criterion_6_gradient_routes_agree(capsys):
     for d in (3, 8):
         Xg, Yg = iid_pair(600 + d, d, n=16)
 
-        def objective(theta):
-            c, gx, gy = _eval_slices(Xg, Yg, theta[None, :], CFG, want_grads=True)
-            return float(c[0]), gx[0] @ Xg + gy[0] @ Yg
+        def objective(thetas):
+            # the engines' own pullback of a slice batch to its directions
+            c, gx, gy = _eval_slices(Xg, Yg, thetas, CFG, want_grads=True)
+            return c, gx @ Xg + gy @ Yg
 
         for kappa in (1.0, 10.0, 50.0):
             eps = unit_vector(make_rng(d * 100 + int(kappa)).normal(size=d))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import ssfgw
-from ssfgw.cli import main, parse_point_cloud, write_point_cloud
+from ssfgw import sampling
+from ssfgw.cli import build_parser, main, parse_point_cloud, write_point_cloud
 from ssfgw.experiments import four_mode_gmm
 from ssfgw.sampling import make_rng
 
@@ -128,6 +129,31 @@ def test_unknown_flag_rejected(clouds, capsys):
     assert err.startswith("error:")
 
 
+ENGINE_ONLY_FLAGS = [
+    ("--exponent", "3", "exponent", 3),
+    ("--max-iter", "2", "max_iter", 2),
+    ("--gradient-method", "finite-difference", "gradient_method", "finite-difference"),
+]
+
+
+@pytest.mark.parametrize("flag, value, dest, parsed", ENGINE_ONLY_FLAGS,
+                         ids=[flag for flag, *_ in ENGINE_ONLY_FLAGS])
+def test_engine_only_flags_are_unknown_to_the_flows(tmp_path, clouds, capsys, flag, value,
+                                                    dest, parsed):
+    # a flow takes one pathwise r = 2 ascent step per flow step, so these
+    # flags would never act there
+    target = tmp_path / "t.csv"
+    write_point_cloud(target, four_mode_gmm(16, make_rng(502)))
+    for command in ("flow", "gmm-fit"):
+        code, out, err = run_cli([command, str(target), "--steps", "1", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and f"unrecognized arguments: {flag}" in err
+    a, b = clouds
+    for argv in (["discrepancy", a, b], ["sweep-kappa", a, b], ["convergence"]):
+        assert getattr(build_parser().parse_args(argv + [flag, value]), dest) == parsed
+
+
 def test_missing_command_rejected(capsys):
     code, _, err = run_cli([], capsys)
     assert code == 1
@@ -191,6 +217,15 @@ def test_divergent_flow_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("numeric divergence:")
+
+
+def test_vmf_rejection_cap_exits_two(clouds, capsys, monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_REJECTION_ROUNDS", 0)
+    a, b = clouds
+    code, out, err = run_cli(["discrepancy", a, b, "--kind", "ssfg", "--seed", "0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numeric divergence: vMF rejection sampler exceeded")
 
 
 @pytest.mark.parametrize("kind", ["sfg", "ssfg", "max-sfg"])

@@ -3,6 +3,7 @@ sizes n and m with n dividing m, zeros, frozen worked examples, concentration
 limits, the sandwich ordering, mixture reduction, symmetry, and determinism."""
 
 import dataclasses
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -772,6 +773,36 @@ def test_std_error_survives_extreme_cost_scales():
     for std_error in (np.inf, np.nan, -1.0):
         with pytest.raises(ValueError, match="std_error must be finite and >= 0"):
             DiscrepancyReport(1.0, UniformSlicing(), (), 1, std_error)
+
+
+@pytest.mark.parametrize("kind", ["ssfg", "pssfg", "max_sfg", "mssfg"])
+def test_ascents_are_exact_under_power_of_two_cloud_scales(kind):
+    # at beta = 1 every cost and gradient scales exactly as s^4 when s is a
+    # power of two. Beyond s = 2^128 the squared location gradients overflow
+    # a double, and Adam must still take the 2^40 run's steps.
+    X, Y = iid_pair(48, d=3, n=16)
+    cfg = FgwConfig(beta=1.0, exponent=2)
+    opt = OptimizerConfig(max_iter=5, num_projections=20)
+
+    def run(k):
+        Xs, Ys, rng = np.ldexp(X, k), np.ldexp(Y, k), make_rng(20)
+        if kind == "max_sfg":
+            return max_sfg(Xs, Ys, cfg, opt, rng, num_restarts=3)
+        if kind == "mssfg":
+            return mssfg(Xs, Ys, cfg, [5.0, 20.0], opt=opt, rng=rng)
+        return (ssfg if kind == "ssfg" else pssfg)(Xs, Ys, cfg, 10.0, opt, rng=rng)
+
+    base = run(40)
+    assert len(base.trace) == opt.max_iter
+    for k in (130, 140, 200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run(k)
+        scale = 2.0 ** (4 * (k - 40))
+        assert len(rep.trace) == opt.max_iter, k
+        assert report_bits(rep.final_slicing) == report_bits(base.final_slicing), k
+        assert rep.value == base.value * scale, k
+        assert [value for _, value in rep.trace] == [value * scale for _, value in base.trace]
 
 
 def test_expected_fgw_dirac_slicing_has_zero_spread():

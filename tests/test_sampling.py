@@ -114,6 +114,39 @@ def test_batched_uniform_draws_equal_single_draws():
         assert np.array_equal(batch, singles)
 
 
+class _ZeroFirstRow:
+    """A generator whose first standard_normal draw has an all-zero first row."""
+
+    def __init__(self, seed):
+        self.rng = make_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        x = self.rng.standard_normal(shape)
+        if not self.shapes:
+            x[0] = 0.0
+        self.shapes.append(shape)
+        return x
+
+
+def test_uniform_sphere_redraws_a_row_whose_norm_underflows():
+    for d in (1, 2, 5):
+        rng = _ZeroFirstRow(997)
+        x = sampling._uniform_sphere(d, rng, 4)
+        # the zero row is redrawn from one more row of the stream
+        assert rng.shapes == [(4, d), (1, d)]
+        assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-15
+        stream = make_rng(997).standard_normal((5, d))
+        expected = stream / np.linalg.norm(stream, axis=1, keepdims=True)
+        assert np.array_equal(x, np.vstack([expected[4], expected[1:4]]))
+
+
+def test_vmf_rejection_cap_raises_sampling_error(monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_REJECTION_ROUNDS", 0)
+    with pytest.raises(sampling.SamplingError, match="exceeded 0 proposals"):
+        sample_vmf(VmfParams(np.array([0.0, 1.0, 0.0]), 10.0), make_rng(996), 8)
+
+
 # ---------------------------------------------------------------------------
 # reflection frame
 # ---------------------------------------------------------------------------

@@ -420,7 +420,7 @@ def test_constant_objective_gives_zero_gradient_both_methods():
     eps = unit_vector(rng.normal(size=4))
 
     pathwise = estimate_location_gradient(
-        lambda th: (3.25, np.zeros(4)),
+        lambda th: (np.full(len(th), 3.25), np.zeros_like(th)),
         eps,
         kappa=5.0,
         L=64,
@@ -430,7 +430,7 @@ def test_constant_objective_gives_zero_gradient_both_methods():
     assert np.abs(pathwise).max() == 0.0
 
     fd = estimate_location_gradient(
-        lambda th: 3.25,
+        lambda th: np.full(len(th), 3.25),
         eps,
         kappa=5.0,
         L=64,
@@ -446,7 +446,7 @@ def test_fd_gradient_is_tangent():
         eps = unit_vector(rng.normal(size=d))
         a = rng.normal(size=d)
         grad = estimate_location_gradient(
-            lambda th: float(a @ th) ** 2,
+            lambda th: (th @ a) ** 2,
             eps,
             kappa=10.0,
             L=100,
@@ -464,11 +464,11 @@ def test_pathwise_matches_finite_difference_on_quadratic():
             a = rng.normal(size=d)
 
             def value_only(th):
-                return float(a @ th) ** 2
+                return (th @ a) ** 2
 
             def value_and_grad(th):
-                s = float(a @ th)
-                return s * s, 2.0 * s * a
+                s = th @ a
+                return s * s, 2.0 * np.outer(s, a)
 
             pathwise = estimate_location_gradient(
                 value_and_grad, eps, kappa, 2000, GradientMethod.PATHWISE, make_rng(3)
@@ -494,7 +494,7 @@ def test_estimated_gradient_is_ascent_direction():
         a = unit_vector(rng.normal(size=d))
 
         grad = estimate_location_gradient(
-            lambda th, a=a: (float(a @ th), a),
+            lambda th, a=a: (th @ a, np.tile(a, (len(th), 1))),
             eps,
             kappa=20.0,
             L=200,
@@ -516,7 +516,7 @@ def test_full_ascent_loop_reaches_maximizer():
     state = adam_init((4,), learning_rate=0.05)
     for _ in range(200):
         grad = estimate_location_gradient(
-            lambda th: (float(a @ th), a),
+            lambda th: (th @ a, np.tile(a, (len(th), 1))),
             eps,
             kappa=20.0,
             L=64,
@@ -528,17 +528,42 @@ def test_full_ascent_loop_reaches_maximizer():
     assert float(a @ eps) > 0.99
 
 
+def test_estimator_calls_its_objective_once_per_batch():
+    # pathwise: one call on the L draws; finite differences: one per tangent
+    # index and sign, as the engines' fd_gradient makes
+    rng = make_rng(34)
+    for d in (2, 3, 6):
+        eps = unit_vector(rng.normal(size=d))
+        a = rng.normal(size=d)
+        for method, calls in ((GradientMethod.PATHWISE, 1),
+                              (GradientMethod.FINITE_DIFFERENCE, 2 * (d - 1))):
+            shapes = []
+
+            def objective(th):
+                shapes.append(th.shape)
+                return th @ a, np.tile(a, (len(th), 1))
+
+            estimate_location_gradient(objective, eps, 5.0, 37, method, make_rng(4))
+            assert shapes == [(37, d)] * calls
+
+
 def test_estimator_validation():
     eps = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="L must be >= 1"):
         estimate_location_gradient(
-            lambda th: 1.0, eps, 1.0, 0, GradientMethod.PATHWISE, make_rng(0)
+            lambda th: np.ones(len(th)), eps, 1.0, 0, GradientMethod.PATHWISE, make_rng(0)
         )
-    with pytest.raises(ValueError):
-        # pathwise needs (value, grad) tuples
+    with pytest.raises(ValueError, match="pathwise estimation needs"):
+        # pathwise needs (values, gradients) pairs
         estimate_location_gradient(
-            lambda th: 1.0, eps, 1.0, 4, GradientMethod.PATHWISE, make_rng(0)
+            lambda th: np.ones(len(th)), eps, 1.0, 4, GradientMethod.PATHWISE, make_rng(0)
         )
+    for family in ("uniform", "dirac"):
+        with pytest.raises(ValueError, match="unknown directional family"):
+            estimate_location_gradient(
+                lambda th: np.ones(len(th)), eps, 1.0, 4, GradientMethod.FINITE_DIFFERENCE,
+                make_rng(0), family,
+            )
     # the location and the concentration are validated as the family's parameters
     for family in ("vmf", "power_spherical"):
         for method in GradientMethod:
@@ -550,7 +575,7 @@ def test_estimator_validation():
             ):
                 with pytest.raises(ValueError, match=message):
                     estimate_location_gradient(
-                        lambda th: (1.0, np.zeros_like(th)), loc, kappa, 4, method,
+                        lambda th: (np.ones(len(th)), np.zeros_like(th)), loc, kappa, 4, method,
                         make_rng(0), family,
                     )
 
