@@ -59,61 +59,42 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _cell(text: str):
+    """A CSV cell as a float, or None if it is not a number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def parse_point_cloud(path) -> np.ndarray:
     """Read a CSV point cloud: one point per row, comma-separated finite
     decimals, optional single header line (auto-detected by a non-numeric
-    first row)."""
+    first row); a whitespace-only last line is ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}") from exc
     lines = text.splitlines()
-    if not lines or all(not line.strip() for line in lines):
+    if all(not line.strip() for line in lines):
         raise CliInputError(f"{path}: empty input, no point rows")
-
-    def parse_row(line, lineno):
-        cells = line.split(",")
-        row = []
-        for col, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell.strip())
-            except ValueError:
-                raise CliInputError(
-                    f"{path}: line {lineno}, column {col}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
-            if not np.isfinite(value):
-                raise CliInputError(
-                    f"{path}: line {lineno}, column {col}: non-finite value"
-                )
-            row.append(value)
-        return row
-
+    if not lines[-1].strip():
+        lines.pop()
     rows = []
-    width = None
-    start = 0
-    first = lines[0].split(",")
-    header = False
-    for cell in first:
-        try:
-            float(cell.strip())
-        except ValueError:
-            header = True
-            break
-    if header:
-        start = 1
-    for lineno in range(start, len(lines)):
-        line = lines[lineno]
-        if lineno == len(lines) - 1 and not line.strip():
-            break
-        row = parse_row(line, lineno + 1)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise CliInputError(
-                f"{path}: line {lineno + 1}: expected {width} columns, got {len(row)}"
-            )
+    for lineno, line in enumerate(lines, start=1):
+        cells = [cell.strip() for cell in line.split(",")]
+        row = [_cell(cell) for cell in cells]
+        if lineno == 1 and None in row:
+            continue  # a header
+        where = f"{path}: line {lineno}"
+        for col, (cell, value) in enumerate(zip(cells, row), start=1):
+            if value is None:
+                raise CliInputError(f"{where}, column {col}: cannot parse {cell!r} as a number")
+            if not np.isfinite(value):
+                raise CliInputError(f"{where}, column {col}: non-finite value")
+        if rows and len(row) != len(rows[0]):
+            raise CliInputError(f"{where}: expected {len(rows[0])} columns, got {len(row)}")
         rows.append(row)
     if not rows:
         raise CliInputError(f"{path}: empty input, no point rows")
@@ -138,18 +119,20 @@ def write_point_cloud(path, cloud) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _float_list(text: str):
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
+def _list_parser(convert, noun: str):
+    """An argparse type for a comma-separated list of ``convert`` values."""
+
+    def parse(text: str):
+        try:
+            return tuple(convert(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {noun} list: {text!r}")
+
+    return parse
 
 
-def _int_list(text: str):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+_float_list = _list_parser(float, "number")
+_int_list = _list_parser(int, "integer")
 
 
 def _add_ascent_flags(sub):
@@ -291,6 +274,11 @@ def _cmd_discrepancy(args):
     return rows
 
 
+def _table_rows(result):
+    """The CSV rows of an experiment's long-format table."""
+    return [(r.metric, r.parameter, r.value, r.std_error) for r in result.table]
+
+
 def _cmd_sweep(args):
     X = parse_point_cloud(args.source)
     Y = parse_point_cloud(args.target)
@@ -304,7 +292,7 @@ def _cmd_sweep(args):
         trials=args.trials,
         rng=np.random.default_rng(args.seed),
     )
-    return [(r.metric, r.parameter, r.value, r.std_error) for r in result.table]
+    return _table_rows(result)
 
 
 def _cmd_convergence(args):
@@ -319,7 +307,7 @@ def _cmd_convergence(args):
         rng=np.random.default_rng(args.seed),
         metric=args.metric.replace("-", "_"),
     )
-    return [(r.metric, r.parameter, r.value, r.std_error) for r in result.table]
+    return _table_rows(result)
 
 
 def _flow_objective(args) -> FlowObjective:
@@ -414,20 +402,8 @@ def _format_rows(rows) -> str:
     return buf.getvalue()
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _sidecar_path(output: str) -> str:
-    if output.endswith(".csv"):
-        return output[: -len(".csv")] + ".meta.json"
-    return output + ".meta.json"
+    return output.removesuffix(".csv") + ".meta.json"
 
 
 def _emit(args, rows) -> None:
@@ -437,7 +413,7 @@ def _emit(args, rows) -> None:
         return
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    config = {k: _json_safe(v) for k, v in vars(args).items() if k != "command"}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     meta = {"command": args.command, "seed": args.seed, "config": config}
     with open(_sidecar_path(args.output), "w", encoding="utf-8", newline="") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

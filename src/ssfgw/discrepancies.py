@@ -16,9 +16,11 @@ one iteration, ``_ascent_step``: draw directions from the
 ``sphere_opt.SlicingAscent`` that ``_slicing_ascent`` builds for one of the
 ``KINDS`` (it validates its own parameters), evaluate the slices and pull
 their gradients back to the locations; the caller takes the Adam step.
-``_engine`` drives the four ascents and draws their final values from the
-same ascent. A non-finite ascent objective, location gradient or final value
-raises ``DivergenceError`` naming the kind.
+``_engine`` drives the four ascents, with pathwise location gradients iff r=2
+and ``OptimizerConfig.gradient_method`` is pathwise and finite differences
+otherwise, and draws their final values from the same ascent. A non-finite
+ascent objective, location gradient or final value raises ``DivergenceError``
+naming the kind.
 
 The clouds may hold n and m points where one size divides the other; the
 engines then compare their quantile functions (``fgw.spread_rows``).
@@ -158,6 +160,7 @@ class OptimizerConfig:
 
     ``num_projections`` is the Monte Carlo batch per iteration, ``seed`` a
     fallback used only when an engine is called without an explicit generator.
+    ``gradient_method`` acts at r=2; other exponents take finite differences.
     """
 
     learning_rate: float = 0.001
@@ -294,6 +297,9 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
     B, order_y = _project_sorted(Y, thetas, want_grads)
     blocks = _row_blocks(A.shape[0], max(A.shape[1], B.shape[1]))
     if len(blocks) == 1:
+        # not folded into the loop below: with outputs preallocated before the
+        # kernels, an n = 256, L = 50 gradient batch (a flow step) took
+        # 1.74-2.06 ms instead of 1.20-1.38 ms on a 2-core x86-64 VM
         return _eval_sorted(A, B, cfg, want_grads, order_x, order_y)
     costs = np.empty(A.shape[0])
     gx, gy = (np.empty(A.shape), np.empty(B.shape)) if want_grads else (None, None)
@@ -424,10 +430,7 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
     rng = _resolve_rng(rng, opt)
     X, Y = _validate_pair(mu, nu)
     ascent = _slicing_ascent(kind, X.shape[1], rng, opt, kappas, alphas, starts)
-    pathwise = (cfg.exponent == 2 if kind == "max_sfg"
-                else opt.gradient_method is GradientMethod.PATHWISE)
-    if pathwise and cfg.exponent != 2:
-        raise ValueError("pathwise gradients need the r=2 closed form; use FiniteDifference")
+    pathwise = cfg.exponent == 2 and opt.gradient_method is GradientMethod.PATHWISE
     L = opt.num_projections
     history, projections = [], 0
     for it in range(1, opt.max_iter + 1):
@@ -468,7 +471,7 @@ def max_sfg(
     multi-start: the ``num_restarts`` uniform initializations are the rows of
     one Dirac ``SlicingAscent``, each with weight 1, and they stop together.
     Reports the first restart with the highest final cost and its trace. The
-    gradient is pathwise for r=2 and finite-difference otherwise."""
+    gradient is pathwise iff r=2 and ``opt`` asks for it, finite-difference otherwise."""
     R = int(num_restarts)
     if R < 1:
         raise ValueError("num_restarts must be >= 1")

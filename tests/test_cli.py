@@ -116,6 +116,36 @@ def test_cloud_round_trip_is_element_identical(tmp_path):
     assert back.tobytes() == gnarly.tobytes()
 
 
+def test_whitespace_last_line_is_dropped_and_output_needs_no_csv_suffix(tmp_path, capsys):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text("1,2\n3,4\n \t")
+    assert np.array_equal(parse_point_cloud(cloud), [[1.0, 2.0], [3.0, 4.0]])
+    out = tmp_path / "out"
+    code, stdout, _ = run_cli(["discrepancy", str(cloud), str(cloud), "--kind", "sfg", "--L", "4",
+                               "--output", str(out)], capsys)
+    assert code == 0 and stdout == ""
+    rows_of(out.read_text())
+    assert json.loads((tmp_path / "out.meta.json").read_text())["config"]["output"] == str(out)
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    pytest.param(["sweep-kappa", "CLOUD", "CLOUD", "--kappas", "2,x"], "1,2\n3,4\n",
+                 "argument --kappas: not a comma-separated number list: '2,x'", id="number-list"),
+    pytest.param(["convergence", "--sizes", "8,1.5"], "",
+                 "argument --sizes: not a comma-separated integer list: '8,1.5'",
+                 id="integer-list"),
+    pytest.param(["discrepancy", "CLOUD", "CLOUD"], "1\n2\n3\n",
+                 "c.csv: point cloud dimension must be >= 2", id="one-column"),
+])
+def test_input_errors_that_no_other_test_reaches(tmp_path, capsys, argv, text, message):
+    cloud = tmp_path / "c.csv"
+    cloud.write_text(text)
+    code, out, err = run_cli([str(cloud) if arg == "CLOUD" else arg for arg in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.endswith(message + "\n")
+
+
 # ---------------------------------------------------------------------------
 # flags and exit codes
 # ---------------------------------------------------------------------------

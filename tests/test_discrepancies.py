@@ -3,6 +3,7 @@ sizes n and m with n dividing m, zeros, frozen worked examples, concentration
 limits, the sandwich ordering, mixture reduction, symmetry, and determinism."""
 
 import dataclasses
+import re
 import warnings
 from typing import NamedTuple
 
@@ -534,6 +535,21 @@ def test_sample_slicing_dimension_mismatch():
         sample_slicing(DiracSlicing(np.array([1.0, 0.0])), 3, 4, make_rng(0))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: sample_slicing(UniformSlicing(), 3, 0, make_rng(0)), "L must be >= 1",
+                 id="slicing-L-zero"),
+    pytest.param(lambda: sample_slicing("uniform", 3, 2, make_rng(0)),
+                 "unknown slicing distribution: 'uniform'", id="slicing-unknown"),
+    pytest.param(lambda: DiscrepancyReport(-1.0, UniformSlicing(), (), 1),
+                 "discrepancy value must be finite and >= 0", id="report-negative"),
+    pytest.param(lambda: max_sfg(*iid_pair(0, d=2, n=4), CFG, num_restarts=0),
+                 "num_restarts must be >= 1", id="max-sfg-no-restarts"),
+])
+def test_discrepancy_checks_that_no_other_test_reaches(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(learning_rate=0.0)
@@ -574,12 +590,15 @@ def test_engine_input_validation():
     for kappas in ([5.0], [5.0, 50.0]):
         with pytest.raises(ValueError, match="alphas must be finite"):
             mssfg(X, X, CFG, kappas, alphas=[np.nan] * len(kappas), rng=make_rng(0))
-    with pytest.raises(ValueError):
-        # pathwise gradients need the quadratic closed form
-        ssfg(
-            X, X, FgwConfig(beta=0.1, exponent=1), kappa=1.0,
-            opt=OptimizerConfig(gradient_method="pathwise"), rng=make_rng(0),
-        )
+    # away from r = 2 the default (pathwise) config takes finite differences
+    A, B = iid_pair(44, d=3, n=12)
+    fd = OptimizerConfig(gradient_method="finite_difference")
+    for cfg in (FgwConfig(beta=0.1, exponent=1), FgwConfig(beta=0.3, exponent=3)):
+        for engine in (ssfg, pssfg):
+            assert report_bits(engine(A, B, cfg, 5.0, rng=make_rng(1))) == report_bits(
+                engine(A, B, cfg, 5.0, fd, rng=make_rng(1)))
+        assert report_bits(mssfg(A, B, cfg, [1.0, 5.0], rng=make_rng(2))) == report_bits(
+            mssfg(A, B, cfg, [1.0, 5.0], opt=fd, rng=make_rng(2)))
 
 
 def test_report_shape_and_projection_accounting():
@@ -851,8 +870,13 @@ def test_max_sfg_restart_bookkeeping():
     # direction's cost
     R, T, d = 3, 4, 3
     X, Y = iid_pair(49, d=d)
-    opt = OptimizerConfig(max_iter=T)
-    for cfg, per_iteration in ((CFG, R), (FgwConfig(beta=0.1, exponent=3), R * (2 * d - 1))):
+    r3 = FgwConfig(beta=0.1, exponent=3)
+    for cfg, method, per_iteration in (
+        (CFG, "pathwise", R),
+        (CFG, "finite_difference", R * (2 * d - 1)),
+        (r3, "pathwise", R * (2 * d - 1)),
+    ):
+        opt = OptimizerConfig(max_iter=T, gradient_method=method)
         rep = max_sfg(X, Y, cfg, opt, make_rng(24), num_restarts=R)
         assert rep.num_projections_used == T * per_iteration + R
         assert len(rep.trace) == T

@@ -1,6 +1,8 @@
 """Experiment harnesses: sweep tables, the convergence-rate fit with its
 classical control, particle flows, and GMM fitting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,25 @@ def test_convergence_rate_validation():
         convergence_rate(2, [10, 20], 0, CFG, 1.0)
     with pytest.raises(ValueError):
         convergence_rate(2, [10, 20], 3, CFG, 1.0, metric="energy")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: GmmParams(np.zeros((2, 2)), np.zeros((2, 3)), [0.5, 0.5]), ValueError,
+                 "means and log_std_devs must share a (k, d) shape", id="gmm-params-shape"),
+    pytest.param(lambda: GmmParams(np.full((1, 2), np.inf), np.zeros((1, 2)), [1.0]), ValueError,
+                 "GMM parameters must be finite", id="gmm-params-non-finite"),
+    pytest.param(lambda: kappa_sweep(*axis_pair(0, 2, n=8), CFG, [1.0], trials=0), ValueError,
+                 "trials must be >= 1", id="sweep-trials-zero"),
+    pytest.param(lambda: convergence_rate(2, [0, 10], 3, CFG, 1.0), ValueError,
+                 "sample sizes must be positive", id="convergence-size-zero"),
+    pytest.param(lambda: particle_flow(four_mode_gmm(64, make_rng(0)), 64,
+                                       FlowObjective(kind="sfg", num_projections=1), steps=3,
+                                       step_size=1e307, rng=make_rng(1)), DivergenceError,
+                 "non-finite particle at step 1", id="flow-particle-overflow"),
+])
+def test_experiment_checks_that_no_other_test_reaches(call, error, message):
+    with np.errstate(all="ignore"), pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_w1_control_recovers_classical_rate():
@@ -337,8 +358,8 @@ def test_gmm_validation():
         gmm_fit(target, 0, FlowObjective(), steps=5, step_size=0.01, rng=make_rng(0))
     with pytest.raises(ValueError):
         gmm_fit(target, 2, FlowObjective(), steps=5, step_size=0.01, batch=65, rng=make_rng(0))
-    with pytest.raises(ValueError):
-        gmm_fit(target, 2, FlowObjective(), steps=-1, step_size=0.01, rng=make_rng(0))
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        gmm_fit(target, 2, FlowObjective(), steps=-1, step_size=0.01, batch=16, rng=make_rng(0))
     for step_size in (np.nan, np.inf):
         with pytest.raises(ValueError, match="step_size must be finite"):
             gmm_fit(target, 2, FlowObjective(), steps=5, step_size=step_size, batch=16,

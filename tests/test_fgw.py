@@ -1,6 +1,7 @@
 """1D fused cost: frozen worked examples, the permutation oracle, metric-like
 properties, gradients against finite differences, and the scaling envelope."""
 
+import re
 import time
 
 import numpy as np
@@ -56,6 +57,45 @@ def test_project_negated_direction_reverses_order():
     assert np.array_equal(
         np.sort(plus.values)[::-1], -np.sort(minus.values)
     )
+
+
+_CLOUD = np.zeros((3, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: FgwConfig(exponent=0), "exponent must be an integer >= 1", id="r-zero"),
+    pytest.param(lambda: FgwConfig(exponent=True), "exponent must be an integer >= 1", id="r-bool"),
+    pytest.param(lambda: FgwConfig(exponent=1.5), "exponent must be an integer >= 1",
+                 id="r-fractional"),
+    pytest.param(lambda: Projected1D(np.zeros((1, 2)), [0, 1]),
+                 "values must be a nonempty 1D vector", id="p1d-2d"),
+    pytest.param(lambda: Projected1D(np.zeros(0), []), "values must be a nonempty 1D vector",
+                 id="p1d-empty"),
+    pytest.param(lambda: Projected1D([0.0, np.nan], [0, 1]), "values must be finite",
+                 id="p1d-non-finite"),
+    pytest.param(lambda: Projected1D([0.0, 1.0], [0]), "sort_permutation length must match values",
+                 id="p1d-length"),
+    pytest.param(lambda: Projected1D([0.0, 1.0], [0, 0]), "sort_permutation is not a permutation",
+                 id="p1d-not-permutation"),
+    pytest.param(lambda: Projected1D([0.0, 1.0], [1, 0]),
+                 "sort_permutation does not sort values ascending", id="p1d-unsorted"),
+    pytest.param(lambda: as_point_cloud(np.zeros(3)), "point cloud must be a 2D (n, d) array",
+                 id="cloud-1d"),
+    pytest.param(lambda: as_point_cloud(np.zeros((0, 2))), "point cloud needs at least one point",
+                 id="cloud-empty"),
+    pytest.param(lambda: as_point_cloud(np.zeros((3, 1))), "point cloud dimension must be >= 2",
+                 id="cloud-one-column"),
+    pytest.param(lambda: as_point_cloud([[0.0, np.inf]]), "point cloud has non-finite entries",
+                 id="cloud-non-finite"),
+    pytest.param(lambda: project(_CLOUD, np.array([1.0, 0.0, 0.0])),
+                 "direction dimension (3,) does not match cloud dimension 2", id="project-dim"),
+    pytest.param(lambda: fgw_1d_bruteforce(_p1d(np.arange(9.0)), _p1d(np.arange(9.0)),
+                                           FgwConfig()),
+                 "bruteforce oracle is limited to n <= 8", id="bruteforce-n9"),
+])
+def test_fgw_checks_that_no_other_test_reaches(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------

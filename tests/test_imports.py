@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module, and
-the package imports no scipy at run time."""
+"""Every name a module of the package imports is used in that module, every
+private module-level name is referenced, and the package imports no scipy at
+run time."""
 
 import ast
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -51,6 +53,57 @@ def test_every_imported_name_is_used(path):
 def test_unused_import_is_caught():
     tree = ast.parse("from .sampling import VmfParams, unit_vector\nunit_vector(1)\n")
     assert _unused_imports(tree) == {"VmfParams"}
+
+
+def _private_definitions(tree):
+    """(name, defining statement) of each module-level private function,
+    class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node) -> Counter:
+    # every read of a bare name and every attribute, in any module
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute)
+        or (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+    )
+
+
+def _unreferenced_private_names(trees) -> set:
+    """Private names no module reads outside their own definition."""
+    total = sum((_references(tree) for tree in trees), Counter())
+    return {
+        name
+        for tree in trees
+        for name, node in _private_definitions(tree)
+        if total[name] == _references(node)[name]
+    }
+
+
+def test_every_private_name_is_referenced():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert sum(1 for tree in trees for _ in _private_definitions(tree)) > 0
+    assert _unreferenced_private_names(trees) == set()
+
+
+def test_unreferenced_private_name_is_caught():
+    trees = [
+        ast.parse("_USED = 1\n_DEAD = 2\ndef _recursive(n):\n    return _recursive(n - 1)\n"),
+        ast.parse("from .a import _USED\nclass _Idle:\n    pass\nprint(_USED)\n"),
+    ]
+    assert _unreferenced_private_names(trees) == {"_DEAD", "_recursive", "_Idle"}
 
 
 # Run in a fresh interpreter: this test session has already loaded scipy

@@ -1,6 +1,8 @@
 """Kernel-level validation: the O(n) delta/s evaluation against the O(n^2)
 reference, and exact swap symmetry."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -149,6 +151,15 @@ def test_near_identical_clouds_gradients_match_reference(n):
     scale = max(float(np.abs(ga_r).max()), float(np.abs(gb_r).max()))
     assert np.abs(ga_m - ga_r).max() <= 1e-7 * scale
     assert np.abs(gb_m - gb_r).max() <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _kernels.cost_batch(np.zeros(3), np.zeros(3), 0.1, 2, True),
+                 "expected a (L, n) batch of sorted rows", id="cost-batch-1d-row"),
+])
+def test_kernel_checks_that_no_other_test_reaches(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # Pool values are 0 or at least 1/4 in magnitude, so the scale 10^k sets the

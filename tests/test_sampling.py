@@ -2,6 +2,7 @@
 agreement of empirical statistics with closed forms and quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,29 @@ def test_mixture_params_reject_bad_weights():
         _mixture((loc, 1.0), (loc, 2.0), weights=(1.2, -0.2))
     with pytest.raises(ValueError):
         MixtureVmfParams((), np.array([]))
+
+
+_E1 = np.array([1.0, 0.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: unit_vector(np.ones((2, 2))), "expected a 1D vector", id="unit-vector-2d"),
+    pytest.param(lambda: sampling._check_direction(np.eye(2)), "direction must be a 1D vector",
+                 id="check-direction-2d"),
+    pytest.param(lambda: MixtureVmfParams((PowerSphericalParams(_E1, 1.0),), np.ones(1)),
+                 "mixture components must be VmfParams", id="mixture-foreign-component"),
+    pytest.param(lambda: MixtureVmfParams((VmfParams(_E1, 1.0), VmfParams(np.eye(3)[0], 1.0)),
+                                          np.full(2, 0.5)),
+                 "mixture components must share one dimension", id="mixture-mixed-dims"),
+    pytest.param(lambda: sample_uniform_sphere(1, make_rng(0)),
+                 "uniform sphere sampling requires d >= 2", id="uniform-d1"),
+    pytest.param(lambda: vmf_mean_resultant_oracle(-1.0, 3), "kappa must be finite and >= 0",
+                 id="oracle-kappa-negative"),
+    pytest.param(lambda: vmf_mean_resultant_oracle(1.0, 1), "d must be >= 2", id="oracle-d1"),
+])
+def test_sampling_checks_that_no_other_test_reaches(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 # ---------------------------------------------------------------------------
