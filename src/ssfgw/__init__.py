@@ -15,14 +15,12 @@ from .fgw import (
     Projected1D,
     as_point_cloud,
     fgw_1d,
-    fgw_1d_bruteforce,
     fgw_1d_grad,
     project,
 )
 from .sampling import (
     MixtureVmfParams,
     PowerSphericalParams,
-    QuadratureError,
     SamplingError,
     VmfParams,
     householder_matrix,
@@ -31,7 +29,6 @@ from .sampling import (
     sample_power_spherical,
     sample_uniform_sphere,
     sample_vmf,
-    vmf_mean_resultant_oracle,
 )
 from .sphere_opt import (
     AdamState,
@@ -92,12 +89,10 @@ __all__ = [
     "Projected1D",
     "as_point_cloud",
     "fgw_1d",
-    "fgw_1d_bruteforce",
     "fgw_1d_grad",
     "project",
     "MixtureVmfParams",
     "PowerSphericalParams",
-    "QuadratureError",
     "SamplingError",
     "VmfParams",
     "householder_matrix",
@@ -106,7 +101,6 @@ __all__ = [
     "sample_power_spherical",
     "sample_uniform_sphere",
     "sample_vmf",
-    "vmf_mean_resultant_oracle",
     "AdamState",
     "GradientMethod",
     "adam_init",

@@ -69,8 +69,8 @@ def _cell(text: str):
 
 def parse_point_cloud(path) -> np.ndarray:
     """Read a CSV point cloud: one point per row, comma-separated finite
-    decimals, optional single header line (auto-detected by a non-numeric
-    first row); a whitespace-only last line is ignored."""
+    decimals, optional single header line (a first line none of whose cells
+    is a number); trailing whitespace-only lines are ignored."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -79,13 +79,13 @@ def parse_point_cloud(path) -> np.ndarray:
     lines = text.splitlines()
     if all(not line.strip() for line in lines):
         raise CliInputError(f"{path}: empty input, no point rows")
-    if not lines[-1].strip():
+    while not lines[-1].strip():
         lines.pop()
     rows = []
     for lineno, line in enumerate(lines, start=1):
         cells = [cell.strip() for cell in line.split(",")]
         row = [_cell(cell) for cell in cells]
-        if lineno == 1 and None in row:
+        if lineno == 1 and all(value is None for value in row):
             continue  # a header
         where = f"{path}: line {lineno}"
         for col, (cell, value) in enumerate(zip(cells, row), start=1):

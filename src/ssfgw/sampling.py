@@ -1,10 +1,7 @@
 """Directional sampling on the unit sphere S^{d-1}.
 
 Samplers for the uniform, von Mises-Fisher (vMF), power spherical (PS), and
-mixture-of-vMF distributions, plus the quadrature oracle for the vMF mean
-resultant length used by the statistical tests. The oracle is the package's
-only use of scipy: it imports ``scipy.integrate`` when called, so importing
-this module needs numpy alone.
+mixture-of-vMF distributions.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (no global
 state). Every public sampler accepts an optional ``size`` for batched draws;
@@ -25,7 +22,6 @@ reflection only samples: no location gradient differentiates through it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +35,6 @@ _MAX_REJECTION_ROUNDS = 1000
 
 class SamplingError(RuntimeError):
     """A sampler failed to produce a value (rejection cap exceeded)."""
-
-
-class QuadratureError(RuntimeError):
-    """The oracle quadrature did not converge."""
 
 
 def make_rng(seed=None) -> Rng:
@@ -334,73 +326,3 @@ def sample_mixture_vmf(params: MixtureVmfParams, rng: Rng, size=None):
     its stream is identical to ``sample_vmf`` under a shared seed.
     """
     return _sample("vmf", params.components, params.weights, rng, size)
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracle
-# ---------------------------------------------------------------------------
-
-
-def vmf_mean_resultant_oracle(kappa: float, d: int) -> float:
-    """E[location^T theta] under vMF(kappa) on S^{d-1} by 1D quadrature.
-
-    The omega-density is proportional to e^{kappa omega} (1-omega^2)^{(d-3)/2}
-    on [-1, 1]. Substituting omega = cos(phi) removes the endpoint
-    singularities: both integrands become smooth on [0, pi], weighted by
-    exp(kappa (cos phi - 1)) sin^{d-2}(phi) (the shift by -kappa cancels in
-    the ratio and avoids overflow). Interior break points keep the adaptive
-    rule from overlooking the concentration spike at large kappa. No Bessel
-    functions involved.
-
-    A test oracle: no engine, flow or CLI command calls it. It needs scipy,
-    which the ``dev`` extra installs; without it the call raises
-    ``ModuleNotFoundError``.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    kappa = float(kappa)
-    d = int(d)
-    if kappa < 0.0 or not math.isfinite(kappa):
-        raise ValueError("kappa must be finite and >= 0")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-
-    power = d - 2
-
-    def weight(phi):
-        return math.exp(kappa * (math.cos(phi) - 1.0)) * math.sin(phi) ** power
-
-    def weighted_cos(phi):
-        return math.cos(phi) * weight(phi)
-
-    # Beyond ~50/sqrt(kappa) the weight is exp(-1250) of its peak; truncating
-    # there keeps the adaptive rule's subdivisions on the spike. The
-    # denominator integrand is positive, so a pure relative tolerance works;
-    # the numerator integrand changes sign (and is exactly 0 at kappa=0), so
-    # it gets an absolute floor scaled by the denominator.
-    scale = math.sqrt(max(kappa, 1.0))
-    upper = min(math.pi, 50.0 / scale)
-    points = [p for p in (5.0 / scale, 25.0 / scale) if p < upper] or None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        den, den_err = quad(
-            weight, 0.0, upper, points=points, limit=200, epsabs=0.0, epsrel=1e-10
-        )
-        if den <= 0.0:
-            raise QuadratureError(
-                f"mean-resultant quadrature collapsed (kappa={kappa}, d={d})"
-            )
-        num, num_err = quad(
-            weighted_cos,
-            0.0,
-            upper,
-            points=points,
-            limit=200,
-            epsabs=1e-12 * den,
-            epsrel=1e-10,
-        )
-    if den_err > 1e-8 * den or num_err > 1e-8 * den:
-        raise QuadratureError(
-            f"mean-resultant quadrature did not converge (kappa={kappa}, d={d})"
-        )
-    return num / den

@@ -25,7 +25,6 @@ from ssfgw.fgw import (
     Projected1D,
     as_point_cloud,
     fgw_1d,
-    fgw_1d_bruteforce,
     fgw_1d_grad,
 )
 from ssfgw.sampling import (
@@ -35,9 +34,10 @@ from ssfgw.sampling import (
     sample_power_spherical,
     sample_vmf,
     unit_vector,
-    vmf_mean_resultant_oracle,
 )
 from ssfgw.sphere_opt import GradientMethod, estimate_location_gradient
+
+from oracles import fgw_1d_bruteforce, vmf_mean_resultant_oracle
 
 CFG = FgwConfig(beta=0.1, exponent=2)
 MODES = np.array([[4.0, 4.0], [4.0, -4.0], [-4.0, 4.0], [-4.0, -4.0]])

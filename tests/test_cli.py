@@ -128,6 +128,25 @@ def test_whitespace_last_line_is_dropped_and_output_needs_no_csv_suffix(tmp_path
     assert json.loads((tmp_path / "out.meta.json").read_text())["config"]["output"] == str(out)
 
 
+def test_first_line_with_a_number_is_data_not_a_header(tmp_path, capsys):
+    p = tmp_path / "c.csv"
+    p.write_text("1,,2\n1,2\n3,4\n")
+    code, out, err = run_cli(["discrepancy", str(p), str(p)], capsys)
+    assert code == 1 and out == ""
+    assert "line 1, column 2: cannot parse '' as a number" in err
+    blank_first = tmp_path / "b.csv"
+    blank_first.write_text("\n1,2\n3,4\n")
+    assert np.array_equal(parse_point_cloud(blank_first), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_every_trailing_blank_line_is_dropped(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text("1,2\n3,4\n5,6\n\n\n")
+    assert np.array_equal(parse_point_cloud(p), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    p.write_text("1,2\n3,4\n5,6\n  \n \t\n")
+    assert np.array_equal(parse_point_cloud(p), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
 @pytest.mark.parametrize("argv, text, message", [
     pytest.param(["sweep-kappa", "CLOUD", "CLOUD", "--kappas", "2,x"], "1,2\n3,4\n",
                  "argument --kappas: not a comma-separated number list: '2,x'", id="number-list"),

@@ -39,13 +39,14 @@ from ssfgw.fgw import (
     FgwConfig,
     as_point_cloud,
     fgw_1d,
-    fgw_1d_bruteforce,
     fgw_1d_grad,
     project,
     stable_sort_rows,
 )
 from ssfgw.sampling import MixtureVmfParams, VmfParams, make_rng, sample_mixture_vmf
 from ssfgw.sphere_opt import GradientMethod
+
+from oracles import fgw_1d_bruteforce
 
 CFG = FgwConfig(beta=0.1, exponent=2)
 

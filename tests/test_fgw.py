@@ -13,10 +13,11 @@ from ssfgw.fgw import (
     Projected1D,
     as_point_cloud,
     fgw_1d,
-    fgw_1d_bruteforce,
     fgw_1d_grad,
     project,
 )
+
+from oracles import fgw_1d_bruteforce
 
 
 def _p1d(values):

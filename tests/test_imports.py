@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name is referenced, and the package imports no scipy at
-run time."""
+private module-level name is referenced, and the package imports no scipy:
+no module's source names it in an import, and importing and running the
+package loads none."""
 
 import ast
 from collections import Counter
@@ -106,8 +107,45 @@ def test_unreferenced_private_name_is_caught():
     assert _unreferenced_private_names(trees) == {"_DEAD", "_recursive", "_Idle"}
 
 
+def _scipy_imports(tree) -> list:
+    """Line of every import of scipy or of a scipy submodule, at any depth
+    (function bodies included)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_scipy():
+    found = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := _scipy_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def test_scipy_import_is_caught():
+    tree = ast.parse(
+        "import numpy, scipy.special as sp\n"
+        "import scipyx\n"
+        "def f():\n"
+        "    from scipy.integrate import quad\n"
+        "    from .scipy import x\n"
+        "    return quad\n"
+    )
+    assert _scipy_imports(tree) == [1, 4]
+
+
 # Run in a fresh interpreter: this test session has already loaded scipy
-# through the quadrature-oracle tests.
+# through the quadrature oracle in tests/oracles.py.
 _NO_SCIPY_SCRIPT = """
 import sys
 def scipy_modules():

@@ -19,9 +19,10 @@ from ssfgw.sampling import (
     sample_uniform_sphere,
     sample_vmf,
     unit_vector,
-    vmf_mean_resultant_oracle,
 )
 from ssfgw.sphere_opt import SlicingAscent
+
+from oracles import vmf_mean_resultant_oracle
 
 
 def _random_location(rng, d):

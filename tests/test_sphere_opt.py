@@ -15,7 +15,6 @@ from ssfgw.sampling import (
     _vmf_omega,
     make_rng,
     unit_vector,
-    vmf_mean_resultant_oracle,
 )
 from ssfgw.sphere_opt import (
     AdamState,
@@ -29,6 +28,8 @@ from ssfgw.sphere_opt import (
     reflection_location_grads,
     tangent_basis,
 )
+
+from oracles import vmf_mean_resultant_oracle
 
 
 # ---------------------------------------------------------------------------
