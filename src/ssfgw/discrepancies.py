@@ -33,11 +33,15 @@ for r=2 (validated against the O(n^2) reference in the tests, also on
 nearly-agreeing clouds) and the direct double sum otherwise.
 
 Every slice batch goes through ``_eval_slices``: one projection product per
-cloud, then sorting, kernels and the gradient scatter in row blocks of about
-``_SLICE_BLOCK_ENTRIES`` entries, so that large batches (n in the thousands)
-reuse cache-sized temporaries. Each step after the projection works row by
-row, so the blocks do not change a bit of any result; a batch that fits one
-block (every batch with L * max(n, m) <= 32,768) runs as one pass.
+cloud and L-row batch, then sorting, kernels and the gradient scatter in row
+blocks of about ``_SLICE_BLOCK_ENTRIES`` entries, so that large batches (n in
+the thousands) reuse cache-sized temporaries. Each step after the projection
+works row by row, so the blocks do not change a bit of any result; a batch
+that fits one block (every batch with L * max(n, m) <= 32,768) runs as one
+pass. A finite-difference iteration stacks its draws and their 2(d-1) moved
+copies and evaluates them in groups of whole batches (``_stacked_costs``) of
+at most max(L * max(n, m), ``_SLICE_BLOCK_ENTRIES``) entries: at small n one
+call instead of 2(d-1) + 1, with the bits of separate calls.
 """
 
 from __future__ import annotations
@@ -234,7 +238,7 @@ def _row_blocks(L: int, k: int) -> list:
     return [slice(i, min(i + step, L)) for i in range(0, L, step)]
 
 
-def _project_sorted(X, thetas, want_order: bool):
+def _project_sorted(X, thetas, want_order: bool, batch_rows=None):
     """Rows of ``thetas @ X.T`` sorted ascending, and the permutation that
     sorts them when ``want_order`` (else None).
 
@@ -243,14 +247,23 @@ def _project_sorted(X, thetas, want_order: bool):
     The value-only path sorts values alone, which gives the same rows up to
     the order of tied signed zeros, and so the same costs.
 
-    The projection is one product over all rows: a one-row product takes
-    BLAS's matrix-vector path, which can round differently. Values alone are
-    sorted in place in one sort. Values with their order are sorted block by
-    block (``_row_blocks`` at the cloud's own size) when the batch is larger
-    than one block. Every row is sorted on its own, so the result does not
-    depend on the blocks.
+    The projection is one product per batch of ``batch_rows`` rows (one over
+    all rows by default): a product's rounding can depend on its row count (a
+    one-row product takes BLAS's matrix-vector path, and at d >= 32 small
+    products can round differently from large ones), so a batch stacked with
+    others keeps the bits it has alone. Values alone are sorted in place in
+    one sort. Values with their order are sorted block by block
+    (``_row_blocks`` at the cloud's own size) when the batch is larger than
+    one block. Every row is sorted on its own, so the result does not depend
+    on the blocks.
     """
-    values = thetas @ X.T
+    rows = thetas.shape[0] if batch_rows is None else batch_rows
+    if rows >= thetas.shape[0]:
+        values = thetas @ X.T
+    else:
+        values = np.empty((thetas.shape[0], X.shape[0]))
+        for i in range(0, thetas.shape[0], rows):
+            np.matmul(thetas[i:i + rows], X.T, out=values[i:i + rows])
     if not want_order:
         values.sort(axis=1)
         return values, None
@@ -283,18 +296,21 @@ def _eval_sorted(A, B, cfg: FgwConfig, want_grads: bool, order_x=None, order_y=N
     return costs, gx, gy
 
 
-def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
+def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None):
     """Per-direction fused costs, optionally with gradients wrt the original
     (unsorted) cloud rows. Each cloud is sorted at its own size, spread to
     max(n, m) columns for the kernels, and its gradients folded back.
+    ``thetas`` may stack batches of ``batch_rows`` rows, each projected by
+    its own product (``_project_sorted``), so each batch's costs are the bits
+    it gets alone.
 
     A batch of more than one row block (``_row_blocks`` at max(n, m)) runs the
     kernels and the scatter block by block, into outputs allocated once. Every
     kernel works row by row, so the results are the same bits as one pass; a
     batch of one block is one pass, with no preallocated outputs.
     """
-    A, order_x = _project_sorted(X, thetas, want_grads)
-    B, order_y = _project_sorted(Y, thetas, want_grads)
+    A, order_x = _project_sorted(X, thetas, want_grads, batch_rows=batch_rows)
+    B, order_y = _project_sorted(Y, thetas, want_grads, batch_rows=batch_rows)
     blocks = _row_blocks(A.shape[0], max(A.shape[1], B.shape[1]))
     if len(blocks) == 1:
         # not folded into the loop below: with outputs preallocated before the
@@ -307,6 +323,20 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
         part = (order_x[rows], order_y[rows], gx[rows], gy[rows]) if want_grads else ()
         costs[rows] = _eval_sorted(A[rows], B[rows], cfg, want_grads, *part)[0]
     return costs, gx, gy
+
+
+def _stacked_costs(X, Y, thetas, cfg: FgwConfig, batch_rows: int) -> np.ndarray:
+    """Costs of ``thetas`` stacked from batches of ``batch_rows`` rows,
+    evaluated in groups of whole batches that hold at most
+    max(batch_rows * max(n, m), ``_SLICE_BLOCK_ENTRIES``) projected entries
+    each: small batches share one evaluation, and a large stack is never
+    projected at once. Each batch gets the bits it gets alone."""
+    per_batch = batch_rows * max(X.shape[0], Y.shape[0])
+    group = max(1, _SLICE_BLOCK_ENTRIES // per_batch) * batch_rows
+    return np.concatenate([
+        _eval_slices(X, Y, thetas[i:i + group], cfg, False, batch_rows=batch_rows)[0]
+        for i in range(0, thetas.shape[0], group)
+    ])
 
 
 def slice_costs(mu, nu, cfg: FgwConfig, directions) -> np.ndarray:
@@ -409,15 +439,27 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
     """One iteration of every engine's and flow's ascent: draw L directions,
     evaluate their slices (with point gradients when ``pathwise``) and take
     the location gradient, raising DivergenceError on a non-finite objective
-    or gradient. Returns (directions, costs, per-slice gradients wrt the rows
-    of X, location gradient); the caller takes the Adam step."""
+    or gradient. Finite differences evaluate the draws together with their
+    moved copies (``_stacked_costs``). Returns (directions, costs, per-slice
+    gradients wrt the rows of X or None, location gradient); the caller takes
+    the Adam step."""
     thetas, ctx = ascent.draw(L, rng)
-    costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=pathwise)
-    _check_finite(engine, "ascent objective", float(costs.mean()), iteration)
     if pathwise:
+        costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)
+        _check_finite(engine, "ascent objective", float(costs.mean()), iteration)
         grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
     else:
-        grad = ascent.fd_gradient(ctx, lambda t: _eval_slices(X, Y, t, cfg, want_grads=False)[0])
+        m, gx, drawn = thetas.shape[0], None, []
+
+        def costs_at(moved):
+            # a non-finite objective stops here, before any difference is taken
+            stacked = _stacked_costs(X, Y, np.concatenate([thetas, moved]), cfg, m)
+            drawn.append(stacked[:m])
+            _check_finite(engine, "ascent objective", float(drawn[0].mean()), iteration)
+            return stacked[m:]
+
+        grad = ascent.fd_gradient(ctx, costs_at)
+        costs = drawn[0]
     _check_finite(engine, "location gradient", grad, iteration)
     return thetas, costs, gx, grad
 

@@ -116,12 +116,14 @@ def stable_sort_rows(values):
     order)`` with ``order`` equal to ``np.argsort(values, axis=1,
     kind="stable")``: ties are broken by point index and NaNs go last.
 
-    Rows are argsorted with numpy's default (SIMD) kind. A row that comes out
-    strictly increasing has a single ascending permutation, the stable one;
-    only the other rows (ties, signed zeros, NaN) are argsorted again stably.
+    Rows are sorted and argsorted with numpy's default (SIMD) kind. A row that
+    comes out strictly increasing has distinct values and a single ascending
+    permutation, the stable one, so its sorted values are those gathered
+    through that permutation; only the other rows (ties, signed zeros, NaN)
+    are argsorted again stably and gathered through that order.
     """
     order = np.argsort(values, axis=1)
-    ordered = np.take_along_axis(values, order, axis=1)
+    ordered = np.sort(values, axis=1)
     redo = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
     if redo.any():
         stable = np.argsort(values[redo], axis=1, kind="stable")

@@ -28,8 +28,9 @@ with no frame and no special point.
 Both return the tangent (Riemannian) gradient, scaled by the component
 weight. Every objective takes a batch: the engines, the flows and
 ``estimate_location_gradient`` map (m, d) directions to m values (and their
-(m, d) gradients), so a pathwise estimate is one objective call and a
-finite-difference estimate 2(d-1), whatever m.
+(m, d) gradients), so a pathwise estimate is one objective call on the m
+draws, and a finite-difference estimate one call on the 2(d-1) moved batches
+stacked, whatever m.
 """
 
 from __future__ import annotations
@@ -232,28 +233,26 @@ class SlicingAscent:
     def fd_gradient(self, ctx: _Draw, costs_at) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients by central
         differences along a tangent basis of each location. ``costs_at`` maps
-        (m, d) directions to m costs; it is called once per tangent index and
-        sign, on the drawn directions of every location moved together, each
-        carried to its moved location by ``assemble_directions`` (common
-        random numbers)."""
+        (r, d) directions to r costs; it is called once, on 2(d-1) batches of
+        the m drawn directions stacked in the order (tangent index, then +/-
+        sign). In each batch every location has moved along its tangent and
+        carried its draws there by ``assemble_directions`` (common random
+        numbers)."""
         k, d = self.locs.shape
+        m = ctx.idx.size
         comps = list(_components(ctx.idx, k))
         bases = [tangent_basis(loc) for loc in self.locs]
-        partials = np.empty((k, d - 1))
-
-        def moved_costs(j, sign):
-            # costs of the drawn directions, every location moved along its
-            # j-th tangent
-            thetas = np.empty((ctx.idx.size, d))
-            for i, sel in comps:
-                moved = project_to_sphere(self.locs[i] + sign * _FD_STEP * bases[i][:, j])
-                thetas[sel] = assemble_directions(self.locs[i], moved, ctx.thetas[sel])
-            return costs_at(thetas)
-
+        moved = np.empty((2 * (d - 1), m, d))
         for j in range(d - 1):
-            f_plus, f_minus = moved_costs(j, 1.0), moved_costs(j, -1.0)
+            for s, sign in enumerate((1.0, -1.0)):
+                for i, sel in comps:
+                    loc = project_to_sphere(self.locs[i] + sign * _FD_STEP * bases[i][:, j])
+                    moved[2 * j + s, sel] = assemble_directions(self.locs[i], loc, ctx.thetas[sel])
+        f = costs_at(moved.reshape(-1, d)).reshape(d - 1, 2, m)
+        partials = np.empty((k, d - 1))
+        for j in range(d - 1):
             for i, sel in comps:
-                partials[i, j] = (f_plus[sel].mean() - f_minus[sel].mean()) / (2.0 * _FD_STEP)
+                partials[i, j] = (f[j, 0, sel].mean() - f[j, 1, sel].mean()) / (2.0 * _FD_STEP)
         grad = np.zeros_like(self.locs)
         for i, _ in comps:
             grad[i] = self.alphas[i] * _tangent(self.locs[i], bases[i] @ partials[i])
@@ -296,8 +295,9 @@ def estimate_location_gradient(
 
     ``objective`` maps (m, d) directions to m values, or to the pair (values,
     (m, d) gradients in the directions) that the pathwise method needs. Like
-    the engines' slice batches, it is called once on the L draws (pathwise)
-    or once per tangent index and sign (finite differences, 2(d-1) calls).
+    the engines' slice batches, it is called once: on the L draws (pathwise),
+    or on their 2(d-1) moved copies stacked as ``fd_gradient`` passes them
+    (finite differences, m = 2(d-1) L).
     Returns a (d,) tangent vector at eps (both methods project out the
     radial component, which carries no information on the sphere). Draws
     and gradients go through ``SlicingAscent`` with one location, which

@@ -24,6 +24,7 @@ from ssfgw.discrepancies import (
     PowerSphericalSlicing,
     UniformSlicing,
     VmfSlicing,
+    _ascent_step,
     _eval_slices,
     _project_sorted,
     expected_fgw,
@@ -44,7 +45,7 @@ from ssfgw.fgw import (
     stable_sort_rows,
 )
 from ssfgw.sampling import MixtureVmfParams, VmfParams, make_rng, sample_mixture_vmf
-from ssfgw.sphere_opt import GradientMethod
+from ssfgw.sphere_opt import GradientMethod, SlicingAscent
 
 from oracles import fgw_1d_bruteforce
 
@@ -507,6 +508,76 @@ def test_engine_reports_do_not_depend_on_row_blocks(monkeypatch):
     default = collect()
     monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", 1)
     assert collect() == default
+
+
+# ---------------------------------------------------------------------------
+# finite differences: the draws and their moved copies in grouped evaluations
+# ---------------------------------------------------------------------------
+
+
+def _fd_ascent(family, d, seed):
+    # a vMF ascent (one location, kappa 10) or a Dirac one (three rows)
+    locs = _unit_rows(make_rng(seed), 1 if family == "vmf" else 3, d)
+    return SlicingAscent(family, locs, (10.0,) if family == "vmf" else ())
+
+
+@pytest.mark.parametrize("family", ["vmf", "dirac"])
+@pytest.mark.parametrize("d", [2, 3, 40])
+@pytest.mark.parametrize("r_exp", [2, 3])
+def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
+    # the route of one _eval_slices call per batch: the draws alone, then
+    # every moved batch alone
+    X, Y = iid_pair(88 + d, d, n=16)
+    Y = np.repeat(Y[:8], 2, axis=0)[:, ::-1].copy()  # 8 points against 16
+    cfg = FgwConfig(beta=0.3, exponent=r_exp)
+    L = 12
+    thetas, costs, gx, grad = _ascent_step(
+        "ssfg", Y, X, cfg, _fd_ascent(family, d, 89), L, False, make_rng(90), 1
+    )
+    reference = _fd_ascent(family, d, 89)
+    ref_thetas, ctx = reference.draw(L, make_rng(90))
+    ref_costs = _eval_slices(Y, X, ref_thetas, cfg, want_grads=False)[0]
+    m = ref_thetas.shape[0]
+
+    def one_call_per_batch(stacked):
+        return np.concatenate([
+            _eval_slices(Y, X, stacked[i:i + m], cfg, want_grads=False)[0]
+            for i in range(0, stacked.shape[0], m)
+        ])
+
+    ref_grad = reference.fd_gradient(ctx, one_call_per_batch)
+    assert gx is None
+    assert_bitwise(thetas, ref_thetas)
+    assert_bitwise(costs, ref_costs)
+    assert_bitwise(grad, ref_grad)
+
+
+def test_fd_step_keeps_every_evaluation_within_the_entry_bound(monkeypatch):
+    # d = 8: the draws and 14 moved batches; at n = 1024 a 10-row batch holds
+    # 10,240 entries, so three share a group, and a 50-row batch is alone
+    X, Y = iid_pair(91, d=8, n=1024)
+    entries = []
+
+    def recorded(X, Y, thetas, *args, **kwargs):
+        entries.append(thetas.shape[0] * max(X.shape[0], Y.shape[0]))
+        return evaluate(X, Y, thetas, *args, **kwargs)
+
+    evaluate = discrepancies._eval_slices
+    monkeypatch.setattr(discrepancies, "_eval_slices", recorded)
+    for L, calls in ((10, 5), (50, 15)):
+        entries.clear()
+        _ascent_step("ssfg", X, Y, CFG, _fd_ascent("vmf", 8, 92), L, False, make_rng(93), 1)
+        bound = max(L * 1024, discrepancies._SLICE_BLOCK_ENTRIES)
+        assert len(entries) == calls and max(entries) <= bound, (L, entries)
+        assert sum(entries) == 15 * L * 1024
+
+
+def test_fd_step_on_a_nan_cloud_raises_on_the_objective():
+    X, Y = iid_pair(94, d=3)
+    X[5, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError, match="ssfg: non-finite ascent objective"):
+            _ascent_step("ssfg", X, Y, CFG, _fd_ascent("vmf", 3, 95), 8, False, make_rng(96), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,59 @@ def test_vmf_kappa_zero_accepts_every_proposal(monkeypatch):
         assert np.all(np.abs(omega) <= 1.0)
 
 
+class _ZeroUniforms:
+    """A stand-in generator whose uniforms are all 0: log(u) = -inf accepts
+    every proposal with a finite omega."""
+
+    def random(self, k):
+        return np.zeros(k)
+
+
+def test_vmf_keeps_the_first_accepted_proposals_in_proposal_order(monkeypatch):
+    # NaN proposals are rejected (non-finite omega), every other one accepted;
+    # round 1 accepts 3 of the 6 needed, round 2 accepts 5 and keeps its first 3
+    kappa, d, m = 10.0, 3, 6
+    rounds = {18: [4, 9, 13], 13: [1, 2, 5, 7, 12]}
+    drawn = []
+
+    def proposals(alpha, beta, rng, k):
+        psi = np.full(k, np.nan)
+        keep = rounds[k]
+        psi[keep] = np.linspace(0.1, 0.9, len(keep)) + 0.01 * len(drawn)
+        drawn.append(psi[keep])
+        return psi
+
+    monkeypatch.setattr(sampling, "_beta_draw", proposals)
+    omega = sampling._vmf_omega(kappa, d, m, _ZeroUniforms())
+    # Wood's map from a Beta proposal to omega
+    dd = d - 1.0
+    b = dd / (2.0 * kappa + math.sqrt(4.0 * kappa * kappa + dd * dd))
+    psi = np.concatenate([drawn[0], drawn[1][:3]])
+    assert np.array_equal(omega, (1.0 - (1.0 + b) * psi) / (1.0 - (1.0 - b) * psi))
+
+
+def test_vmf_radial_draws_take_one_round(monkeypatch):
+    # a round proposes pending * 5/3 + 8 when kappa > 0, enough for all 50
+    # draws in at least 95% of calls (acceptance is lowest, about 0.65, at
+    # d = 2 and large kappa)
+    rounds = []
+
+    def counted(alpha, beta, rng, m):
+        rounds[-1] += 1
+        return beta_draw(alpha, beta, rng, m)
+
+    beta_draw = sampling._beta_draw
+    monkeypatch.setattr(sampling, "_beta_draw", counted)
+    rng = make_rng(998)
+    for d in (2, 3, 8, 64):
+        for kappa in (0.5, 10.0, 1000.0, 1e5):
+            rounds.clear()
+            for _ in range(200):
+                rounds.append(0)
+                assert sampling._vmf_omega(kappa, d, 50, rng).shape == (50,)
+            assert rounds.count(1) >= 0.95 * len(rounds), (d, kappa)
+
+
 def test_kappa_zero_is_uniform():
     rng = make_rng(14)
     for d in (2, 3, 5):
@@ -241,6 +294,18 @@ def test_vmf_mean_resultant_matches_quadrature():
             se = float(t.std(ddof=1)) / math.sqrt(L)
             target = vmf_mean_resultant_oracle(kappa, d)
             assert abs(float(t.mean()) - target) <= 4.0 * se, (d, kappa)
+
+
+def test_vmf_mean_resultant_matches_quadrature_at_the_flows_concentrations():
+    # the flows draw at d = 2, kappa = 1000 and the GMM fit at kappa = 10
+    L = 100_000
+    rng = make_rng(19)
+    for d, kappa in ((2, 1000.0), (2, 10.0), (3, 10.0)):
+        loc = _random_location(rng, d)
+        t = sample_vmf(VmfParams(loc, kappa), rng, L) @ loc
+        se = float(t.std(ddof=1)) / math.sqrt(L)
+        target = vmf_mean_resultant_oracle(kappa, d)
+        assert abs(float(t.mean()) - target) <= 4.0 * se, (d, kappa)
 
 
 def test_vmf_high_concentration_hugs_location():

@@ -274,7 +274,7 @@ def _fd_reference(ascent, ctx, costs_at):
 @pytest.mark.parametrize(
     "family, k", [("vmf", 1), ("vmf", 3), ("power_spherical", 1), ("dirac", 3)]
 )
-def test_fd_gradient_makes_one_call_per_tangent_index_and_sign(family, k):
+def test_fd_gradient_makes_one_call_on_every_moved_batch(family, k):
     rng = make_rng(36)
     d, L = 5, 40
     a = rng.normal(size=d)
@@ -293,8 +293,8 @@ def test_fd_gradient_makes_one_call_per_tangent_index_and_sign(family, k):
         return costs_at(directions)
 
     grad = ascent.fd_gradient(ctx, counting)
-    assert len(rows) == 2 * (d - 1)
-    assert max(rows) <= thetas.shape[0] == (k if family == "dirac" else L)
+    assert thetas.shape[0] == (k if family == "dirac" else L)
+    assert rows == [2 * (d - 1) * thetas.shape[0]]
     assert np.array_equal(grad, _fd_reference(ascent, ctx, costs_at))
 
 
@@ -530,14 +530,14 @@ def test_full_ascent_loop_reaches_maximizer():
 
 
 def test_estimator_calls_its_objective_once_per_batch():
-    # pathwise: one call on the L draws; finite differences: one per tangent
-    # index and sign, as the engines' fd_gradient makes
+    # pathwise: one call on the L draws; finite differences: one on the
+    # 2(d-1) moved batches stacked, as the engines' fd_gradient makes
     rng = make_rng(34)
     for d in (2, 3, 6):
         eps = unit_vector(rng.normal(size=d))
         a = rng.normal(size=d)
-        for method, calls in ((GradientMethod.PATHWISE, 1),
-                              (GradientMethod.FINITE_DIFFERENCE, 2 * (d - 1))):
+        for method, rows in ((GradientMethod.PATHWISE, 37),
+                             (GradientMethod.FINITE_DIFFERENCE, 2 * (d - 1) * 37)):
             shapes = []
 
             def objective(th):
@@ -545,7 +545,7 @@ def test_estimator_calls_its_objective_once_per_batch():
                 return th @ a, np.tile(a, (len(th), 1))
 
             estimate_location_gradient(objective, eps, 5.0, 37, method, make_rng(4))
-            assert shapes == [(37, d)] * calls
+            assert shapes == [(rows, d)]
 
 
 def test_estimator_validation():
