@@ -280,15 +280,18 @@ def _eval_sorted(A, B, cfg: FgwConfig, want_grads: bool, order_x=None, order_y=N
                  gx=None, gy=None):
     """Costs of sorted rows A (n columns) and B (m columns) and, when
     ``want_grads``, their gradients scattered through the sort orders into gx
-    and gy (allocated here when None)."""
-    use_moments = cfg.exponent == 2
+    and gy (allocated here when None). Gradients need r = 2. The kernel
+    writes them in its cost pass into reused per-thread buffers
+    (``_kernels.grad_outputs``), which are consumed here and never returned."""
+    if want_grads and cfg.exponent != 2:
+        raise ValueError("gradients require exponent r=2")
     n, m = A.shape[1], B.shape[1]
     A, B = spread_rows(A, max(n, m)), spread_rows(B, max(n, m))
-    costs, orients = _kernels.cost_batch(A, B, cfg.beta, cfg.exponent, use_moments)
+    grads = _kernels.grad_outputs(A.shape) if want_grads else None
+    costs, _ = _kernels.cost_batch(A, B, cfg.beta, cfg.exponent, cfg.exponent == 2, grads=grads)
     if not want_grads:
         return costs, None, None
-    GA, GB = _kernels.grad_batch(A, B, cfg.beta, orients, use_moments)
-    GA, GB = fold_rows(GA, n), fold_rows(GB, m)
+    GA, GB = fold_rows(grads[0], n), fold_rows(grads[1], m)
     gx = np.empty_like(GA) if gx is None else gx
     gy = np.empty_like(GB) if gy is None else gy
     np.put_along_axis(gx, order_x, GA, axis=1)

@@ -9,6 +9,10 @@ against and that no engine, flow or CLI command runs.
   couplings, and their frozen-coupling gradients at r = 2, in exact rational
   arithmetic (``fractions.Fraction``). Every float64 input is a rational, so
   these are the exact values at the kernel's inputs, with no rounding at all.
+- ``ds_two_pass``: the r = 2 delta/s kernel as two separate passes, the
+  costs of both couplings in full and then the chosen coupling's gradients
+  from scratch, with the float operations of ``ssfgw._kernels`` in the same
+  order: the fused pass and its early-out must give its bits exactly.
 
 None of them shares code with ``ssfgw._kernels``: each writes its couplings
 and sums out from the definition of the cost.
@@ -184,3 +188,70 @@ def exact_grads(a, b, beta):
             gc.append(-w_term - cg * sum(d * (c[i] - c[j]) for j, d in enumerate(dd)))
         grads.append((ga, gc[::-1] if reverse else gc))
     return tuple(grads)
+
+
+def _ds_flipped(X, rows):
+    return np.where(rows[:, None], X[:, ::-1], X)
+
+
+def _ds_center(X):
+    m = X.sum(axis=1) / X.shape[1]
+    X -= m[:, None]
+    return m
+
+
+def _ds_cost(P, Q, beta):
+    n = P.shape[1]
+    d, s = P - Q, P + Q
+    m = _ds_center(d)
+    _ds_center(s)
+    s_dd = np.einsum("ij,ij->i", d, d)
+    s_ss = np.einsum("ij,ij->i", s, s)
+    u = d * s
+    s_u = u.sum(axis=1)
+    c = (1.0 - beta) * (s_dd / n + m * m)
+    if beta != 0.0:
+        c += beta * (
+            2.0 * np.einsum("ij,ij->i", u, u) / n
+            + 2.0 * (s_dd * s_ss) / (n * n)
+            + 4.0 * (s_u * s_u) / (n * n)
+        )
+    return c
+
+
+def _ds_grads(P, Q, beta):
+    n = P.shape[1]
+    d, s = P - Q, P + Q
+    m = _ds_center(d)
+    _ds_center(s)
+    s_dd = np.einsum("ij,ij->i", d, d)
+    s_ss = np.einsum("ij,ij->i", s, s)
+    t = d * s
+    s_u = t.sum(axis=1)
+    t *= n
+    t += 2.0 * s_u[:, None]  # n u + 2 sum u
+    g_s = d * t + s * s_dd[:, None]
+    g_d = s * t + d * s_ss[:, None]
+    cg = beta * 4.0 / (n * n)
+    _ds_center(g_s)
+    _ds_center(g_d)
+    g_s *= cg
+    g_d *= cg
+    g_d += (d + m[:, None]) * ((1.0 - beta) * 2.0 / n)
+    return g_s + g_d, g_s - g_d
+
+
+def ds_two_pass(A, B, beta):
+    """(costs, orientations, gradients wrt A, gradients wrt B) of sorted (L, n)
+    rows at r = 2 by the delta/s identity of ``ssfgw._kernels``, evaluated as
+    two passes with every row of both couplings in full: the reversed
+    coupling runs the lexicographically larger row backwards, ties prefer the
+    ascending one, and the gradients freeze the chosen coupling."""
+    b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)], dtype=bool)
+    c_asc = _ds_cost(A, B, beta)
+    c_rev = _ds_cost(_ds_flipped(A, b_lead), _ds_flipped(B, ~b_lead), beta)
+    rev = c_rev < c_asc
+    flip_a, flip_b = rev & b_lead, rev & ~b_lead
+    ga, gb = _ds_grads(_ds_flipped(A, flip_a), _ds_flipped(B, flip_b), beta)
+    return (np.where(rev, c_rev, c_asc), rev.astype(np.uint8),
+            _ds_flipped(ga, flip_a), _ds_flipped(gb, flip_b))

@@ -1,7 +1,14 @@
 """Kernel-level validation: the O(n) delta/s evaluation against the O(n^2)
-reference and against exact rational arithmetic, and exact swap symmetry."""
+reference and against exact rational arithmetic, exact swap symmetry, and the
+fused value-and-gradient pass, its early-outs and its per-thread workspace
+against the two separate passes, bit for bit."""
 
+import os
+import pickle
 import re
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +17,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssfgw import _kernels
-from ssfgw.discrepancies import slice_costs
-from ssfgw.fgw import FgwConfig
+from ssfgw import _kernels, discrepancies
+from ssfgw.discrepancies import OptimizerConfig, _eval_slices, slice_costs, ssfg
+from ssfgw.experiments import FlowObjective, four_mode_gmm, particle_flow
+from ssfgw.fgw import FgwConfig, stable_sort_rows
 
-from oracles import exact_costs, exact_grads
+from oracles import ds_two_pass, exact_costs, exact_grads
 
 
 def _random_sorted_pair(rng, n):
@@ -265,9 +273,22 @@ def test_routes_and_oracle_agree_exactly_on_small_integers():
                     assert [Fraction(float(g)) for g in gb] == eb
 
 
+_GRADS_MESSAGE = ("grads must be two C-contiguous float64 arrays of the batch's shape, "
+                  "on the moment route")
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: _kernels.cost_batch(np.zeros(3), np.zeros(3), 0.1, 2, True),
                  "expected a (L, n) batch of sorted rows", id="cost-batch-1d-row"),
+    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 2, False,
+                                             grads=(np.zeros((2, 3)), np.zeros((2, 3)))),
+                 _GRADS_MESSAGE, id="cost-batch-grads-on-the-pairwise-route"),
+    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 2, True,
+                                             grads=(np.zeros((2, 3)), np.zeros((3, 2)).T)),
+                 _GRADS_MESSAGE, id="cost-batch-grads-not-c-contiguous"),
+    pytest.param(lambda: _eval_slices(np.zeros((4, 2)), np.ones((4, 2)), np.eye(2),
+                                      FgwConfig(exponent=3), want_grads=True),
+                 "gradients require exponent r=2", id="eval-slices-grads-at-exponent-3"),
 ])
 def test_kernel_checks_that_no_other_test_reaches(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -323,3 +344,233 @@ def test_kernel_pair_properties_across_scales(case):
         _kernels.grad_batch(A, B, beta, o_ref, False),
     ):
         assert np.abs(g_mom - g_ref).max() <= grad_tol
+
+
+# ---------------------------------------------------------------------------
+# the fused value-and-gradient pass, the early-outs and the workspace
+# ---------------------------------------------------------------------------
+
+
+def _bits(arrays):
+    return [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
+def _fused(A, B, beta):
+    grads = (np.full(A.shape, np.nan), np.full(B.shape, np.nan))
+    return (*_kernels.cost_batch(A, B, beta, 2, True, grads=grads), *grads)
+
+
+def _two_calls(A, B, beta):
+    costs, orients = _kernels.cost_batch(A, B, beta, 2, True)
+    return (costs, orients, *_kernels.grad_batch(A, B, beta, orients, True))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+def test_fused_pass_gives_the_bits_of_two_calls(beta):
+    rng = np.random.default_rng(18)
+    A = np.sort(rng.normal(size=(16, 9)), axis=1)
+    B = np.sort(rng.normal(size=(16, 9)) * 0.6 + 0.4, axis=1)
+    A, B = _with_mirrored_rows(A, B, rng)
+    fused = _fused(A, B, beta)
+    if beta > 0.0:
+        # with W alone (beta = 0) the ascending coupling always wins
+        _assert_reversed_with_both_leads(A, B, fused[1])
+    assert _bits(fused) == _bits(_two_calls(A, B, beta)) == _bits(ds_two_pass(A, B, beta))
+
+
+def test_fused_eval_slices_gives_the_bits_of_two_passes_across_row_blocks():
+    rng = np.random.default_rng(19)
+    X = rng.exponential(size=(8192, 3))
+    # mirrored along the first axis: the reversed coupling wins on some slices
+    Y = X * np.array([-1.3, 1.0, 0.5]) + 0.05 * rng.normal(size=X.shape)
+    thetas = np.vstack([np.eye(3), rng.normal(size=(7, 3))])
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    cfg = FgwConfig(beta=0.4, exponent=2)
+    assert len(discrepancies._row_blocks(thetas.shape[0], X.shape[0])) > 1
+    costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)
+    A, order_x = stable_sort_rows(thetas @ X.T)
+    B, order_y = stable_sort_rows(thetas @ Y.T)
+    c, orients, GA, GB = ds_two_pass(A, B, cfg.beta)
+    assert 0 < orients.sum() < orients.size
+    gx_ref, gy_ref = np.empty_like(GA), np.empty_like(GB)
+    np.put_along_axis(gx_ref, order_x, GA, axis=1)
+    np.put_along_axis(gy_ref, order_y, GB, axis=1)
+    assert _bits([costs, gx, gy]) == _bits([c, gx_ref, gy_ref])
+
+
+def _pairwise_full(A, B, beta, r):
+    # both couplings of the pairwise route with every row summed in full
+    b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)], dtype=bool)
+    c_asc = _kernels._cost_pairwise_np(A, B, beta, r)
+    c_rev = _kernels._cost_pairwise_np(np.where(b_lead[:, None], A[:, ::-1], A),
+                                       np.where(b_lead[:, None], B, B[:, ::-1]), beta, r)
+    return np.where(c_rev < c_asc, c_rev, c_asc), (c_rev < c_asc).astype(np.uint8)
+
+
+def _assert_early_outs_keep_the_bits(A, B, beta):
+    with np.errstate(all="ignore"):
+        assert _bits(_fused(A, B, beta)) == _bits(ds_two_pass(A, B, beta))
+        for r in (1, 2, 3):
+            assert _bits(_kernels.cost_batch(A, B, beta, r, False)) == _bits(
+                _pairwise_full(A, B, beta, r))
+
+
+@given(scaled_row_pairs())
+def test_fused_pass_and_early_outs_keep_the_bits_of_full_evaluations(case):
+    _assert_early_outs_keep_the_bits(*case)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 1.0])
+def test_early_outs_keep_the_bits_on_nan_inf_and_overflowing_rows(beta):
+    rng = np.random.default_rng(20)
+    A = rng.normal(size=(12, 6))
+    B = rng.normal(size=(12, 6)) * 2.0
+    A[0, 2] = B[1, 0] = np.nan
+    A[2, 5] = B[3, 0] = np.inf
+    A[4, 1] = B[4, 3] = -np.inf
+    A[6:9] *= 1e100  # the Gromov part overflows
+    B[9:] *= 1e160  # the W part overflows as well
+    A, B = _with_mirrored_rows(np.sort(A, axis=1), np.sort(B, axis=1), rng)
+    _assert_early_outs_keep_the_bits(A, B, beta)
+
+
+def _ssfg_bits(seed):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(256, 2)), rng.normal(size=(256, 2)) * [2.0, 0.5] + 0.25
+    report = ssfg(X, Y, FgwConfig(), 100.0, OptimizerConfig(max_iter=10), rng=rng)
+    return _bits([np.array([report.value, report.std_error]), np.array(report.trace)])
+
+
+def _flow_bits(seed):
+    rng = np.random.default_rng(seed)
+    flow = particle_flow(four_mode_gmm(256, rng), 256, FlowObjective(), steps=20,
+                         step_size=0.01, rng=rng)
+    return _bits([flow.particles, flow.trace])
+
+
+def test_threads_running_engines_at_once_give_the_bits_of_sequential_runs():
+    jobs = [(_ssfg_bits, 1), (_flow_bits, 2), (_ssfg_bits, 3), (_flow_bits, 4)]
+    expected = [job(seed) for job, seed in jobs]
+    results = [None] * len(jobs)
+
+    def run(i):
+        job, seed = jobs[i]
+        results[i] = job(seed)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == expected
+
+
+@pytest.mark.parametrize("n, L", [(64, 50), (8192, 10)])
+def test_successive_gradient_outputs_do_not_share_memory(n, L):
+    rng = np.random.default_rng(n)
+    X, Y = rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 1.5
+    thetas = rng.normal(size=(L, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    first = _eval_slices(X, Y, thetas, FgwConfig(), want_grads=True)
+    second = _eval_slices(X, Y, thetas, FgwConfig(), want_grads=True)
+    assert _bits(first) == _bits(second)
+    outputs = [*first[1:], *second[1:]]
+    for i, a in enumerate(outputs):
+        for b in outputs[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def _gradient_batch(seed, n=256, L=50):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 1.5 + 0.2
+    thetas = rng.normal(size=(L, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    return _bits(_eval_slices(X, Y, thetas, FgwConfig(beta=0.4), want_grads=True))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_children_write_their_own_workspace():
+    # Warm this process's workspace, fork two children that evaluate gradient
+    # batches of the same shape at once, and check that each child gets the
+    # bits of a sequential run and that this process's buffers kept theirs.
+    seeds = (31, 32)
+    expected = [_gradient_batch(seed) for seed in seeds]
+    _gradient_batch(30)
+    before = {name: flat.copy() for name, flat in _kernels._WORKSPACE.flat.items()}
+    start_r, start_w = os.pipe()
+    children = []
+    for seed in seeds:
+        out_r, out_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(start_w)
+                os.read(start_r, 1)
+                with os.fdopen(out_w, "wb") as out:
+                    pickle.dump([_gradient_batch(seed) for _ in range(5)], out)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(out_w)
+        children.append((pid, out_r))
+    os.close(start_r)
+    os.write(start_w, b"gg")
+    os.close(start_w)
+    results = []
+    for pid, out_r in children:
+        with os.fdopen(out_r, "rb") as out:
+            results.append(pickle.load(out))
+        assert os.waitpid(pid, 0)[1] == 0
+    for got, want in zip(results, expected):
+        assert all(run == want for run in got)
+    after = _kernels._WORKSPACE.flat
+    assert after.keys() == before.keys()
+    assert all(np.array_equal(after[name], flat, equal_nan=True) for name, flat in before.items())
+
+
+def _mixed_rows(rng, L, n):
+    # L (even) sorted row pairs, half of them mirrored (_with_mirrored_rows)
+    A = np.sort(rng.normal(size=(L // 2, n)), axis=1)
+    B = np.sort(rng.normal(size=(L // 2, n)) * 1.5 + 0.2, axis=1)
+    return _with_mirrored_rows(A, B, rng)
+
+
+def test_workspace_follows_shape_changes():
+    # a finite-difference stack of 5 batches after one batch, and one row
+    # block at n = 8192 after a flow step's batch
+    rng = np.random.default_rng(21)
+    for shapes in ([(50, 64), (250, 64)], [(50, 256), (4, 8192)]):
+        for L, n in shapes:
+            A, B = _mixed_rows(rng, L, n)
+            want = ds_two_pass(A, B, 0.4)
+            assert _bits(_fused(A, B, 0.4)) == _bits(want)
+            assert _bits(_kernels.cost_batch(A, B, 0.4, 2, True)) == _bits(want[:2])
+
+
+def test_fused_pass_allocates_at_most_two_fresh_batches_once_warm():
+    # Once warm, the kernel's (L, n) temporaries come from the workspace.
+    # The call before the fused pass (cost_batch, then grad_batch) allocated
+    # 5.7 (flow rows) to 7.7 (mirrored rows) fresh batches here.
+    rng = np.random.default_rng(22)
+    X, Y = rng.normal(size=(256, 2)), rng.normal(size=(256, 2)) * [2.0, 0.5] + 0.25
+    thetas = rng.normal(size=(50, 2))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    flow_rows = (np.sort(thetas @ X.T, axis=1), np.sort(thetas @ Y.T, axis=1))
+    for A, B in (flow_rows, _mixed_rows(rng, 50, 256)):
+        for beta in (0.1, 0.4):
+            grads = (np.empty(A.shape), np.empty(B.shape))
+            _kernels.cost_batch(A, B, beta, 2, True, grads=grads)
+            tracemalloc.start()
+            try:
+                _kernels.cost_batch(A, B, beta, 2, True, grads=grads)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - current <= 2 * A.nbytes
