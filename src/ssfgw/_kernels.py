@@ -13,8 +13,8 @@ A, B : (L, n) float64 arrays of projected values, each row sorted ascending.
 orientation : per-row tag; 0 pairs both rows ascending, 1 pairs the first row
     ascending against the second descending (the two monotone couplings).
 use_moments : evaluate the r=2 cost in O(n) through the identity below
-    instead of the O(n^2) double sum. Callers must pass use_moments=True only
-    for r=2; the two routes are validated against each other in the tests.
+    instead of the O(n^2) double sum; ``cost_batch`` rejects it for r != 2.
+    The two routes are validated against each other in the tests.
     A pair of equal distances adds exactly 0 to the double sum, even if their powers overflow.
 
 The per-row cost is
@@ -79,10 +79,10 @@ The r=2 route's (L, n) temporaries (delta, s, u and the gathered rows) live
 in flat per-thread buffers that grow to the largest batch seen and are viewed
 at each call's shape, so repeated calls do not make the allocator return
 memory to the system and fault it back in. The engines' gradient outputs
-come from the same workspace (``grad_outputs``), and ``_eval_sorted``
-consumes them before it returns. Threads never share a buffer, and the maps
-are private, so a process forked after a warm call writes its own copies of
-the pages. A thread keeps its buffers for its lifetime: at most seven times
+come from the same workspace (``grad_outputs``), and
+``discrepancies._eval_slices`` scatters each row block's before the next.
+Threads never share a buffer, and the maps are private, so a process forked
+after a warm call writes its own copies of the pages. A thread keeps its buffers for its lifetime: at most seven times
 its largest batch (the engines' row blocks keep that near
 ``discrepancies._SLICE_BLOCK_ENTRIES`` entries).
 """
@@ -330,6 +330,8 @@ def cost_batch(A, B, beta, r, use_moments, grads=None):
     gradients of the chosen coupling's cost, as ``grad_batch`` gives them,
     into those two C-contiguous float64 (L, n) arrays."""
     A, B, beta, r, use_moments = _as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments)
+    if use_moments and r != 2:
+        raise ValueError("the moment route requires exponent r=2")
     if grads is not None and not (use_moments and len(grads) == 2 and all(
             isinstance(G, np.ndarray) and G.dtype == np.float64 and G.shape == A.shape
             and G.flags.c_contiguous for G in grads)):

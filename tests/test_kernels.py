@@ -245,6 +245,34 @@ def test_pairwise_route_matches_exact_rationals(r):
     assert worst <= _EXACT_PAIRWISE_TOL, f"worst relative cost error {worst:.2e}"
 
 
+def test_pairwise_row_blocks_keep_the_one_block_results(monkeypatch):
+    # Blocks of 1, 3 and 7 pairwise rows at n = 17 (each with a short last
+    # block) against one block. Per-point gradient sums run over whole rows,
+    # so they keep their bits; a cost adds one partial sum per block, so it
+    # may differ in the last bits.
+    rng = np.random.default_rng(21)
+    n, beta = 17, 0.4
+    A = np.sort(rng.normal(size=(6, n)), axis=1)
+    B = np.sort(rng.normal(size=(6, n)) * 0.8 + 0.3, axis=1)
+    A, B = _with_mirrored_rows(A, B, rng)
+    b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)])[:, None]
+    w_rev = _kernels._cost_pairwise_np(np.where(b_lead, A[:, ::-1], A),
+                                       np.where(b_lead, B, B[:, ::-1]), 0.0, 2)
+    skipped = ~((1.0 - beta) * w_rev < _kernels._cost_pairwise_np(A, B, beta, 2))
+    assert 0 < skipped.sum() < skipped.size  # the reversed early-out occurs
+    one_block = {r: _kernels.cost_batch(A, B, beta, r, False) for r in (1, 2, 3)}
+    frozen = one_block[2][1]
+    assert 0 < frozen.sum() < frozen.size  # both couplings occur
+    grads = _kernels.grad_batch(A, B, beta, frozen, False)
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(_kernels, "_PAIRWISE_BLOCK_ENTRIES", rows * n)
+        for r, (costs, orients) in one_block.items():
+            blocked, blocked_orients = _kernels.cost_batch(A, B, beta, r, False)
+            assert np.array_equal(blocked_orients, orients)
+            assert (np.abs(blocked - costs) <= 1e-14 * np.abs(costs)).all()
+        assert _bits(_kernels.grad_batch(A, B, beta, frozen, False)) == _bits(grads)
+
+
 def test_routes_and_oracle_agree_exactly_on_small_integers():
     # Small integers, n a power of two and a dyadic beta: every float
     # operation of both routes is exact, so nothing may differ by a bit.
@@ -286,6 +314,8 @@ _GRADS_MESSAGE = ("grads must be two C-contiguous float64 arrays of the batch's 
     pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 2, True,
                                              grads=(np.zeros((2, 3)), np.zeros((3, 2)).T)),
                  _GRADS_MESSAGE, id="cost-batch-grads-not-c-contiguous"),
+    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 7)), np.ones((2, 7)), 0.3, 3, True),
+                 "the moment route requires exponent r=2", id="cost-batch-moments-at-exponent-3"),
     pytest.param(lambda: _eval_slices(np.zeros((4, 2)), np.ones((4, 2)), np.eye(2),
                                       FgwConfig(exponent=3), want_grads=True),
                  "gradients require exponent r=2", id="eval-slices-grads-at-exponent-3"),
