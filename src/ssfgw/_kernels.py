@@ -1,20 +1,22 @@
 """Hot kernels for the 1D fused Gromov-Wasserstein objective on sorted values.
 
-Vectorized numpy over the batch axis. ``cost_batch`` and ``grad_batch`` are
-the entry points (and the layer boundaries the benchmark traces). The engines
-call ``cost_batch`` alone: on the r=2 route, ``grads=(GA, GB)`` makes it
-write the gradients of the chosen coupling in the same pass (see "One
-value-and-gradient pass" below); ``grad_batch`` computes the same gradients
-for given orientations.
+Vectorized numpy over the batch axis. ``cost_batch`` is the engines' entry
+(and, with ``grad_batch``, a layer boundary the benchmark traces): it picks
+its route from the exponent r, and at r=2 ``grads=(GA, GB)`` makes it write
+the gradients of the chosen coupling in the same pass (see "One
+value-and-gradient pass" below). ``pairwise_batch`` and ``grad_batch`` are
+the O(n^2) double sums of the cost and of its r=2 gradients: the route of
+every r != 2, and the reference that ``fgw.fgw_1d`` and ``fgw.fgw_1d_grad``
+evaluate.
 
 Conventions
 -----------
 A, B : (L, n) float64 arrays of projected values, each row sorted ascending.
 orientation : per-row tag; 0 pairs both rows ascending, 1 pairs the first row
     ascending against the second descending (the two monotone couplings).
-use_moments : evaluate the r=2 cost in O(n) through the identity below
-    instead of the O(n^2) double sum; ``cost_batch`` rejects it for r != 2.
-    The two routes are validated against each other in the tests.
+r : the integer exponent. ``cost_batch`` evaluates r=2 in O(n) through the
+    identity below and every other r by the double sum; the tests validate
+    the two against each other and against exact rational arithmetic.
     A pair of equal distances adds exactly 0 to the double sum, even if their powers overflow.
 
 The per-row cost is
@@ -59,9 +61,8 @@ The r=2 cost pass centers the ascending coupling's delta and s and forms u
 and the row sums that its gradients need; with ``grads`` it turns them into
 the gradients at once, before the reversed coupling is evaluated. Only rows
 on which the reversed coupling wins recompute their terms, from the gathered
-rows. ``grad_batch`` runs the same routine on terms it computes itself. Both
-follow the operations of the former separate gradient pass in the same order,
-so costs, orientations and gradients keep their bits.
+rows. The gradients follow the operations of the former separate gradient
+pass in the same order, so costs, orientations and gradients keep their bits.
 
 Early-out, exactly
 ------------------
@@ -148,12 +149,10 @@ def _flipped(X, rows):
 
 
 def _paired(op, A, B, lead, out):
-    # op(P, Q) into out for the rows P, Q of one coupling: A and B for the
-    # ascending one (lead None); for the reversed one, A with its ``lead``
-    # rows reversed and B with the others. On a lead row op(a reversed, b) is
-    # op(a, b reversed) reversed, so neither flipped batch is formed.
-    if lead is None:
-        return op(A, B, out=out)
+    # op(P, Q) into out for the rows P, Q of the reversed coupling: A with its
+    # ``lead`` rows reversed and B with the others. On a lead row
+    # op(a reversed, b) is op(a, b reversed) reversed, so neither flipped
+    # batch is formed.
     op(A, B[:, ::-1], out=out)
     if lead.any():
         out[lead] = out[lead, ::-1]
@@ -241,22 +240,17 @@ def _grad_terms(d, s, u, m, s_dd, s_ss, s_u, beta, GA, GB):
     np.subtract(g_s, GB, out=GB)
 
 
-def _grad_ds_np(P, Q, beta, lead, GA, GB):
-    # One coupling's gradients (``_paired``) into GA and GB, in P's and Q's
-    # order; reads P and Q before it writes GA and GB.
+def _grad_reversed_rows(A, B, beta, b_lead, rev, GA, GB):
+    # The reversed coupling's gradients on the rev rows of GA and GB; the
+    # gathered rows P and Q are read into d and s before they take them.
+    P, Q = _rows_into(rev, A, B)
+    lead = b_lead[rev]
     d, s, u = (_WORKSPACE.take(name, P.shape) for name in ("d", "s", "u"))
     m, s_dd = _delta(_paired(np.subtract, P, Q, lead, d))
     s_ss, s_u = _sums(d, _paired(np.add, P, Q, lead, s), u)
-    _grad_terms(d, s, u, m, s_dd, s_ss, s_u, beta, GA, GB)
-    if lead is not None:
-        GA[lead] = GA[lead, ::-1]
-        GB[~lead] = GB[~lead, ::-1]
-
-
-def _grad_reversed_rows(A, B, beta, b_lead, rev, GA, GB):
-    # the reversed coupling's gradients on the rev rows of GA and GB
-    P, Q = _rows_into(rev, A, B)
-    _grad_ds_np(P, Q, beta, b_lead[rev], P, Q)
+    _grad_terms(d, s, u, m, s_dd, s_ss, s_u, beta, P, Q)
+    P[lead] = P[lead, ::-1]
+    Q[~lead] = Q[~lead, ::-1]
     GA[rev], GB[rev] = P, Q
 
 
@@ -323,42 +317,46 @@ def _as_batch(x):
     return out
 
 
-def cost_batch(A, B, beta, r, use_moments, grads=None):
-    """Per-row coupling-minimized cost and the chosen orientation.
-
-    With ``grads=(GA, GB)`` (r = 2 moment route only), also writes the
-    gradients of the chosen coupling's cost, as ``grad_batch`` gives them,
-    into those two C-contiguous float64 (L, n) arrays."""
-    A, B, beta, r, use_moments = _as_batch(A), _as_batch(B), float(beta), int(r), bool(use_moments)
-    if use_moments and r != 2:
-        raise ValueError("the moment route requires exponent r=2")
-    if grads is not None and not (use_moments and len(grads) == 2 and all(
-            isinstance(G, np.ndarray) and G.dtype == np.float64 and G.shape == A.shape
-            and G.flags.c_contiguous for G in grads)):
-        raise ValueError("grads must be two C-contiguous float64 arrays of the batch's shape, "
-                         "on the moment route")
-    b_lead = _b_lead_rows(A, B)
-    if use_moments:
-        c_asc, c_rev = _cost_ds_np(A, B, beta, b_lead, grads)
-    else:
-        c_asc = _cost_pairwise_np(A, B, beta, r)
-        c_rev = _cost_pairwise_np(_flipped(A, b_lead), _flipped(B, ~b_lead), beta, r, below=c_asc)
+def _chosen(c_asc, c_rev):
     orients = (c_rev < c_asc).astype(np.uint8)
     return np.where(orients == 1, c_rev, c_asc), orients
 
 
-def grad_batch(A, B, beta, orients, use_moments):
+def pairwise_batch(A, B, beta, r):
+    """Per-row coupling-minimized cost and the chosen orientation, by the
+    O(n^2) double sum at any exponent r."""
+    A, B, beta, r = _as_batch(A), _as_batch(B), float(beta), int(r)
+    b_lead = _b_lead_rows(A, B)
+    c_asc = _cost_pairwise_np(A, B, beta, r)
+    c_rev = _cost_pairwise_np(_flipped(A, b_lead), _flipped(B, ~b_lead), beta, r, below=c_asc)
+    return _chosen(c_asc, c_rev)
+
+
+def cost_batch(A, B, beta, r, grads=None):
+    """Per-row coupling-minimized cost and the chosen orientation: in O(n) at
+    r = 2, by ``pairwise_batch`` at every other r.
+
+    With ``grads=(GA, GB)`` (r = 2 only), also writes the gradients of the
+    chosen coupling's cost, as ``grad_batch`` gives them up to rounding, into
+    those two C-contiguous float64 (L, n) arrays."""
+    if int(r) != 2:
+        if grads is not None:
+            raise ValueError("gradients require exponent r=2")
+        return pairwise_batch(A, B, beta, r)
+    A, B, beta = _as_batch(A), _as_batch(B), float(beta)
+    if grads is not None and not (len(grads) == 2 and all(
+            isinstance(G, np.ndarray) and G.dtype == np.float64 and G.shape == A.shape
+            and G.flags.c_contiguous for G in grads)):
+        raise ValueError("grads must be two C-contiguous float64 arrays of the batch's shape")
+    return _chosen(*_cost_ds_np(A, B, beta, _b_lead_rows(A, B), grads))
+
+
+def grad_batch(A, B, beta, orients):
     """Per-row gradients (wrt A and wrt B) of the r=2 cost under the given
-    orientations (the coupling is held fixed)."""
-    A, B, beta, use_moments = _as_batch(A), _as_batch(B), float(beta), bool(use_moments)
+    orientations (the coupling is held fixed), by the O(n^2) double sum."""
+    A, B, beta = _as_batch(A), _as_batch(B), float(beta)
     rev = np.asarray(orients, dtype=np.uint8) == 1
     b_lead = _b_lead_rows(A, B)
-    if not use_moments:
-        flip_a, flip_b = rev & b_lead, rev & ~b_lead
-        gp, gq = _grad_pairwise_np(_flipped(A, flip_a), _flipped(B, flip_b), beta)
-        return _flipped(gp, flip_a), _flipped(gq, flip_b)
-    GA, GB = np.empty(A.shape), np.empty(B.shape)
-    _grad_ds_np(A, B, beta, None, GA, GB)
-    if rev.any():
-        _grad_reversed_rows(A, B, beta, b_lead, rev, GA, GB)
-    return GA, GB
+    flip_a, flip_b = rev & b_lead, rev & ~b_lead
+    gp, gq = _grad_pairwise_np(_flipped(A, flip_a), _flipped(B, flip_b), beta)
+    return _flipped(gp, flip_a), _flipped(gq, flip_b)

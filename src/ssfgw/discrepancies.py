@@ -250,22 +250,21 @@ def _project_sorted(X, thetas, want_order: bool, batch_rows=None):
     the order of tied signed zeros, and so the same costs.
 
     The projection is one product per batch of ``batch_rows`` rows (one over
-    all rows by default): a product's rounding can depend on its row count (a
-    one-row product takes BLAS's matrix-vector path, and at d >= 32 small
-    products can round differently from large ones), so a batch stacked with
-    others keeps the bits it has alone. Values alone are sorted in place in
+    all rows by default), each into its rows of one array: a product's
+    rounding can depend on its row count (a one-row product takes BLAS's
+    matrix-vector path, and at d >= 32 small products can round differently
+    from large ones), so a batch stacked with others keeps the bits it has
+    alone. Values alone are sorted in place in
     one sort. Values with their order are sorted block by block
     (``_row_blocks`` at the cloud's own size), into the projection's own
     array and one order array. Every row is sorted on its own, so the result
     does not depend on the blocks.
     """
-    rows = thetas.shape[0] if batch_rows is None else batch_rows
-    if rows >= thetas.shape[0]:
-        values = thetas @ X.T
-    else:
-        values = np.empty((thetas.shape[0], X.shape[0]))
-        for i in range(0, thetas.shape[0], rows):
-            np.matmul(thetas[i:i + rows], X.T, out=values[i:i + rows])
+    L = thetas.shape[0]
+    rows = max(1, L if batch_rows is None else batch_rows)
+    values = np.empty((L, X.shape[0]))
+    for i in range(0, L, rows):
+        np.matmul(thetas[i:i + rows], X.T, out=values[i:i + rows])
     if not want_order:
         values.sort(axis=1)
         return values, None
@@ -281,7 +280,7 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
     max(n, m) columns for the kernels, and its gradients folded back.
     ``thetas`` may stack batches of ``batch_rows`` rows, each projected by
     its own product (``_project_sorted``), so each batch's costs are the bits
-    it gets alone. Gradients need r = 2.
+    it gets alone. Gradients need r = 2 (the kernel raises otherwise).
 
     The outputs are allocated once; then each row block (``_row_blocks`` at
     max(n, m)) runs the kernel and the scatter. The kernel writes the
@@ -289,8 +288,6 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
     (``_kernels.grad_outputs``), which the scatter consumes before the next
     block. Every kernel works row by row, so the blocks do not change a bit.
     """
-    if want_grads and cfg.exponent != 2:
-        raise ValueError("gradients require exponent r=2")
     A, order_x = _project_sorted(X, thetas, want_grads, batch_rows=batch_rows)
     B, order_y = _project_sorted(Y, thetas, want_grads, batch_rows=batch_rows)
     n, m = A.shape[1], B.shape[1]
@@ -300,8 +297,7 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
     for rows in _row_blocks(A.shape[0], k):
         a, b = spread_rows(A[rows], k), spread_rows(B[rows], k)
         grads = _kernels.grad_outputs(a.shape) if want_grads else None
-        costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, cfg.exponent == 2,
-                                          grads=grads)[0]
+        costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, grads=grads)[0]
         if want_grads:
             np.put_along_axis(gx[rows], order_x[rows], fold_rows(grads[0], n), axis=1)
             np.put_along_axis(gy[rows], order_y[rows], fold_rows(grads[1], m), axis=1)

@@ -21,9 +21,11 @@ spread to the quantile function on max(n, m) cells (``spread_rows``) and
 gradients summed back over the cells (``fold_rows``).
 
 ``fgw_1d`` and ``fgw_1d_grad`` evaluate the O(n^2) double sum
-(``method="reference"``, the only method). They are the reference against
-which the tests validate the O(n) r=2 kernel of the Monte Carlo engines
-(``_kernels``, from the centered difference and sum of the paired values).
+(``method="reference"``, the only method) through the kernel module's
+reference entries, ``_kernels.pairwise_batch`` and ``_kernels.grad_batch``.
+They are the reference against which the tests validate the O(n) r=2 route
+of ``_kernels.cost_batch`` that the Monte Carlo engines run (from the
+centered difference and sum of the paired values).
 On clouds that nearly agree the double sum itself loses digits, so there the
 tests check the kernel against exact rational arithmetic instead.
 """
@@ -174,7 +176,7 @@ def _paired_sorted(xs: Projected1D, ys: Projected1D, method: str):
 def fgw_1d(xs: Projected1D, ys: Projected1D, cfg: FgwConfig, method: str = "reference") -> float:
     """Fused 1D cost, minimized over the two monotone couplings."""
     a, b = _paired_sorted(xs, ys, method)
-    costs, _ = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, False)
+    costs, _ = _kernels.pairwise_batch(a, b, cfg.beta, cfg.exponent)
     return float(costs[0])
 
 
@@ -188,8 +190,8 @@ def fgw_1d_grad(xs: Projected1D, ys: Projected1D, cfg: FgwConfig, method: str = 
     if cfg.exponent != 2:
         raise ValueError("fgw_1d_grad requires exponent r=2")
     a, b = _paired_sorted(xs, ys, method)
-    costs, orients = _kernels.cost_batch(a, b, cfg.beta, 2, False)
-    ga, gb = _kernels.grad_batch(a, b, cfg.beta, orients, False)
+    _, orients = _kernels.pairwise_batch(a, b, cfg.beta, 2)
+    ga, gb = _kernels.grad_batch(a, b, cfg.beta, orients)
     grad_xs = np.empty(len(xs))
     grad_ys = np.empty(len(ys))
     grad_xs[xs.sort_permutation] = fold_rows(ga, len(xs))[0]

@@ -232,8 +232,8 @@ def _vmf_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
         out[filled:filled + kept.size] = kept
         filled += kept.size
     raise SamplingError(
-        f"vMF rejection sampler exceeded {_MAX_REJECTION_ROUNDS} proposals per "
-        f"sample (kappa={kappa}, d={d}); parameters or implementation corrupt"
+        f"vMF rejection sampler exceeded {_MAX_REJECTION_ROUNDS} rejection rounds "
+        f"(kappa={kappa}, d={d}); parameters or implementation corrupt"
     )
 
 

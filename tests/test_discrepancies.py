@@ -182,7 +182,7 @@ def test_value_only_costs_equal_permuted_path_bitwise(case, monkeypatch):
             for r_exp in (1, 2, 3):
                 cfg = FgwConfig(beta=0.3, exponent=r_exp)
                 costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
-                ref, _ = _kernels.cost_batch(ref_x, ref_y, cfg.beta, r_exp, r_exp == 2)
+                ref, _ = _kernels.cost_batch(ref_x, ref_y, cfg.beta, r_exp)
                 assert_same_costs(costs, ref)
             permuted, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=True)
             value_only, _, _ = _eval_slices(X, Y, thetas, CFG, want_grads=False)
@@ -210,8 +210,8 @@ def test_stable_sort_rows_breaks_signed_zero_and_infinite_ties_by_index():
     other = stable_reference(values[::-1].copy())[0]
     for r_exp in (1, 2, 3):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, _ = _kernels.cost_batch(np.sort(values, axis=1), other, 0.3, r_exp, r_exp == 2)
-            b, _ = _kernels.cost_batch(ordered, other, 0.3, r_exp, r_exp == 2)
+            a, _ = _kernels.cost_batch(np.sort(values, axis=1), other, 0.3, r_exp)
+            b, _ = _kernels.cost_batch(ordered, other, 0.3, r_exp)
         assert_same_costs(a, b)
 
 
@@ -255,8 +255,8 @@ def test_sort_paths_agree_on_forced_duplicates(pair):
     B = stable_reference(other)[0]
     with np.errstate(all="ignore"):
         for r_exp in (1, 2):
-            a, _ = _kernels.cost_batch(sorted_only, B, 0.3, r_exp, r_exp == 2)
-            b, _ = _kernels.cost_batch(ordered, B, 0.3, r_exp, r_exp == 2)
+            a, _ = _kernels.cost_batch(sorted_only, B, 0.3, r_exp)
+            b, _ = _kernels.cost_batch(ordered, B, 0.3, r_exp)
             assert_same_costs(a, b)
 
 

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name is referenced, and the package imports no scipy:
+private module-level name is referenced, every public kernel function is
+called from another module, and the package imports no scipy:
 no module's source names it in an import, and importing and running the
 package loads none."""
 
@@ -105,6 +106,38 @@ def test_unreferenced_private_name_is_caught():
         ast.parse("from .a import _USED\nclass _Idle:\n    pass\nprint(_USED)\n"),
     ]
     assert _unreferenced_private_names(trees) == {"_DEAD", "_recursive", "_Idle"}
+
+
+def _uncalled_public_functions(trees, module) -> set:
+    """Public module-level functions of ``trees[module]`` that no other
+    module reads."""
+    elsewhere = sum((_references(tree) for name, tree in trees.items() if name != module), Counter())
+    return {
+        node.name
+        for node in trees[module].body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not elsewhere[node.name]
+    }
+
+
+def test_every_public_kernel_function_is_called_from_another_module():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert any(isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               for node in trees["_kernels"].body)
+    assert _uncalled_public_functions(trees, "_kernels") == set()
+
+
+def test_uncalled_public_kernel_function_is_caught():
+    trees = {
+        "_kernels": ast.parse(
+            "def inner(x):\n    return x\n"
+            "def used(x):\n    return inner(x)\n"
+            "def idle(x):\n    return used(x)\n"
+            "def _private(x):\n    return x\n"
+        ),
+        "fgw": ast.parse("from . import _kernels\nfrom ._kernels import idle\n_kernels.used(1)\n"),
+    }
+    assert _uncalled_public_functions(trees, "_kernels") == {"inner", "idle"}
 
 
 def _scipy_imports(tree) -> list:

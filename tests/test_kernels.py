@@ -40,6 +40,18 @@ def _random_sorted_pair(rng, n):
     return np.sort(a)[None, :], np.sort(b)[None, :]
 
 
+def _fused(A, B, beta):
+    # costs, orientations and gradients of the r = 2 route, in one pass
+    grads = (np.full(A.shape, np.nan), np.full(B.shape, np.nan))
+    return (*_kernels.cost_batch(A, B, beta, 2, grads=grads), *grads)
+
+
+def _reference(A, B, beta):
+    # the same by the O(n^2) double sums
+    costs, orients = _kernels.pairwise_batch(A, B, beta, 2)
+    return (costs, orients, *_kernels.grad_batch(A, B, beta, orients))
+
+
 def test_moment_expansion_matches_pairwise_500_instances():
     # Gate for the fast path: it may only be used because this passes.
     rng = np.random.default_rng(1)
@@ -48,8 +60,8 @@ def test_moment_expansion_matches_pairwise_500_instances():
         n = int(rng.integers(2, 41))
         A, B = _random_sorted_pair(rng, n)
         beta = float(rng.uniform(0, 1))
-        c_mom, o_mom = _kernels.cost_batch(A, B, beta, 2, True)
-        c_ref, o_ref = _kernels.cost_batch(A, B, beta, 2, False)
+        c_mom, o_mom = _kernels.cost_batch(A, B, beta, 2)
+        c_ref, o_ref = _kernels.pairwise_batch(A, B, beta, 2)
         scale = max(abs(c_ref[0]), 1.0)
         worst = max(worst, abs(c_mom[0] - c_ref[0]) / scale)
         assert o_mom[0] == o_ref[0] or abs(c_mom[0] - c_ref[0]) <= 1e-9 * scale
@@ -62,9 +74,8 @@ def test_moment_gradients_match_pairwise():
         n = int(rng.integers(2, 33))
         A, B = _random_sorted_pair(rng, n)
         beta = float(rng.uniform(0, 1))
-        _, orients = _kernels.cost_batch(A, B, beta, 2, False)
-        ga_m, gb_m = _kernels.grad_batch(A, B, beta, orients, True)
-        ga_r, gb_r = _kernels.grad_batch(A, B, beta, orients, False)
+        _, orients, ga_m, gb_m = _fused(A, B, beta)
+        ga_r, gb_r = _kernels.grad_batch(A, B, beta, orients)
         scale = max(float(np.abs(ga_r).max()), float(np.abs(gb_r).max()), 1.0)
         assert np.abs(ga_m - ga_r).max() <= 1e-9 * scale
         assert np.abs(gb_m - gb_r).max() <= 1e-9 * scale
@@ -90,27 +101,25 @@ def _assert_reversed_with_both_leads(A, B, orients):
 
 def test_cost_rows_swap_symmetric_bitwise():
     rng = np.random.default_rng(4)
-    for use_moments in (True, False):
+    for cost in (_kernels.cost_batch, _kernels.pairwise_batch):
         A = np.sort(rng.normal(size=(32, 17)), axis=1)
         B = np.sort(rng.normal(size=(32, 17)) * 2.1 - 1.0, axis=1)
         A, B = _with_mirrored_rows(A, B, rng)
-        c1, o1 = _kernels.cost_batch(A, B, 0.25, 2, use_moments)
-        c2, _ = _kernels.cost_batch(B, A, 0.25, 2, use_moments)
+        c1, o1 = cost(A, B, 0.25, 2)
+        c2, _ = cost(B, A, 0.25, 2)
         _assert_reversed_with_both_leads(A, B, o1)
         assert np.array_equal(c1, c2)
 
 
 def test_gradients_swap_symmetric_bitwise():
     rng = np.random.default_rng(5)
-    for use_moments in (True, False):
+    for route in (_fused, _reference):
         A = np.sort(rng.normal(size=(16, 9)), axis=1)
         B = np.sort(rng.normal(size=(16, 9)) * 0.6 + 0.4, axis=1)
         A, B = _with_mirrored_rows(A, B, rng)
-        _, o1 = _kernels.cost_batch(A, B, 0.4, 2, use_moments)
+        _, o1, ga1, gb1 = route(A, B, 0.4)
         _assert_reversed_with_both_leads(A, B, o1)
-        _, o2 = _kernels.cost_batch(B, A, 0.4, 2, use_moments)
-        ga1, gb1 = _kernels.grad_batch(A, B, 0.4, o1, use_moments)
-        ga2, gb2 = _kernels.grad_batch(B, A, 0.4, o2, use_moments)
+        _, o2, ga2, gb2 = route(B, A, 0.4)
         assert np.array_equal(ga1, gb2)
         assert np.array_equal(gb1, ga2)
 
@@ -118,11 +127,11 @@ def test_gradients_swap_symmetric_bitwise():
 def test_cost_nonnegative_and_zero_on_identical_rows():
     rng = np.random.default_rng(6)
     A = np.sort(rng.normal(size=(8, 12)), axis=1)
-    for use_moments in (True, False):
-        c, _ = _kernels.cost_batch(A, A.copy(), 0.5, 2, use_moments)
+    for cost in (_kernels.cost_batch, _kernels.pairwise_batch):
+        c, _ = cost(A, A.copy(), 0.5, 2)
         assert np.array_equal(c, np.zeros(8))
         B = np.sort(rng.normal(size=(8, 12)), axis=1)
-        c2, _ = _kernels.cost_batch(A, B, 0.5, 2, use_moments)
+        c2, _ = cost(A, B, 0.5, 2)
         assert (c2 >= 0.0).all()
 
 
@@ -149,16 +158,15 @@ def _near_identical_rows(n):
 def test_near_identical_clouds_match_reference(n):
     X, Y, thetas, cfg, A, B = _near_identical_rows(n)
     fast = slice_costs(X, Y, cfg, thetas)
-    ref, _ = _kernels.cost_batch(A, B, cfg.beta, 2, False)
+    ref, _ = _kernels.pairwise_batch(A, B, cfg.beta, 2)
     assert np.abs(fast - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_near_identical_clouds_gradients_match_reference(n):
     _, _, _, cfg, A, B = _near_identical_rows(n)
-    _, orients = _kernels.cost_batch(A, B, cfg.beta, 2, False)
-    ga_m, gb_m = _kernels.grad_batch(A, B, cfg.beta, orients, True)
-    ga_r, gb_r = _kernels.grad_batch(A, B, cfg.beta, orients, False)
+    _, orients, ga_m, gb_m = _fused(A, B, cfg.beta)
+    ga_r, gb_r = _kernels.grad_batch(A, B, cfg.beta, orients)
     scale = max(float(np.abs(ga_r).max()), float(np.abs(gb_r).max()))
     assert np.abs(ga_m - ga_r).max() <= 1e-7 * scale
     assert np.abs(gb_m - gb_r).max() <= 1e-7 * scale
@@ -200,8 +208,7 @@ def test_near_agreement_matches_exact_rationals():
     ties = set()
     for n, beta, agreements in cases:
         A, B = _agreeing_rows(rng, n, agreements)
-        costs, orients = _kernels.cost_batch(A, B, beta, 2, True)
-        GA, GB = _kernels.grad_batch(A, B, beta, orients, True)
+        costs, orients, GA, GB = _fused(A, B, beta)
         for a, b, cost, k, ga, gb in zip(A, B, costs, orients, GA, GB):
             exact = exact_costs(a, b, beta, 2)
             assert exact[k] == min(exact), "the kernel chose the costlier coupling"
@@ -238,11 +245,20 @@ def test_pairwise_route_matches_exact_rationals(r):
         B = np.sort(rng.normal(size=(3, n)) * rng.uniform(0.5, 2.0, (3, 1)) + rng.normal(size=(3, 1)),
                     axis=1)
         for beta in (0.0, 0.1, 1.0):
-            costs, _ = _kernels.cost_batch(A, B, beta, r, False)
+            costs, _ = _kernels.pairwise_batch(A, B, beta, r)
             for a, b, cost in zip(A, B, costs):
                 best = min(exact_costs(a, b, beta, r))
                 worst = max(worst, _max_error([cost], [best]) / float(best))
     assert worst <= _EXACT_PAIRWISE_TOL, f"worst relative cost error {worst:.2e}"
+
+
+def _pairwise_early_out_rows(A, B, beta, r):
+    # rows whose reversed W part is not below the ascending cost: the
+    # pairwise route skips their reversed Gromov part
+    b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)])[:, None]
+    w_rev = _kernels._cost_pairwise_np(np.where(b_lead, A[:, ::-1], A),
+                                       np.where(b_lead, B, B[:, ::-1]), 0.0, r)
+    return ~((1.0 - beta) * w_rev < _kernels._cost_pairwise_np(A, B, beta, r))
 
 
 def test_pairwise_row_blocks_keep_the_one_block_results(monkeypatch):
@@ -255,22 +271,32 @@ def test_pairwise_row_blocks_keep_the_one_block_results(monkeypatch):
     A = np.sort(rng.normal(size=(6, n)), axis=1)
     B = np.sort(rng.normal(size=(6, n)) * 0.8 + 0.3, axis=1)
     A, B = _with_mirrored_rows(A, B, rng)
-    b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)])[:, None]
-    w_rev = _kernels._cost_pairwise_np(np.where(b_lead, A[:, ::-1], A),
-                                       np.where(b_lead, B, B[:, ::-1]), 0.0, 2)
-    skipped = ~((1.0 - beta) * w_rev < _kernels._cost_pairwise_np(A, B, beta, 2))
+    skipped = _pairwise_early_out_rows(A, B, beta, 2)
     assert 0 < skipped.sum() < skipped.size  # the reversed early-out occurs
-    one_block = {r: _kernels.cost_batch(A, B, beta, r, False) for r in (1, 2, 3)}
+    one_block = {r: _kernels.pairwise_batch(A, B, beta, r) for r in (1, 2, 3)}
     frozen = one_block[2][1]
     assert 0 < frozen.sum() < frozen.size  # both couplings occur
-    grads = _kernels.grad_batch(A, B, beta, frozen, False)
+    grads = _kernels.grad_batch(A, B, beta, frozen)
     for rows in (1, 3, 7):
         monkeypatch.setattr(_kernels, "_PAIRWISE_BLOCK_ENTRIES", rows * n)
         for r, (costs, orients) in one_block.items():
-            blocked, blocked_orients = _kernels.cost_batch(A, B, beta, r, False)
+            blocked, blocked_orients = _kernels.pairwise_batch(A, B, beta, r)
             assert np.array_equal(blocked_orients, orients)
             assert (np.abs(blocked - costs) <= 1e-14 * np.abs(costs)).all()
-        assert _bits(_kernels.grad_batch(A, B, beta, frozen, False)) == _bits(grads)
+        assert _bits(_kernels.grad_batch(A, B, beta, frozen)) == _bits(grads)
+
+
+@pytest.mark.parametrize("r", [1, 3, 4])
+def test_cost_batch_runs_the_pairwise_route_off_exponent_2(r):
+    rng = np.random.default_rng(23)
+    n, beta = 11, 0.4
+    A = np.sort(rng.normal(size=(8, n)), axis=1)
+    B = np.sort(rng.normal(size=(8, n)) * 0.8 + 0.3, axis=1)
+    A, B = _with_mirrored_rows(A, B, rng)
+    assert _pairwise_early_out_rows(A, B, beta, r).any()
+    costs, orients = _kernels.pairwise_batch(A, B, beta, r)
+    assert 0 < orients.sum() < orients.size  # both couplings occur
+    assert _bits(_kernels.cost_batch(A, B, beta, r)) == _bits([costs, orients])
 
 
 def test_routes_and_oracle_agree_exactly_on_small_integers():
@@ -282,9 +308,9 @@ def test_routes_and_oracle_agree_exactly_on_small_integers():
         B = np.sort(rng.integers(-6, 7, size=(12, n)), axis=1).astype(np.float64)
         for beta in (0.0, 0.25, 0.5, 1.0):
             for r in (1, 2, 3):
-                costs, orients = _kernels.cost_batch(A, B, beta, r, False)
+                costs, orients = _kernels.pairwise_batch(A, B, beta, r)
                 if r == 2:
-                    c_mom, o_mom = _kernels.cost_batch(A, B, beta, 2, True)
+                    c_mom, o_mom = _kernels.cost_batch(A, B, beta, 2)
                     assert np.array_equal(c_mom, costs) and np.array_equal(o_mom, orients)
                 for a, b, cost, k in zip(A, B, costs, orients):
                     exact = exact_costs(a, b, beta, r)
@@ -292,30 +318,26 @@ def test_routes_and_oracle_agree_exactly_on_small_integers():
                     assert k == (exact[1] < exact[0])
             for k in (0, 1):
                 frozen = np.full(A.shape[0], k, dtype=np.uint8)
-                grads = _kernels.grad_batch(A, B, beta, frozen, True)
-                for g_mom, g_ref in zip(grads, _kernels.grad_batch(A, B, beta, frozen, False)):
-                    assert np.array_equal(g_mom, g_ref)
+                grads = _kernels.grad_batch(A, B, beta, frozen)
                 for a, b, ga, gb in zip(A, B, *grads):
                     ea, eb = exact_grads(a, b, beta)[k]
                     assert [Fraction(float(g)) for g in ga] == ea
                     assert [Fraction(float(g)) for g in gb] == eb
-
-
-_GRADS_MESSAGE = ("grads must be two C-contiguous float64 arrays of the batch's shape, "
-                  "on the moment route")
+            _, orients, *grads = _fused(A, B, beta)
+            for g_mom, g_ref in zip(grads, _kernels.grad_batch(A, B, beta, orients)):
+                assert np.array_equal(g_mom, g_ref)
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: _kernels.cost_batch(np.zeros(3), np.zeros(3), 0.1, 2, True),
+    pytest.param(lambda: _kernels.cost_batch(np.zeros(3), np.zeros(3), 0.1, 2),
                  "expected a (L, n) batch of sorted rows", id="cost-batch-1d-row"),
-    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 2, False,
+    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 3,
                                              grads=(np.zeros((2, 3)), np.zeros((2, 3)))),
-                 _GRADS_MESSAGE, id="cost-batch-grads-on-the-pairwise-route"),
-    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 2, True,
+                 "gradients require exponent r=2", id="cost-batch-grads-at-exponent-3"),
+    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 3)), np.zeros((2, 3)), 0.1, 2,
                                              grads=(np.zeros((2, 3)), np.zeros((3, 2)).T)),
-                 _GRADS_MESSAGE, id="cost-batch-grads-not-c-contiguous"),
-    pytest.param(lambda: _kernels.cost_batch(np.zeros((2, 7)), np.ones((2, 7)), 0.3, 3, True),
-                 "the moment route requires exponent r=2", id="cost-batch-moments-at-exponent-3"),
+                 "grads must be two C-contiguous float64 arrays of the batch's shape",
+                 id="cost-batch-grads-not-c-contiguous"),
     pytest.param(lambda: _eval_slices(np.zeros((4, 2)), np.ones((4, 2)), np.eye(2),
                                       FgwConfig(exponent=3), want_grads=True),
                  "gradients require exponent r=2", id="eval-slices-grads-at-exponent-3"),
@@ -356,23 +378,18 @@ def test_kernel_pair_properties_across_scales(case):
     top = max(float(np.abs(A).max()), float(np.abs(B).max()))
     cost_tol = 1e-9 * ((1.0 - beta) * top**2 + beta * top**4)
     grad_tol = 1e-9 * ((1.0 - beta) * top + beta * top**3)
-    for use_moments in (True, False):
-        c, o = _kernels.cost_batch(A, B, beta, 2, use_moments)
-        c_sw, o_sw = _kernels.cost_batch(B, A, beta, 2, use_moments)
+    for route in (_fused, _reference):
+        c, o, ga, gb = route(A, B, beta)
+        c_sw, o_sw, ga_sw, gb_sw = route(B, A, beta)
         assert (c >= 0.0).all()
         assert np.array_equal(c, c_sw) and np.array_equal(o, o_sw)
-        ga, gb = _kernels.grad_batch(A, B, beta, o, use_moments)
-        ga_sw, gb_sw = _kernels.grad_batch(B, A, beta, o, use_moments)
         assert np.array_equal(ga, gb_sw) and np.array_equal(gb, ga_sw)
-        c_same, _ = _kernels.cost_batch(A, A.copy(), beta, 2, use_moments)
+        c_same = route(A, A.copy(), beta)[0]
         assert np.array_equal(c_same, np.zeros(A.shape[0]))
-    c_mom, _ = _kernels.cost_batch(A, B, beta, 2, True)
-    c_ref, o_ref = _kernels.cost_batch(A, B, beta, 2, False)
+    c_mom, o_mom, *g_moms = _fused(A, B, beta)
+    c_ref, _ = _kernels.pairwise_batch(A, B, beta, 2)
     assert np.abs(c_mom - c_ref).max() <= cost_tol
-    for g_mom, g_ref in zip(
-        _kernels.grad_batch(A, B, beta, o_ref, True),
-        _kernels.grad_batch(A, B, beta, o_ref, False),
-    ):
+    for g_mom, g_ref in zip(g_moms, _kernels.grad_batch(A, B, beta, o_mom)):
         assert np.abs(g_mom - g_ref).max() <= grad_tol
 
 
@@ -385,16 +402,6 @@ def _bits(arrays):
     return [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
 
 
-def _fused(A, B, beta):
-    grads = (np.full(A.shape, np.nan), np.full(B.shape, np.nan))
-    return (*_kernels.cost_batch(A, B, beta, 2, True, grads=grads), *grads)
-
-
-def _two_calls(A, B, beta):
-    costs, orients = _kernels.cost_batch(A, B, beta, 2, True)
-    return (costs, orients, *_kernels.grad_batch(A, B, beta, orients, True))
-
-
 @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
 def test_fused_pass_gives_the_bits_of_two_calls(beta):
     rng = np.random.default_rng(18)
@@ -405,7 +412,7 @@ def test_fused_pass_gives_the_bits_of_two_calls(beta):
     if beta > 0.0:
         # with W alone (beta = 0) the ascending coupling always wins
         _assert_reversed_with_both_leads(A, B, fused[1])
-    assert _bits(fused) == _bits(_two_calls(A, B, beta)) == _bits(ds_two_pass(A, B, beta))
+    assert _bits(fused) == _bits(ds_two_pass(A, B, beta))
 
 
 def test_fused_eval_slices_gives_the_bits_of_two_passes_across_row_blocks():
@@ -441,7 +448,7 @@ def _assert_early_outs_keep_the_bits(A, B, beta):
     with np.errstate(all="ignore"):
         assert _bits(_fused(A, B, beta)) == _bits(ds_two_pass(A, B, beta))
         for r in (1, 2, 3):
-            assert _bits(_kernels.cost_batch(A, B, beta, r, False)) == _bits(
+            assert _bits(_kernels.pairwise_batch(A, B, beta, r)) == _bits(
                 _pairwise_full(A, B, beta, r))
 
 
@@ -581,7 +588,7 @@ def test_workspace_follows_shape_changes():
             A, B = _mixed_rows(rng, L, n)
             want = ds_two_pass(A, B, 0.4)
             assert _bits(_fused(A, B, 0.4)) == _bits(want)
-            assert _bits(_kernels.cost_batch(A, B, 0.4, 2, True)) == _bits(want[:2])
+            assert _bits(_kernels.cost_batch(A, B, 0.4, 2)) == _bits(want[:2])
 
 
 def test_fused_pass_allocates_at_most_two_fresh_batches_once_warm():
@@ -596,10 +603,10 @@ def test_fused_pass_allocates_at_most_two_fresh_batches_once_warm():
     for A, B in (flow_rows, _mixed_rows(rng, 50, 256)):
         for beta in (0.1, 0.4):
             grads = (np.empty(A.shape), np.empty(B.shape))
-            _kernels.cost_batch(A, B, beta, 2, True, grads=grads)
+            _kernels.cost_batch(A, B, beta, 2, grads=grads)
             tracemalloc.start()
             try:
-                _kernels.cost_batch(A, B, beta, 2, True, grads=grads)
+                _kernels.cost_batch(A, B, beta, 2, grads=grads)
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

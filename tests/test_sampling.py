@@ -168,7 +168,7 @@ def test_uniform_sphere_redraws_a_row_whose_norm_underflows():
 
 def test_vmf_rejection_cap_raises_sampling_error(monkeypatch):
     monkeypatch.setattr(sampling, "_MAX_REJECTION_ROUNDS", 0)
-    with pytest.raises(sampling.SamplingError, match="exceeded 0 proposals"):
+    with pytest.raises(sampling.SamplingError, match="exceeded 0 rejection rounds"):
         sample_vmf(VmfParams(np.array([0.0, 1.0, 0.0]), 10.0), make_rng(996), 8)
 
 
