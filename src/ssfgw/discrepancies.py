@@ -254,11 +254,11 @@ def _project_sorted(X, thetas, want_order: bool, batch_rows=None):
     rounding can depend on its row count (a one-row product takes BLAS's
     matrix-vector path, and at d >= 32 small products can round differently
     from large ones), so a batch stacked with others keeps the bits it has
-    alone. Values alone are sorted in place in
-    one sort. Values with their order are sorted block by block
-    (``_row_blocks`` at the cloud's own size), into the projection's own
-    array and one order array. Every row is sorted on its own, so the result
-    does not depend on the blocks.
+    alone. Values alone are sorted in place in one sort. Values with their
+    order are sorted block by block (``_row_blocks`` at the cloud's own
+    size), each from a copy of the block straight into its rows of the
+    projection's array and of one order array. Every row is sorted on its
+    own, so the result does not depend on the blocks.
     """
     L = thetas.shape[0]
     rows = max(1, L if batch_rows is None else batch_rows)
@@ -270,7 +270,7 @@ def _project_sorted(X, thetas, want_order: bool, batch_rows=None):
         return values, None
     order = np.empty(values.shape, dtype=np.intp)
     for rows in _row_blocks(*values.shape):
-        values[rows], order[rows] = stable_sort_rows(values[rows])
+        stable_sort_rows(values[rows].copy(), out=(values[rows], order[rows]))
     return values, order
 
 
@@ -286,7 +286,10 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
     max(n, m)) runs the kernel and the scatter. The kernel writes the
     gradients in its cost pass into this thread's reused buffers
     (``_kernels.grad_outputs``), which the scatter consumes before the next
-    block. Every kernel works row by row, so the blocks do not change a bit.
+    block. The scatter writes through flat indices: each block of an order,
+    offset in place by its rows' starts in the flattened gradient array
+    (the orders are not read again), indexes that array. Every kernel works
+    row by row, so the blocks do not change a bit.
     """
     A, order_x = _project_sorted(X, thetas, want_grads, batch_rows=batch_rows)
     B, order_y = _project_sorted(Y, thetas, want_grads, batch_rows=batch_rows)
@@ -299,8 +302,10 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
         grads = _kernels.grad_outputs(a.shape) if want_grads else None
         costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, grads=grads)[0]
         if want_grads:
-            np.put_along_axis(gx[rows], order_x[rows], fold_rows(grads[0], n), axis=1)
-            np.put_along_axis(gy[rows], order_y[rows], fold_rows(grads[1], m), axis=1)
+            for g, order, grad in ((gx, order_x, grads[0]), (gy, order_y, grads[1])):
+                flat = order[rows]
+                flat += np.arange(rows.start, rows.stop)[:, None] * g.shape[1]
+                g.reshape(-1)[flat] = fold_rows(grad, g.shape[1])
     return costs, gx, gy
 
 

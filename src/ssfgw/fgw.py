@@ -113,19 +113,42 @@ def as_point_cloud(points) -> np.ndarray:
     return cloud
 
 
-def stable_sort_rows(values):
-    """Sort each row of an (L, n) array ascending; returns ``(sorted rows,
-    order)`` with ``order`` equal to ``np.argsort(values, axis=1,
-    kind="stable")``: ties are broken by point index and NaNs go last.
+def stable_sort_rows(values, out=None):
+    """Sort each row of an (L, n) float64 array ascending; returns
+    ``(sorted rows, order)`` with ``order`` equal to ``np.argsort(values,
+    axis=1, kind="stable")``: ties are broken by point index and NaNs go last.
+    ``out`` may give the two (L, n) outputs, float64 and intp, which must not
+    overlap ``values``.
 
-    Rows are sorted and argsorted with numpy's default (SIMD) kind. A row that
-    comes out strictly increasing has distinct values and a single ascending
-    permutation, the stable one, so its sorted values are those gathered
-    through that permutation; only the other rows (ties, signed zeros, NaN)
-    are argsorted again stably and gathered through that order.
+    Each row is sorted once, as int64 keys built in the order output. A key's
+    high bits are the value's bits mapped so that signed integer order is
+    float order (``x ^ ((x >> 63) & 0x7FFF...)``), and its low
+    ``(n - 1).bit_length()`` bits hold the point index. The keys are
+    distinct, so the order does not depend on numpy's sort algorithm; the
+    low bits give the order, and the values are gathered through it. A row
+    that comes out strictly increasing has distinct values and a single
+    ascending permutation, the stable one. Only the other rows are argsorted
+    again stably and gathered through that order: ties, signed zeros and NaN,
+    and distinct values that agree in the bits the index leaves them.
     """
-    order = np.argsort(values, axis=1)
-    ordered = np.sort(values, axis=1)
+    L, n = values.shape
+    ordered, order = out if out is not None else (
+        np.empty(values.shape), np.empty(values.shape, dtype=np.intp))
+    index_mask = (1 << (n - 1).bit_length()) - 1
+    # ``ordered`` holds the sign masks until the gather overwrites it
+    bits, scratch = values.view(np.int64), ordered.view(np.int64)
+    np.right_shift(bits, 63, out=scratch)
+    np.bitwise_and(scratch, 2**63 - 1, out=scratch)
+    np.bitwise_xor(bits, scratch, out=order)
+    np.bitwise_and(order, ~index_mask, out=order)
+    np.bitwise_or(order, np.arange(n), out=order)
+    order.sort(axis=1)
+    np.bitwise_and(order, index_mask, out=order)
+    offsets = np.arange(0, L * n, n)[:, None]
+    order += offsets
+    # the flat indices are in range; mode="raise" would buffer the output
+    np.take(values, order, out=ordered, mode="wrap")
+    order -= offsets
     redo = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
     if redo.any():
         stable = np.argsort(values[redo], axis=1, kind="stable")

@@ -215,6 +215,70 @@ def test_stable_sort_rows_breaks_signed_zero_and_infinite_ties_by_index():
         assert_same_costs(a, b)
 
 
+def _colliding_rows(n, seed):
+    """Rows whose sort keys agree above the index bits: shuffled 1 + k*eps,
+    their negatives, shuffled subnormals k*5e-324, a mix of +-0 and 1 + k*eps,
+    and one row of distinct normal draws."""
+    r = make_rng(seed)
+    near_one = 1.0 + np.arange(n) * np.finfo(np.float64).eps
+    subnormal = np.arange(n) * 5e-324
+    zeros = np.where(r.random(n) < 0.5, 0.0, -0.0)
+    mixed = np.where(r.random(n) < 0.5, zeros, near_one)
+    rows = [r.permutation(near_one), -r.permutation(near_one), r.permutation(subnormal), mixed]
+    return np.vstack(rows + [r.normal(size=n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 4096, 8192, 8193])
+def test_stable_sort_rows_matches_stable_argsort_where_keys_collide(n):
+    values = _colliding_rows(n, n)
+    ref_values, ref_order = stable_reference(values)
+    ordered, order = stable_sort_rows(values)
+    assert_bitwise(ordered, ref_values)
+    assert_bitwise(order, ref_order)
+    out = (np.full(values.shape, np.nan), np.full(values.shape, -1, dtype=np.intp))
+    returned = stable_sort_rows(values, out=out)
+    assert returned[0] is out[0] and returned[1] is out[1]
+    assert_bitwise(out[0], ref_values)
+    assert_bitwise(out[1], ref_order)
+
+
+def test_project_sorted_orders_colliding_projections_across_row_blocks():
+    # axis directions project the first column exactly, so those rows hold
+    # the colliding keys; 8192 points give 4 rows per block, so 10 rows span
+    # three blocks
+    n = 8192
+    X = np.column_stack([_colliding_rows(n, 73)[0], make_rng(74).normal(size=n)])
+    thetas = np.vstack([[1.0, 0.0], [-1.0, 0.0], _unit_rows(make_rng(75), 8, 2)])
+    assert len(discrepancies._row_blocks(thetas.shape[0], n)) >= 2
+    ref_values, ref_order = stable_reference(thetas @ X.T)
+    values, order = _project_sorted(X, thetas, True)
+    assert_bitwise(values, ref_values)
+    assert_bitwise(order, ref_order)
+
+
+def test_strictly_increasing_rows_make_no_argsort_call(monkeypatch):
+    r = make_rng(76)
+    values = r.normal(size=(50, 256))
+    X, thetas = r.normal(size=(300, 3)), _unit_rows(r, 20, 3)
+    ref_rows, ref_order = stable_reference(values)
+    ref_proj = stable_reference(thetas @ X.T)
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    ordered, order = stable_sort_rows(values)
+    projected = _project_sorted(X, thetas, True)
+    assert calls == []
+    assert_bitwise(ordered, ref_rows)
+    assert_bitwise(order, ref_order)
+    for got, ref in zip(projected, ref_proj):
+        assert_bitwise(got, ref)
+
+
 def test_project_uses_the_stable_order():
     X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 5.0], [-1.0, 1.0], [1.0, -3.0]])
     p = project(X, np.array([1.0, 0.0]))
