@@ -16,15 +16,17 @@ orientation : per-row tag; 0 pairs both rows ascending, 1 pairs the first row
     ascending against the second descending (the two monotone couplings).
 r : the integer exponent. ``cost_batch`` evaluates r=2 in O(n) through the
     identity below and every other r by the double sum; the tests validate
-    the two against each other and against exact rational arithmetic.
-    A pair of equal distances adds exactly 0 to the double sum, even if their powers overflow.
+    the two against each other and against exact rational arithmetic. A
+    pair of equal distances adds exactly 0 to the double sum, even if their
+    powers overflow.
 
 The per-row cost is
 
     (1-beta) * (1/n) * sum_i |a_i - b_{sigma(i)}|^r
     + beta * (1/n^2) * sum_{ij} (|a_i - a_j|^r - |b_{sigma(i)} - b_{sigma(j)}|^r)^2
 
-minimized over the two monotone couplings sigma. Ties prefer Ascending.
+minimized over the two monotone couplings sigma. Ties prefer Ascending; at
+n=2 and beta=1 every row ties exactly, and the r=2 route keeps Ascending.
 
 The r=2 route: with b in pairing order, delta = a - b and s = a + b,
 (a_i - a_j)^2 - (b_i - b_j)^2 = (delta_i - delta_j)(s_i - s_j), which no
@@ -76,15 +78,15 @@ orientations are the bits of evaluating both couplings in full.
 
 Workspace
 ---------
-The r=2 route's (L, n) temporaries (delta, s, u and the gathered rows) live
-in flat per-thread buffers that grow to the largest batch seen and are viewed
-at each call's shape, so repeated calls do not make the allocator return
-memory to the system and fault it back in. The engines' gradient outputs
-come from the same workspace (``grad_outputs``), and
-``discrepancies._eval_slices`` scatters each row block's before the next.
-Threads never share a buffer, and the maps are private, so a process forked
-after a warm call writes its own copies of the pages. A thread keeps its buffers for its lifetime: at most seven times
-its largest batch (the engines' row blocks keep that near
+The r=2 route's (L, n) temporaries (delta, s, u and the gathered rows) live in
+flat per-thread buffers that grow to the largest batch seen and are viewed at
+each call's shape, so repeated calls do not make the allocator return memory
+to the system and fault it back in. The engines' gradient outputs come from
+the same workspace (``grad_outputs``), and ``discrepancies._eval_slices``
+scatters each row block's before the next. Threads never share a buffer, and
+the maps are private, so a process forked after a warm call writes its own
+copies of the pages. A thread keeps its buffers for its lifetime: at most
+seven times its largest batch (the engines' row blocks keep that near
 ``discrepancies._SLICE_BLOCK_ENTRIES`` entries).
 """
 
@@ -267,6 +269,8 @@ def _cost_ds_np(A, B, beta, b_lead, grads):
             c_asc += beta * _gw_cost(u, s_dd, s_ss, s_u, n)
         if grads is not None:
             _grad_terms(d, s, u, m, s_dd, s_ss, s_u, beta, *grads)
+    if n == 2 and beta == 1.0:  # both pair |a_1 - a_0| with |b_1 - b_0|
+        return c_asc, c_asc
     m, s_dd = _delta(_paired(np.subtract, A, B, b_lead, d))
     c_rev = _w_cost(m, s_dd, n, beta)
     # beta * GW >= 0, so a row whose W part is not below c_asc keeps the

@@ -38,10 +38,11 @@ cloud and L-row batch, then one loop over row blocks of about
 the gradient scatter, whatever the batch size, so that large batches (n in
 the thousands) reuse cache-sized temporaries. Each step after the projection
 works row by row, so the blocks do not change a bit of any result. A
-finite-difference iteration stacks its draws and their 2(d-1) moved
-copies and evaluates them in groups of whole batches (``_stacked_costs``) of
-at most max(L * max(n, m), ``_SLICE_BLOCK_ENTRIES``) entries: at small n one
-call instead of 2(d-1) + 1, with the bits of separate calls.
+finite-difference iteration stacks its draws and their 2(d-1) moved copies
+(``SlicingAscent.fd_directions``) and evaluates them in groups of whole
+batches (``_stacked_costs``) of at most max(L * max(n, m),
+``_SLICE_BLOCK_ENTRIES``) entries: at small n one call instead of 2(d-1) + 1,
+with the bits of separate calls.
 """
 
 from __future__ import annotations
@@ -227,9 +228,9 @@ def _validate_pair(mu, nu):
 
 # Row blocks of a slice batch keep each (rows, points) temporary near this
 # many entries (256 KB of float64), cache-sized. A small batch runs the loop
-# as one block, into outputs allocated before it: a 100-step particle flow at
-# n = 256 then takes about 140 minor page faults, against about 9,300 when
-# small batches sorted into fresh arrays on a separate path.
+# as one block, into outputs allocated before it: no separate path sorts
+# small batches into fresh arrays, whose pages a particle flow faulted in
+# again at every step.
 _SLICE_BLOCK_ENTRIES = 32_768
 
 
@@ -423,27 +424,21 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
     """One iteration of every engine's and flow's ascent: draw L directions,
     evaluate their slices (with point gradients when ``pathwise``) and take
     the location gradient, raising DivergenceError on a non-finite objective
-    or gradient. Finite differences evaluate the draws together with their
-    moved copies (``_stacked_costs``). Returns (directions, costs, per-slice
-    gradients wrt the rows of X or None, location gradient); the caller takes
-    the Adam step."""
+    or gradient. Finite differences evaluate the draws with their moved
+    copies (``fd_directions``) in one ``_stacked_costs`` call. Returns
+    (directions, costs, per-slice gradients wrt the rows of X or None,
+    location gradient); the caller takes the Adam step."""
     thetas, ctx = ascent.draw(L, rng)
     if pathwise:
         costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)
         _check_finite(engine, "ascent objective", float(costs.mean()), iteration)
         grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
     else:
-        m, gx, drawn = thetas.shape[0], None, []
-
-        def costs_at(moved):
-            # a non-finite objective stops here, before any difference is taken
-            stacked = _stacked_costs(X, Y, np.concatenate([thetas, moved]), cfg, m)
-            drawn.append(stacked[:m])
-            _check_finite(engine, "ascent objective", float(drawn[0].mean()), iteration)
-            return stacked[m:]
-
-        grad = ascent.fd_gradient(ctx, costs_at)
-        costs = drawn[0]
+        m, gx = thetas.shape[0], None
+        costs = _stacked_costs(X, Y, np.concatenate([thetas, ascent.fd_directions(ctx)]), cfg, m)
+        # a non-finite objective stops here, before any difference is taken
+        _check_finite(engine, "ascent objective", float(costs[:m].mean()), iteration)
+        costs, grad = costs[:m], ascent.fd_gradient(ctx, costs[m:])
     _check_finite(engine, "location gradient", grad, iteration)
     return thetas, costs, gx, grad
 

@@ -26,18 +26,17 @@ with no frame and no special point.
   basis.
 
 Both return the tangent (Riemannian) gradient, scaled by the component
-weight. Every objective takes a batch: the engines, the flows and
-``estimate_location_gradient`` map (m, d) directions to m values (and their
-(m, d) gradients), so a pathwise estimate is one objective call on the m
-draws, and a finite-difference estimate one call on the 2(d-1) moved batches
-stacked, whatever m.
+weight, and both take data, not callbacks: ``pathwise_gradient`` takes the
+objective's gradients at the m draws, and ``fd_gradient`` its values on the
+stack of moved draws that ``fd_directions`` hands out. So the engines, the
+flows and ``estimate_location_gradient`` evaluate either in one batch call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -168,11 +167,17 @@ def _tangent(loc, ambient):
     return ambient - loc * float(loc @ ambient)
 
 
-class _Draw(NamedTuple):
-    """The drawn directions and their component indices (none for "uniform")."""
+@dataclass(frozen=True, eq=False)
+class _Draw:
+    """Drawn directions, their component indices (none for "uniform") and locations."""
 
     idx: np.ndarray
     thetas: np.ndarray
+    locs: np.ndarray
+
+    @cached_property
+    def bases(self) -> list:
+        return [tangent_basis(loc) for loc in self.locs]
 
 
 class SlicingAscent:
@@ -209,15 +214,15 @@ class SlicingAscent:
 
     def draw(self, L: int, rng: Rng):
         """(thetas, ctx): L directions (k for "dirac") and the context that
-        ``pathwise_gradient`` / ``fd_gradient`` need; a "uniform" draw's
-        component index is empty."""
+        ``pathwise_gradient``, ``fd_directions`` and ``fd_gradient`` take; a
+        "uniform" draw's component index is empty."""
         if self.family == "uniform":
             thetas, idx = sample_uniform_sphere(self.locs.shape[1], rng, L), np.empty(0, np.int64)
         elif self.family == "dirac":
             thetas, idx = self.locs.copy(), np.arange(self.locs.shape[0])
         else:
             thetas, idx = _draw_directions(self.family, self.locs, self.kappas, self.alphas, L, rng)
-        return thetas, _Draw(idx, thetas)
+        return thetas, _Draw(idx, thetas, self.locs)
 
     def pathwise_gradient(self, ctx: _Draw, g_theta) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients from the (L, d)
@@ -230,32 +235,31 @@ class SlicingAscent:
             grad[i] = self.alphas[i] * _tangent(self.locs[i], per_sample[sel].mean(axis=0))
         return grad
 
-    def fd_gradient(self, ctx: _Draw, costs_at) -> np.ndarray:
-        """(k, d) alpha-weighted tangent location gradients by central
-        differences along a tangent basis of each location. ``costs_at`` maps
-        (r, d) directions to r costs; it is called once, on 2(d-1) batches of
-        the m drawn directions stacked in the order (tangent index, then +/-
-        sign). In each batch every location has moved along its tangent and
-        carried its draws there by ``assemble_directions`` (common random
-        numbers)."""
+    def fd_directions(self, ctx: _Draw) -> np.ndarray:
+        """(2(d-1) m, d): 2(d-1) batches of the m draws stacked in the order
+        (tangent index, then +/- sign). In each batch every location has moved
+        along its tangent and carried its draws there by
+        ``assemble_directions`` (common random numbers)."""
         k, d = self.locs.shape
-        m = ctx.idx.size
-        comps = list(_components(ctx.idx, k))
-        bases = [tangent_basis(loc) for loc in self.locs]
-        moved = np.empty((2 * (d - 1), m, d))
-        for j in range(d - 1):
-            for s, sign in enumerate((1.0, -1.0)):
-                for i, sel in comps:
-                    loc = project_to_sphere(self.locs[i] + sign * _FD_STEP * bases[i][:, j])
-                    moved[2 * j + s, sel] = assemble_directions(self.locs[i], loc, ctx.thetas[sel])
-        f = costs_at(moved.reshape(-1, d)).reshape(d - 1, 2, m)
-        partials = np.empty((k, d - 1))
-        for j in range(d - 1):
-            for i, sel in comps:
-                partials[i, j] = (f[j, 0, sel].mean() - f[j, 1, sel].mean()) / (2.0 * _FD_STEP)
+        moved = np.empty((d - 1, 2, ctx.idx.size, d))
+        for i, sel in _components(ctx.idx, k):
+            loc, basis = self.locs[i], ctx.bases[i]
+            for j in range(d - 1):
+                for s, sign in enumerate((1.0, -1.0)):
+                    target = project_to_sphere(loc + sign * _FD_STEP * basis[:, j])
+                    moved[j, s, sel] = assemble_directions(loc, target, ctx.thetas[sel])
+        return moved.reshape(-1, d)
+
+    def fd_gradient(self, ctx: _Draw, costs) -> np.ndarray:
+        """(k, d) alpha-weighted tangent location gradients by central
+        differences, from the costs of the ``fd_directions`` stack in its order."""
+        k, d = self.locs.shape
+        f = np.asarray(costs, dtype=np.float64).reshape(d - 1, 2, ctx.idx.size)
         grad = np.zeros_like(self.locs)
-        for i, _ in comps:
-            grad[i] = self.alphas[i] * _tangent(self.locs[i], bases[i] @ partials[i])
+        for i, sel in _components(ctx.idx, k):
+            partials = np.array([f[j, 0, sel].mean() - f[j, 1, sel].mean() for j in range(d - 1)])
+            ambient = ctx.bases[i] @ (partials / (2.0 * _FD_STEP))
+            grad[i] = self.alphas[i] * _tangent(self.locs[i], ambient)
         return grad
 
     def step(self, grad) -> float:
@@ -296,8 +300,8 @@ def estimate_location_gradient(
     ``objective`` maps (m, d) directions to m values, or to the pair (values,
     (m, d) gradients in the directions) that the pathwise method needs. Like
     the engines' slice batches, it is called once: on the L draws (pathwise),
-    or on their 2(d-1) moved copies stacked as ``fd_gradient`` passes them
-    (finite differences, m = 2(d-1) L).
+    or on the ``fd_directions`` stack of their 2(d-1) moved copies, whose
+    values ``fd_gradient`` takes back (finite differences, m = 2(d-1) L).
     Returns a (d,) tangent vector at eps (both methods project out the
     radial component, which carries no information on the sphere). Draws
     and gradients go through ``SlicingAscent`` with one location, which
@@ -316,9 +320,5 @@ def estimate_location_gradient(
         if not isinstance(out, tuple):
             raise ValueError("pathwise estimation needs the objective to return (values, grads)")
         return ascent.pathwise_gradient(ctx, out[1])[0]
-
-    def values_at(directions):
-        out = objective(directions)
-        return np.asarray(out[0] if isinstance(out, tuple) else out, dtype=np.float64)
-
-    return ascent.fd_gradient(ctx, values_at)[0]
+    out = objective(ascent.fd_directions(ctx))
+    return ascent.fd_gradient(ctx, out[0] if isinstance(out, tuple) else out)[0]

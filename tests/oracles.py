@@ -246,11 +246,12 @@ def ds_two_pass(A, B, beta):
     rows at r = 2 by the delta/s identity of ``ssfgw._kernels``, evaluated as
     two passes with every row of both couplings in full: the reversed
     coupling runs the lexicographically larger row backwards, ties prefer the
-    ascending one, and the gradients freeze the chosen coupling."""
+    ascending one (at n = 2 and beta = 1 every row is an exact tie), and the
+    gradients freeze the chosen coupling."""
     b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)], dtype=bool)
     c_asc = _ds_cost(A, B, beta)
     c_rev = _ds_cost(_ds_flipped(A, b_lead), _ds_flipped(B, ~b_lead), beta)
-    rev = c_rev < c_asc
+    rev = (c_rev < c_asc) & (A.shape[1] != 2 or beta != 1.0)
     flip_a, flip_b = rev & b_lead, rev & ~b_lead
     ga, gb = _ds_grads(_ds_flipped(A, flip_a), _ds_flipped(B, flip_b), beta)
     return (np.where(rev, c_rev, c_asc), rev.astype(np.uint8),

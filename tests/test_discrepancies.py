@@ -580,12 +580,17 @@ def test_engine_reports_do_not_depend_on_row_blocks(monkeypatch):
 
 
 def _fd_ascent(family, d, seed):
-    # a vMF ascent (one location, kappa 10) or a Dirac one (three rows)
-    locs = _unit_rows(make_rng(seed), 1 if family == "vmf" else 3, d)
-    return SlicingAscent(family, locs, (10.0,) if family == "vmf" else ())
+    # a vMF or power spherical ascent (one location, kappa 10), a Dirac one
+    # (three rows) or a three-component vMF mixture
+    if family in ("vmf", "power_spherical"):
+        return SlicingAscent(family, _unit_rows(make_rng(seed), 1, d), (10.0,))
+    locs = _unit_rows(make_rng(seed), 3, d)
+    if family == "dirac":
+        return SlicingAscent("dirac", locs)
+    return SlicingAscent("vmf", locs, (5.0, 10.0, 20.0), (0.2, 0.3, 0.5))
 
 
-@pytest.mark.parametrize("family", ["vmf", "dirac"])
+@pytest.mark.parametrize("family", ["vmf", "dirac", "power_spherical", "mixture"])
 @pytest.mark.parametrize("d", [2, 3, 40])
 @pytest.mark.parametrize("r_exp", [2, 3])
 def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
@@ -600,6 +605,9 @@ def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
     )
     reference = _fd_ascent(family, d, 89)
     ref_thetas, ctx = reference.draw(L, make_rng(90))
+    if family == "mixture":
+        # every component drew, and their draws interleave
+        assert set(ctx.idx) == {0, 1, 2} and (np.diff(ctx.idx) < 0).any()
     ref_costs = _eval_slices(Y, X, ref_thetas, cfg, want_grads=False)[0]
     m = ref_thetas.shape[0]
 
@@ -609,7 +617,7 @@ def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
             for i in range(0, stacked.shape[0], m)
         ])
 
-    ref_grad = reference.fd_gradient(ctx, one_call_per_batch)
+    ref_grad = reference.fd_gradient(ctx, one_call_per_batch(reference.fd_directions(ctx)))
     assert gx is None
     assert_bitwise(thetas, ref_thetas)
     assert_bitwise(costs, ref_costs)
@@ -751,6 +759,30 @@ def test_report_shape_and_projection_accounting():
     assert isinstance(rep.final_slicing, VmfSlicing)
     assert rep.final_slicing.params.concentration == 10.0
     assert abs(np.linalg.norm(rep.final_slicing.params.location) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["pathwise", "finite_difference"])
+@pytest.mark.parametrize("kind", ["ssfg", "pssfg", "mssfg", "max_sfg"])
+def test_ascent_stops_once_the_locations_stay(kind, method):
+    # against a row permutation of itself every slice costs exactly 0, so the
+    # location gradient is 0, Adam leaves the locations where they are (up to
+    # their renormalization) and the ascent stops after its first iteration
+    d, L = 2, 20
+    X = iid_pair(43, d=d)[0]
+    Y = X[make_rng(44).permutation(X.shape[0])]
+    opt = OptimizerConfig(max_iter=5, num_projections=L, gradient_method=method)
+    rng = make_rng(45)
+    if kind == "max_sfg":
+        rep = max_sfg(X, Y, CFG, opt, rng, num_restarts=L)
+    elif kind == "mssfg":
+        rep = mssfg(X, Y, CFG, [5.0, 20.0], opt=opt, rng=rng)
+    else:
+        rep = {"ssfg": ssfg, "pssfg": pssfg}[kind](X, Y, CFG, 10.0, opt, rng)
+    assert rep.trace == ((1, 0.0),)
+    # one iteration (finite differences add 2(d-1) moved copies of each
+    # slice), then the fresh final batch
+    per_iteration = L if method == "pathwise" else L * (2 * d - 1)
+    assert rep.num_projections_used == per_iteration + L == (40 if method == "pathwise" else 80)
 
 
 def test_final_slicing_types_per_engine():

@@ -205,7 +205,6 @@ def test_near_agreement_matches_exact_rationals():
     cases = [(n, beta, _AGREEMENTS) for n in range(2, 14) for beta in (0.0, 0.1, 1.0)]
     cases.append((64, 0.1, (1e-9,)))
     worst_cost = worst_grad = 0.0
-    ties = set()
     for n, beta, agreements in cases:
         A, B = _agreeing_rows(rng, n, agreements)
         costs, orients, GA, GB = _fused(A, B, beta)
@@ -213,17 +212,13 @@ def test_near_agreement_matches_exact_rationals():
             exact = exact_costs(a, b, beta, 2)
             assert exact[k] == min(exact), "the kernel chose the costlier coupling"
             if exact[0] == exact[1]:
-                # At n = 2 and beta = 1 both couplings cost the same, and the
-                # kernel may return the reversed one, whose paired values do
-                # not agree (8.2e-7 off on one of these 6 rows): README
-                # "Backends" states that limit.
-                ties.add((n, beta))
-                continue
+                # an exact tie (every row at n = 2 and beta = 1) keeps the
+                # ascending coupling, whose paired values agree
+                assert k == 0, (n, beta)
             worst_cost = max(worst_cost, _max_error([cost], [exact[k]]) / float(exact[k]))
             ea, eb = exact_grads(a, b, beta)[k]
             top = float(max(abs(g) for g in ea + eb))
             worst_grad = max(worst_grad, max(_max_error(ga, ea), _max_error(gb, eb)) / top)
-    assert ties <= {(2, 1.0)}
     assert worst_cost <= _EXACT_R2_TOL, f"worst relative cost error {worst_cost:.2e}"
     assert worst_grad <= _EXACT_R2_TOL, f"worst relative gradient error {worst_grad:.2e}"
 

@@ -218,7 +218,7 @@ def test_slicing_draw_at_the_degenerate_points(family, kappa):
     ascent = SlicingAscent(family, pole, kappas=(kappa,))
     thetas, ctx = ascent.draw(50, rng)
     pathwise = ascent.pathwise_gradient(ctx, grad_at(thetas))
-    fd = ascent.fd_gradient(ctx, costs_at)
+    fd = ascent.fd_gradient(ctx, costs_at(ascent.fd_directions(ctx)))
     assert np.linalg.norm(pathwise) > 0.0
     assert np.abs(pathwise - fd).max() <= 1e-2 * np.abs(fd).max()
     # at d = 2 the tangent draw lives on S^0
@@ -242,7 +242,8 @@ def test_location_gradient_is_tangent():
             ascent = SlicingAscent(family, _locations(rng, k, 5), (10.0,) * k, alphas)
             thetas, ctx = ascent.draw(64, rng)
             g_theta = 2.0 * (thetas @ a)[:, None] * a
-            for grad in (ascent.pathwise_gradient(ctx, g_theta), ascent.fd_gradient(ctx, costs_at)):
+            fd = ascent.fd_gradient(ctx, costs_at(ascent.fd_directions(ctx)))
+            for grad in (ascent.pathwise_gradient(ctx, g_theta), fd):
                 assert grad.shape == (k, 5)
                 for loc, g in zip(ascent.locs, grad):
                     assert abs(float(loc @ g)) <= 1e-12 * np.linalg.norm(g), (family, k)
@@ -275,6 +276,9 @@ def _fd_reference(ascent, ctx, costs_at):
     "family, k", [("vmf", 1), ("vmf", 3), ("power_spherical", 1), ("dirac", 3)]
 )
 def test_fd_gradient_makes_one_call_on_every_moved_batch(family, k):
+    # fd_directions stacks every moved batch in (tangent index, sign) order,
+    # so that one call on the stack gives fd_gradient the bits of one call
+    # per location, tangent index and sign
     rng = make_rng(36)
     d, L = 5, 40
     a = rng.normal(size=d)
@@ -286,15 +290,19 @@ def test_fd_gradient_makes_one_call_on_every_moved_batch(family, k):
     alphas = np.array([0.2, 0.3, 0.5]) if k == 3 else None
     ascent = SlicingAscent(family, _locations(rng, k, d), (10.0,) * k, alphas)
     thetas, ctx = ascent.draw(L, rng)
-    rows = []
-
-    def counting(directions):
-        rows.append(directions.shape[0])
-        return costs_at(directions)
-
-    grad = ascent.fd_gradient(ctx, counting)
-    assert thetas.shape[0] == (k if family == "dirac" else L)
-    assert rows == [2 * (d - 1) * thetas.shape[0]]
+    m = thetas.shape[0]
+    assert m == (k if family == "dirac" else L)
+    stack = ascent.fd_directions(ctx)
+    assert stack.shape == (2 * (d - 1) * m, d)
+    moved = stack.reshape(d - 1, 2, m, d)
+    for i, loc in enumerate(ascent.locs):
+        sel = ctx.idx == i
+        basis = tangent_basis(loc)
+        for j in range(d - 1):
+            for s, sign in enumerate((1.0, -1.0)):
+                at = project_to_sphere(loc + sign * 1e-4 * basis[:, j])
+                assert np.array_equal(moved[j, s, sel], assemble_directions(loc, at, thetas[sel]))
+    grad = ascent.fd_gradient(ctx, costs_at(stack))
     assert np.array_equal(grad, _fd_reference(ascent, ctx, costs_at))
 
 
@@ -377,7 +385,8 @@ def _pole_estimates(case, loc):
     per_sample = per_sample - np.outer(per_sample @ loc, loc)
     se = per_sample.std(axis=0, ddof=1) / math.sqrt(max(int(sel.sum()), 1))
     pathwise = ascent.pathwise_gradient(ctx, g_theta)
-    return pathwise, ascent.fd_gradient(ctx, costs_at), ascent.alphas[0] * se
+    fd = ascent.fd_gradient(ctx, costs_at(ascent.fd_directions(ctx)))
+    return pathwise, fd, ascent.alphas[0] * se
 
 
 @given(pole_cases())
@@ -531,7 +540,7 @@ def test_full_ascent_loop_reaches_maximizer():
 
 def test_estimator_calls_its_objective_once_per_batch():
     # pathwise: one call on the L draws; finite differences: one on the
-    # 2(d-1) moved batches stacked, as the engines' fd_gradient makes
+    # 2(d-1) moved batches stacked, as fd_directions hands them out
     rng = make_rng(34)
     for d in (2, 3, 6):
         eps = unit_vector(rng.normal(size=d))
