@@ -42,11 +42,8 @@ from .sphere_opt import (
 from .discrepancies import (
     DiracSlicing,
     DiscrepancyReport,
-    MixtureVmfSlicing,
     OptimizerConfig,
-    PowerSphericalSlicing,
     UniformSlicing,
-    VmfSlicing,
     expected_fgw,
     max_sfg,
     mssfg,
@@ -110,11 +107,8 @@ __all__ = [
     "tangent_basis",
     "DiracSlicing",
     "DiscrepancyReport",
-    "MixtureVmfSlicing",
     "OptimizerConfig",
-    "PowerSphericalSlicing",
     "UniformSlicing",
-    "VmfSlicing",
     "expected_fgw",
     "max_sfg",
     "mssfg",

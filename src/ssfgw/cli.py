@@ -5,8 +5,8 @@ Subcommands: ``discrepancy``, ``sweep-kappa``, ``convergence``, ``flow``,
 std_error) plus a JSON metadata sidecar echoing the configuration and seed;
 with no ``--output`` the CSV goes to stdout and no sidecar is written. Floats
 are serialized with their shortest round-trip representation so reruns diff
-cleanly. Exit codes: 0 success, 1 input error (including unknown flags), 2
-numeric divergence while computing.
+cleanly. Exit codes: 0 success, 1 input error (including unknown flags and
+paths that cannot be read or written), 2 numeric divergence while computing.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ def parse_point_cloud(path) -> np.ndarray:
     decimals, optional single header line (a first line none of whose cells
     is a number); trailing whitespace-only lines are ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}") from exc
@@ -432,6 +433,10 @@ def main(argv=None) -> int:
         return 0
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an --output or --particles-out path that cannot be written
+        print(f"error: {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except (DivergenceError, SamplingError) as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)

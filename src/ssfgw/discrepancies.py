@@ -10,6 +10,10 @@
   and scaled by that component's weight. A single-component mixture follows
   the exact ssfg path (identical stream, identical trace).
 
+The slicing distributions are ``UniformSlicing``, ``DiracSlicing`` and the
+parameter classes ``sampling.VmfParams``, ``PowerSphericalParams`` and
+``MixtureVmfParams`` themselves, which the engines report as ``final_slicing``.
+
 SSFG, PSSFG and MSSFG differ only in the distribution whose locations they
 ascend, and max_sfg is its Dirac limit. So the four ascents and the flows run
 one iteration, ``_ascent_step``: draw directions from the
@@ -106,29 +110,8 @@ class DiracSlicing:
         object.__setattr__(self, "direction", _check_direction(self.direction))
 
 
-@dataclass(frozen=True)
-class VmfSlicing:
-    """von Mises-Fisher distributed directions."""
-
-    params: VmfParams
-
-
-@dataclass(frozen=True)
-class PowerSphericalSlicing:
-    """Power-spherical distributed directions."""
-
-    params: PowerSphericalParams
-
-
-@dataclass(frozen=True)
-class MixtureVmfSlicing:
-    """Mixture-of-vMF distributed directions."""
-
-    params: MixtureVmfParams
-
-
 SlicingDistribution = Union[
-    UniformSlicing, DiracSlicing, VmfSlicing, PowerSphericalSlicing, MixtureVmfSlicing
+    UniformSlicing, DiracSlicing, VmfParams, PowerSphericalParams, MixtureVmfParams
 ]
 
 
@@ -143,15 +126,14 @@ def sample_slicing(slicing: SlicingDistribution, d: int, L: int, rng: Rng) -> np
         if slicing.direction.size != d:
             raise ValueError("slicing dimension does not match the clouds")
         return np.tile(slicing.direction, (L, 1))
-    if not isinstance(slicing, (VmfSlicing, PowerSphericalSlicing, MixtureVmfSlicing)):
+    if not isinstance(slicing, (VmfParams, PowerSphericalParams, MixtureVmfParams)):
         raise ValueError(f"unknown slicing distribution: {slicing!r}")
-    params = slicing.params
-    if params.dim != d:
+    if slicing.dim != d:
         raise ValueError("slicing dimension does not match the clouds")
-    if isinstance(slicing, MixtureVmfSlicing):
-        return _sample("vmf", params.components, params.weights, rng, L)[0]
-    family = "vmf" if isinstance(slicing, VmfSlicing) else "power_spherical"
-    return _sample(family, (params,), None, rng, L)[0]
+    if isinstance(slicing, MixtureVmfParams):
+        return _sample("vmf", slicing.components, slicing.weights, rng, L)[0]
+    family = "vmf" if isinstance(slicing, VmfParams) else "power_spherical"
+    return _sample(family, (slicing,), None, rng, L)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +454,11 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
     trace = [(it, float(row.mean())) for it, row in enumerate(history, 1)]
     comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(locs, kappas))
     if kind == "mssfg":
-        final_slicing = MixtureVmfSlicing(MixtureVmfParams(comps, ascent.alphas))
+        final_slicing = MixtureVmfParams(comps, ascent.alphas)
     elif kind == "ssfg":
-        final_slicing = VmfSlicing(comps[0])
+        final_slicing = comps[0]
     else:
-        final_slicing = PowerSphericalSlicing(PowerSphericalParams(locs[0], kappas[0]))
+        final_slicing = PowerSphericalParams(locs[0], kappas[0])
     return _report(kind, costs, final_slicing, trace, projections)
 
 

@@ -1,7 +1,10 @@
 """Directional sampling on the unit sphere S^{d-1}.
 
 Samplers for the uniform, von Mises-Fisher (vMF), power spherical (PS), and
-mixture-of-vMF distributions.
+mixture-of-vMF distributions. Their parameter classes (``VmfParams``,
+``PowerSphericalParams``, ``MixtureVmfParams``) are also the slicing
+distributions of ``discrepancies``: ``sample_slicing`` draws from them, and
+the smoothed engines report them as their final slicing.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (no global
 state). Every public sampler accepts an optional ``size`` for batched draws;

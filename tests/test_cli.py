@@ -102,6 +102,31 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param("\ufeff1.0,2.0\n3.0,4.0\n", id="before-data"),
+    pytest.param("\ufeffx,y\n1.0,2.0\n3.0,4.0\n", id="before-header"),
+])
+def test_byte_order_mark_is_dropped(tmp_path, text):
+    # spreadsheet exports often start their UTF-8 files with a byte-order mark
+    p = tmp_path / "c.csv"
+    p.write_text(text, encoding="utf-8")
+    assert np.array_equal(parse_point_cloud(p), [[1.0, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["discrepancy", "A", "B", "--kind", "sfg", "--L", "4", "--output"], id="output"),
+    pytest.param(["flow", "A", "--steps", "2", "--L", "4", "--particles-out"],
+                 id="particles-out"),
+])
+def test_unwritable_output_path_is_an_input_error(clouds, tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing" / "x.csv")
+    paths = {"A": clouds[0], "B": clouds[1]}
+    code, out, err = run_cli([paths.get(arg, arg) for arg in argv] + [missing], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
 def test_cloud_round_trip_is_element_identical(tmp_path):
     gnarly = np.array(
         [

@@ -19,11 +19,8 @@ from ssfgw.discrepancies import (
     DiracSlicing,
     DiscrepancyReport,
     DivergenceError,
-    MixtureVmfSlicing,
     OptimizerConfig,
-    PowerSphericalSlicing,
     UniformSlicing,
-    VmfSlicing,
     _ascent_step,
     _eval_slices,
     _project_sorted,
@@ -44,7 +41,15 @@ from ssfgw.fgw import (
     project,
     stable_sort_rows,
 )
-from ssfgw.sampling import MixtureVmfParams, VmfParams, make_rng, sample_mixture_vmf
+from ssfgw.sampling import (
+    MixtureVmfParams,
+    PowerSphericalParams,
+    VmfParams,
+    make_rng,
+    sample_mixture_vmf,
+    sample_power_spherical,
+    sample_vmf,
+)
 from ssfgw.sphere_opt import GradientMethod, SlicingAscent
 
 from oracles import fgw_1d_bruteforce
@@ -663,15 +668,23 @@ def test_sample_slicing_dispatch():
     theta = np.array([0.0, 1.0, 0.0])
     dirac = sample_slicing(DiracSlicing(theta), 3, 5, rng)
     assert np.array_equal(dirac, np.tile(theta, (5, 1)))
-    vmf = sample_slicing(VmfSlicing(VmfParams(theta, 50.0)), 3, 100, rng)
-    assert np.abs(np.linalg.norm(vmf, axis=1) - 1.0).max() <= 1e-12
-    assert (vmf @ theta).mean() > 0.9
+    vmf = VmfParams(theta, 50.0)
+    draws = sample_slicing(vmf, 3, 100, rng)
+    assert np.abs(np.linalg.norm(draws, axis=1) - 1.0).max() <= 1e-12
+    assert (draws @ theta).mean() > 0.9
+    # the parameter classes are the slicing distributions: each draws the
+    # stream of its public sampler
+    assert np.array_equal(sample_slicing(vmf, 3, 40, make_rng(42)),
+                          sample_vmf(vmf, make_rng(42), 40))
+    ps = PowerSphericalParams(theta, 50.0)
+    assert np.array_equal(sample_slicing(ps, 3, 40, make_rng(43)),
+                          sample_power_spherical(ps, make_rng(43), 40))
     comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(np.eye(3), (5.0, 50.0, 0.0)))
     params = MixtureVmfParams(comps, np.array([0.5, 0.3, 0.2]))
-    mixture = sample_slicing(MixtureVmfSlicing(params), 3, 40, make_rng(41))
+    mixture = sample_slicing(params, 3, 40, make_rng(41))
     assert np.array_equal(mixture, sample_mixture_vmf(params, make_rng(41), 40)[0])
     with pytest.raises(ValueError):
-        sample_slicing(MixtureVmfSlicing(params), 4, 40, rng)
+        sample_slicing(params, 4, 40, rng)
 
 
 def test_sample_slicing_dimension_mismatch():
@@ -756,9 +769,9 @@ def test_report_shape_and_projection_accounting():
     # 4 ascent batches of 37 plus the fresh final batch
     assert rep.num_projections_used == 4 * 37 + 37
     assert rep.std_error >= 0.0
-    assert isinstance(rep.final_slicing, VmfSlicing)
-    assert rep.final_slicing.params.concentration == 10.0
-    assert abs(np.linalg.norm(rep.final_slicing.params.location) - 1.0) <= 1e-12
+    assert isinstance(rep.final_slicing, VmfParams)
+    assert rep.final_slicing.concentration == 10.0
+    assert abs(np.linalg.norm(rep.final_slicing.location) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["pathwise", "finite_difference"])
@@ -794,11 +807,11 @@ def test_final_slicing_types_per_engine():
     )
     assert isinstance(
         pssfg(X, Y, CFG, kappa=5.0, opt=opt, rng=make_rng(4)).final_slicing,
-        PowerSphericalSlicing,
+        PowerSphericalParams,
     )
     mix = mssfg(X, Y, CFG, kappas=[2.0, 8.0], opt=opt, rng=make_rng(5)).final_slicing
-    assert isinstance(mix, MixtureVmfSlicing)
-    assert len(mix.params.components) == 2
+    assert isinstance(mix, MixtureVmfParams)
+    assert len(mix.components) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1122,8 +1135,8 @@ def test_mssfg_single_component_reduces_to_ssfg():
     assert mixed.value == single.value
     assert mixed.std_error == single.std_error
     assert np.array_equal(
-        mixed.final_slicing.params.components[0].location,
-        single.final_slicing.params.location,
+        mixed.final_slicing.components[0].location,
+        single.final_slicing.location,
     )
 
 
@@ -1145,7 +1158,7 @@ def test_mssfg_default_weights_are_uniform():
     X, Y = iid_pair(50, d=3)
     opt = OptimizerConfig(max_iter=2, num_projections=30)
     rep = mssfg(X, Y, CFG, kappas=[1.0, 4.0, 9.0], opt=opt, rng=make_rng(25))
-    assert np.allclose(rep.final_slicing.params.weights, 1.0 / 3.0)
+    assert np.allclose(rep.final_slicing.weights, 1.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
