@@ -142,11 +142,8 @@ def _center_rows(X):
 
 
 def _flipped(X, rows):
-    # X with the marked rows reversed (X itself if none is, a view if all are)
-    if rows.all():
-        return X[:, ::-1]
-    if not rows.any():
-        return X
+    # a copy of X with the marked rows reversed; only the O(n^2) routes call
+    # it, where the O(n) copy of a row is small next to its double sum
     return np.where(rows[:, None], X[:, ::-1], X)
 
 

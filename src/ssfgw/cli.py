@@ -6,15 +6,18 @@ std_error) plus a JSON metadata sidecar echoing the configuration and seed;
 with no ``--output`` the CSV goes to stdout and no sidecar is written. Floats
 are serialized with their shortest round-trip representation so reruns diff
 cleanly. Exit codes: 0 success, 1 input error (including unknown flags and
-paths that cannot be read or written), 2 numeric divergence while computing.
+paths that cannot be read or written; output paths are checked before anything
+is computed), 2 numeric divergence while computing.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -236,7 +239,6 @@ def _opt_from_args(args) -> OptimizerConfig:
         max_iter=args.max_iter,
         num_projections=args.L,
         gradient_method=GradientMethod(args.gradient_method.replace("-", "_")),
-        seed=args.seed,
     )
 
 
@@ -249,12 +251,11 @@ def _kind_kappas(args):
     return kind, args.kappas
 
 
-def _cmd_discrepancy(args):
+def _cmd_discrepancy(args, rng):
     X = parse_point_cloud(args.source)
     Y = parse_point_cloud(args.target)
     cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
     opt = _opt_from_args(args)
-    rng = np.random.default_rng(args.seed)
     kind, kappas = _kind_kappas(args)
     if kind == "sfg":
         report = sfg(X, Y, cfg, L=args.L, rng=rng)
@@ -280,7 +281,7 @@ def _table_rows(result):
     return [(r.metric, r.parameter, r.value, r.std_error) for r in result.table]
 
 
-def _cmd_sweep(args):
+def _cmd_sweep(args, rng):
     X = parse_point_cloud(args.source)
     Y = parse_point_cloud(args.target)
     cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
@@ -291,12 +292,12 @@ def _cmd_sweep(args):
         args.kappas,
         _opt_from_args(args),
         trials=args.trials,
-        rng=np.random.default_rng(args.seed),
+        rng=rng,
     )
     return _table_rows(result)
 
 
-def _cmd_convergence(args):
+def _cmd_convergence(args, rng):
     cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
     result = convergence_rate(
         args.d,
@@ -305,7 +306,7 @@ def _cmd_convergence(args):
         cfg,
         args.kappa,
         _opt_from_args(args),
-        rng=np.random.default_rng(args.seed),
+        rng=rng,
         metric=args.metric.replace("-", "_"),
     )
     return _table_rows(result)
@@ -326,7 +327,7 @@ def _flow_objective(args) -> FlowObjective:
     )
 
 
-def _cmd_flow(args):
+def _cmd_flow(args, rng):
     Y = parse_point_cloud(args.target)
     objective = _flow_objective(args)
     num_particles = args.num_particles if args.num_particles is not None else Y.shape[0]
@@ -341,7 +342,7 @@ def _cmd_flow(args):
         objective,
         steps=args.steps,
         step_size=args.step_size,
-        rng=np.random.default_rng(args.seed),
+        rng=rng,
         snapshot_every=args.snapshot_every,
     )
     if args.particles_out is not None:
@@ -356,7 +357,7 @@ def _cmd_flow(args):
     return rows
 
 
-def _cmd_gmm(args):
+def _cmd_gmm(args, rng):
     Y = parse_point_cloud(args.target)
     params = gmm_fit(
         Y,
@@ -365,7 +366,7 @@ def _cmd_gmm(args):
         steps=args.steps,
         step_size=args.step_size,
         batch=args.batch,
-        rng=np.random.default_rng(args.seed),
+        rng=rng,
     )
     rows = []
     k, d = params.means.shape
@@ -407,6 +408,24 @@ def _sidecar_path(output: str) -> str:
     return output.removesuffix(".csv") + ".meta.json"
 
 
+def _check_output_paths(args) -> None:
+    """Reject, before anything is computed, an output path that is a
+    directory or whose parent is not one. A write that fails only when it
+    happens (a full disk) reaches main's OSError handler."""
+    paths = [] if args.output is None else [args.output, _sidecar_path(args.output)]
+    if getattr(args, "particles_out", None) is not None:
+        paths.append(args.particles_out)
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            reason = errno.EISDIR
+        elif not os.path.isdir(parent):
+            reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        raise CliInputError(f"{path}: {os.strerror(reason)}")
+
+
 def _emit(args, rows) -> None:
     text = _format_rows(rows)
     if args.output is None:
@@ -425,23 +444,21 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        _check_output_paths(args)
         # overflow reaches the user as DivergenceError (exit 2); numpy's
         # floating-point warnings would only repeat it on stderr
         with np.errstate(all="ignore"):
-            rows = _DISPATCH[args.command](args)
+            rows = _DISPATCH[args.command](args, np.random.default_rng(args.seed))
         _emit(args, rows)
         return 0
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
-        # an --output or --particles-out path that cannot be written
+        # a write that fails only when it happens, such as --output /dev/full
         print(f"error: {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return 1
     except (DivergenceError, SamplingError) as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # CliInputError and every rejected setting
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,12 +29,13 @@ naming the kind.
 The clouds may hold n and m points where one size divides the other; the
 engines then compare their quantile functions (``fgw.spread_rows``).
 
-Every engine consumes an explicit ``numpy.random.Generator``; with a shared
-seed the direction stream does not depend on argument order, and the per-slice
-kernels are exactly swap-symmetric, so each discrepancy is exactly symmetric
-in its two clouds. Evaluation inside the engines uses the O(n) delta/s kernels
-for r=2 (validated against the O(n^2) reference in the tests, also on
-nearly-agreeing clouds) and the direct double sum otherwise.
+Every estimator draws only from its ``rng`` (fresh entropy when omitted);
+with a shared seed the direction stream does not depend on argument order,
+and the per-slice kernels are exactly swap-symmetric, so each discrepancy is
+exactly symmetric in its two clouds. The engines evaluate r=2 slices with the
+O(n) delta/s kernels and other exponents with the O(n^2) double sum; the tests
+check the kernels against that sum, and on nearly-agreeing clouds, where the
+float sum loses digits, against exact rationals.
 
 Every slice batch goes through ``_eval_slices``: one projection product per
 cloud and L-row batch, then one loop over row blocks of about
@@ -145,9 +146,9 @@ def sample_slicing(slicing: SlicingDistribution, d: int, L: int, rng: Rng) -> np
 class OptimizerConfig:
     """Settings of the slicing-parameter ascent.
 
-    ``num_projections`` is the Monte Carlo batch per iteration, ``seed`` a
-    fallback used only when an engine is called without an explicit generator.
+    ``num_projections`` is the Monte Carlo batch per iteration.
     ``gradient_method`` acts at r=2; other exponents take finite differences.
+    No setting seeds the ascent: the engines draw from their ``rng`` alone.
     """
 
     learning_rate: float = 0.001
@@ -156,7 +157,6 @@ class OptimizerConfig:
     max_iter: int = 10
     num_projections: int = 50
     gradient_method: GradientMethod = GradientMethod.PATHWISE
-    seed: Optional[int] = None
 
     def __post_init__(self):
         _check_adam_settings(self.learning_rate, self.adam_beta1, self.adam_beta2)
@@ -332,11 +332,9 @@ def _mc_std_error(costs: np.ndarray) -> float:
     return float(np.ldexp(spread, exponent))
 
 
-def _resolve_rng(rng, opt: Optional[OptimizerConfig]) -> Rng:
-    if rng is not None:
-        return rng
-    seed = opt.seed if opt is not None else None
-    return np.random.default_rng(seed)
+def _resolve_rng(rng) -> Rng:
+    # an omitted generator draws fresh entropy
+    return np.random.default_rng() if rng is None else rng
 
 
 def _check_finite(engine: str, what: str, values, iteration: int) -> None:
@@ -379,7 +377,7 @@ def expected_fgw(mu, nu, cfg: FgwConfig, slicing: SlicingDistribution, L: int, r
 def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> DiscrepancyReport:
     """Sliced fused Gromov-Wasserstein: expectation over uniform directions."""
     X, Y = _validate_pair(mu, nu)
-    return _expected("sfg", X, Y, cfg, UniformSlicing(), L, _resolve_rng(rng, None))
+    return _expected("sfg", X, Y, cfg, UniformSlicing(), L, _resolve_rng(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +428,7 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
     locations move less than the convergence tolerance, and report the value
     at the final slicing (for max_sfg, at its first best restart)."""
     opt = opt or OptimizerConfig()
-    rng = _resolve_rng(rng, opt)
+    rng = _resolve_rng(rng)
     X, Y = _validate_pair(mu, nu)
     ascent = _slicing_ascent(kind, X.shape[1], rng, opt, kappas, alphas, starts)
     pathwise = cfg.exponent == 2 and opt.gradient_method is GradientMethod.PATHWISE

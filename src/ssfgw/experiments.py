@@ -147,7 +147,7 @@ def kappa_sweep(
     if int(trials) < 1:
         raise ValueError("trials must be >= 1")
     trials = int(trials)
-    rng = _resolve_rng(rng, opt)
+    rng = _resolve_rng(rng)
     kappas = [float(k) for k in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
 
     def row(metric, parameter, engine):
@@ -197,6 +197,8 @@ def convergence_rate(
     """
     opt = opt or OptimizerConfig()
     sizes = [int(n) for n in sample_sizes]
+    if len(sizes) < 2:
+        raise ValueError("at least two sample sizes are needed to fit the slope")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sample sizes must be strictly increasing")
     if min(sizes) < 1:
@@ -206,7 +208,7 @@ def convergence_rate(
     if metric not in ("ssfg", "w1_control"):
         raise ValueError("metric must be 'ssfg' or 'w1_control'")
     trials = int(trials)
-    rng = _resolve_rng(rng, opt)
+    rng = _resolve_rng(rng)
     m = 16 * max(sizes)
     rows = []
     means = []
@@ -337,7 +339,7 @@ def particle_flow(
         raise ValueError("snapshot_every must be >= 1")
     if not np.isfinite(float(step_size)):
         raise ValueError("step_size must be finite")
-    rng = _resolve_rng(rng, None)
+    rng = _resolve_rng(rng)
     cfg = objective.fgw_config()
     X = 0.1 * rng.standard_normal((n, d))
     ascent = _flow_ascent(objective, d, rng)
@@ -384,7 +386,7 @@ def gmm_fit(
         raise ValueError("steps must be >= 0")
     if not np.isfinite(float(step_size)):
         raise ValueError("step_size must be finite")
-    rng = _resolve_rng(rng, None)
+    rng = _resolve_rng(rng)
     cfg = objective.fgw_config()
     means = 0.1 * rng.standard_normal((k, d))
     log_std = np.zeros((k, d))

@@ -118,13 +118,35 @@ def test_byte_order_mark_is_dropped(tmp_path, text):
     pytest.param(["flow", "A", "--steps", "2", "--L", "4", "--particles-out"],
                  id="particles-out"),
 ])
-def test_unwritable_output_path_is_an_input_error(clouds, tmp_path, capsys, argv):
-    missing = str(tmp_path / "missing" / "x.csv")
+def test_unwritable_output_path_is_an_input_error(clouds, tmp_path, capsys, monkeypatch, argv):
+    # found before anything is computed or written
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    entry = {"discrepancy": "sfg", "flow": "particle_flow"}[argv[0]]
+    monkeypatch.setattr(f"ssfgw.cli.{entry}", refuse)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "x.meta.json").mkdir()
+    cases = [("missing/x.csv", "missing/x.csv", "No such file or directory"),
+             ("dir", "dir", "Is a directory")]
+    if argv[0] == "discrepancy":
+        cases.append(("x.csv", "x.meta.json", "Is a directory"))  # the sidecar
+    before = sorted(tmp_path.rglob("*"))
     paths = {"A": clouds[0], "B": clouds[1]}
-    code, out, err = run_cli([paths.get(arg, arg) for arg in argv] + [missing], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {missing}: No such file or directory\n"
+    for path, bad, reason in cases:
+        code, out, err = run_cli([paths.get(arg, arg) for arg in argv] + [str(tmp_path / path)],
+                                 capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {tmp_path / bad}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_write_that_fails_late_is_still_an_input_error(clouds, capsys):
+    code, out, err = run_cli(["discrepancy", *clouds, "--kind", "sfg", "--L", "4",
+                              "--output", "/dev/full"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: output: No space left on device\n"
 
 
 def test_cloud_round_trip_is_element_identical(tmp_path):
@@ -180,6 +202,8 @@ def test_every_trailing_blank_line_is_dropped(tmp_path):
                  id="integer-list"),
     pytest.param(["discrepancy", "CLOUD", "CLOUD"], "1\n2\n3\n",
                  "c.csv: point cloud dimension must be >= 2", id="one-column"),
+    pytest.param(["convergence", "--sizes", "8", "--trials", "2", "--metric", "w1-control"], "",
+                 "at least two sample sizes are needed to fit the slope", id="one-size"),
 ])
 def test_input_errors_that_no_other_test_reaches(tmp_path, capsys, argv, text, message):
     cloud = tmp_path / "c.csv"

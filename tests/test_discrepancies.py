@@ -1283,14 +1283,6 @@ def test_reports_are_seed_deterministic():
     assert collect() == collect()
 
 
-def test_seed_field_in_config_is_a_fallback_rng():
-    X, Y = iid_pair(54, d=3)
-    opt = OptimizerConfig(max_iter=3, num_projections=30, seed=123)
-    a = ssfg(X, Y, CFG, kappa=5.0, opt=opt)
-    b = ssfg(X, Y, CFG, kappa=5.0, opt=opt)
-    assert a.value == b.value and a.trace == b.trace
-
-
 def test_values_nonnegative_across_engines():
     for seed in (60, 61, 62):
         X, Y = iid_pair(seed, d=2, n=12)

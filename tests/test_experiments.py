@@ -139,6 +139,8 @@ def test_kappa_sweep_high_concentration_row_matches_max_sfg_row():
 def test_convergence_rate_validation():
     with pytest.raises(ValueError):
         convergence_rate(2, [10, 10], 3, CFG, 1.0)
+    with pytest.raises(ValueError, match="at least two sample sizes"):
+        convergence_rate(2, [8], 2, CFG, 1.0, metric="w1_control")
     with pytest.raises(ValueError):
         convergence_rate(2, [20, 10], 3, CFG, 1.0)
     with pytest.raises(ValueError):
