@@ -410,20 +410,25 @@ def _sidecar_path(output: str) -> str:
 
 def _check_output_paths(args) -> None:
     """Reject, before anything is computed, an output path that is a
-    directory or whose parent is not one. A write that fails only when it
-    happens (a full disk) reaches main's OSError handler."""
+    directory, whose parent is not one, or that names the same file as an
+    earlier output path. A write that fails only when it happens (a full
+    disk) reaches main's OSError handler."""
     paths = [] if args.output is None else [args.output, _sidecar_path(args.output)]
     if getattr(args, "particles_out", None) is not None:
         paths.append(args.particles_out)
+    seen = set()
     for path in paths:
-        parent = os.path.dirname(path) or "."
+        parent, real = os.path.dirname(path) or ".", os.path.realpath(path)
         if os.path.isdir(path):
-            reason = errno.EISDIR
+            reason = os.strerror(errno.EISDIR)
         elif not os.path.isdir(parent):
-            reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            reason = os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+        elif real in seen:
+            reason = "names the same file as another output"
         else:
+            seen.add(real)
             continue
-        raise CliInputError(f"{path}: {os.strerror(reason)}")
+        raise CliInputError(f"{path}: {reason}")
 
 
 def _emit(args, rows) -> None:

@@ -14,11 +14,11 @@ streams.
 The non-uniform samplers and every slicing ascent draw through one routine,
 ``_draw_directions``. In this order it draws the component indices (only for
 mixtures of k > 1), the radial coordinates omega = eps^T theta component by
-component, and one uniform tangent direction v on S^{d-2} per sample; it then
-assembles h = (omega, sqrt(1-omega^2) v) around the first axis and maps e_1 to
-each location eps with the Householder reflection U = I - 2 u u^T,
-u = (e_1 - eps)/||e_1 - eps||. The reflection only samples: no location
-gradient differentiates through it.
+component, and one uniform tangent direction v on S^{d-2} per sample. Then, in
+one pass over the draws, it assembles h = (omega, sqrt(1-omega^2) v) around the
+first axis and reflects each onto its own component's location eps by
+U = I - 2 u u^T, u = (e_1 - eps)/||e_1 - eps||. The reflection only samples: no
+location gradient differentiates through it.
 
 The vMF radial coordinates come from Wood's rejection sampler. Each round
 proposes about 5/3 of the pending count plus 8 and keeps the first accepted
@@ -202,7 +202,8 @@ def _vmf_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
         a = (dd + 2 kappa + R) / 4
         mconst = 4ab/(1+b) - dd log dd
     A proposal psi ~ Beta(dd/2, dd/2) maps to omega and is accepted when
-    dd*log(t) - t + mconst >= log(u), t = 2ab / (1 - (1-b) psi).
+    dd*log(t) - t + mconst >= log(u), t = 2ab / (1 - (1-b) psi). Where 4 kappa^2
+    overflows (kappa > ~6.7e153), b and a are taken over 4, with R/4 = hypot(kappa/2, dd/4).
 
     Accepted proposals are i.i.d. draws from the target, so a round may
     propose more than it needs and keep the first accepted ones in proposal
@@ -213,9 +214,13 @@ def _vmf_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
     """
     dd = float(d - 1)
     root = math.sqrt(4.0 * kappa * kappa + dd * dd)
-    b = dd / (2.0 * kappa + root)
-    a = (dd + 2.0 * kappa + root) / 4.0
-    mconst = 4.0 * a * b / (1.0 + b) - dd * math.log(dd)
+    if math.isinf(root):
+        q = math.hypot(kappa / 2.0, dd / 4.0)
+        b, a = dd / 4.0 / (kappa / 2.0 + q), dd / 4.0 + kappa / 2.0 + q
+    else:
+        b, a = dd / (2.0 * kappa + root), (dd + 2.0 * kappa + root) / 4.0
+    ab = a * b  # 4.0 * a overflows at the largest kappa; scaling ab is exact
+    mconst = 4.0 * ab / (1.0 + b) - dd * math.log(dd)
     out = np.empty(m)
     filled = 0
     for _ in range(_MAX_REJECTION_ROUNDS):
@@ -226,7 +231,7 @@ def _vmf_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
         psi = _beta_draw(dd / 2.0, dd / 2.0, rng, k)
         denom = 1.0 - (1.0 - b) * psi
         omega = (1.0 - (1.0 + b) * psi) / denom
-        t = 2.0 * a * b / denom
+        t = 2.0 * ab / denom
         u = rng.random(k)
         with np.errstate(divide="ignore", invalid="ignore"):
             accept = dd * np.log(t) - t + mconst >= np.log(u)
@@ -253,59 +258,48 @@ def _ps_omega(kappa: float, d: int, m: int, rng: Rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pole_gap(location: np.ndarray):
-    # the unit axis u of the reflection, or None within 1e-12 of e_1
-    w = -location.copy()
-    w[0] += 1.0
-    rho = float(np.linalg.norm(w))
-    return None if rho < _UNIT_TOL else w / rho
+def _pole_gaps(locations: np.ndarray) -> np.ndarray:
+    # the unit axes u of the reflections, one per row (..., d); u = 0 (no
+    # reflection) for a location within 1e-12 of e_1
+    w = -locations
+    w[..., 0] += 1.0
+    rho = np.linalg.norm(w, axis=-1, keepdims=True)
+    return np.where(rho < _UNIT_TOL, 0.0, w / np.maximum(rho, _UNIT_TOL))
 
 
 def householder_matrix(location) -> np.ndarray:
     """The reflection U = I - 2uu^T with U e_1 = location (identity when
-    location is within 1e-12 of e_1)."""
-    eps = np.asarray(location, dtype=np.float64)
-    u = _pole_gap(eps)
-    if u is None:
-        return np.eye(eps.size)
-    return np.eye(eps.size) - 2.0 * np.outer(u, u)
+    location is within 1e-12 of e_1); a (k, d) stack of locations gives the
+    (k, d, d) stack of reflections."""
+    u = _pole_gaps(np.asarray(location, dtype=np.float64))
+    return np.eye(u.shape[-1]) - 2.0 * u[..., :, None] * u[..., None, :]
 
 
 def _assemble_directions(location: np.ndarray, omega: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Build pole-frame samples h = (omega, sqrt(1-omega^2) v) and reflect
-    them onto ``location``."""
+    each onto ``location``: one (d,) location, or one per sample."""
     radial = np.sqrt(np.clip(1.0 - omega * omega, 0.0, None))
     h = np.concatenate([omega[:, None], radial[:, None] * v], axis=1)
-    u = _pole_gap(location)
-    if u is None:
-        return h
-    return h - 2.0 * np.outer(h @ u, u)
-
-
-def _components(idx: np.ndarray, k: int):
-    # (component, mask of its directions) for every component that drew any
-    for i in range(k):
-        sel = idx == i
-        if sel.any():
-            yield i, sel
+    u = _pole_gaps(location)
+    return h - 2.0 * (h * u).sum(axis=1, keepdims=True) * u
 
 
 def _draw_directions(family: str, locs: np.ndarray, kappas, weights, L: int, rng: Rng):
     """(thetas, idx): L directions from a mixture of one family ("vmf" or
     "power_spherical") around the (k, d) ``locs``, with component
     probabilities ``weights`` (unused when k = 1), and their component
-    indices. The location gradients use the directions, not the noise."""
+    indices. Only the radial draws go component by component, in index
+    order; the reflections take one pass over all draws. The location
+    gradients use the directions, not the noise."""
     k, d = locs.shape
     idx = np.zeros(L, dtype=np.int64) if k == 1 else rng.choice(k, size=L, p=weights)
     radial = _vmf_omega if family == "vmf" else _ps_omega
     omega = np.empty(L)
-    for i, sel in _components(idx, k):
-        omega[sel] = radial(kappas[i], d, int(sel.sum()), rng)
+    for i, count in enumerate(np.bincount(idx, minlength=k)):
+        if count:
+            omega[idx == i] = radial(kappas[i], d, int(count), rng)
     v = _uniform_sphere(d - 1, rng, L)
-    thetas = np.empty((L, d))
-    for i, sel in _components(idx, k):
-        thetas[sel] = _assemble_directions(locs[i], omega[sel], v[sel])
-    return thetas, idx
+    return _assemble_directions(locs[idx], omega, v), idx
 
 
 # ---------------------------------------------------------------------------

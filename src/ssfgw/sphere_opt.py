@@ -26,10 +26,12 @@ with no frame and no special point.
   basis.
 
 Both return the tangent (Riemannian) gradient, scaled by the component
-weight, and both take data, not callbacks: ``pathwise_gradient`` takes the
-objective's gradients at the m draws, and ``fd_gradient`` its values on the
-stack of moved draws that ``fd_directions`` hands out. So the engines, the
-flows and ``estimate_location_gradient`` evaluate either in one batch call.
+weight, and take one pass over the draws of every component: each row is the
+mean over its component's draws, 0 for a component that drew nothing. Both
+take data, not callbacks: ``pathwise_gradient`` takes the objective's
+gradients at the m draws, and ``fd_gradient`` its values on the stack of moved
+draws that ``fd_directions`` hands out. So the engines, the flows and
+``estimate_location_gradient`` evaluate either in one batch call.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .sampling import (
     _check_concentration,
     _check_directions,
     _check_weights,
-    _components,
     _draw_directions,
     householder_matrix,
     sample_uniform_sphere,
@@ -127,8 +128,8 @@ def project_to_sphere(v) -> np.ndarray:
 
 def tangent_basis(eps) -> np.ndarray:
     """Orthonormal (d, d-1) basis of the tangent space at eps: columns 2..d of
-    the Householder reflection mapping e_1 to eps."""
-    return householder_matrix(eps)[:, 1:]
+    the Householder reflection mapping e_1 to eps ((k, d, d-1) for k rows)."""
+    return householder_matrix(eps)[..., 1:]
 
 
 def reflection_location_grads(eps, thetas, grad_theta) -> np.ndarray:
@@ -151,20 +152,22 @@ def assemble_directions(eps, moved, thetas) -> np.ndarray:
     by the rotation R in their plane with R eps = moved: with w = eps + moved,
     R x = x - (w^T x / (1 + eps^T moved)) w + 2 (eps^T x) moved, which is
     I + K + K^2 / (1 + eps^T moved) for K = moved eps^T - eps moved^T. It acts
-    on theta - eps, so theta = eps lands on moved exactly."""
+    on theta - eps, so theta = eps lands on moved exactly. ``eps`` and ``moved``
+    may also give one row per direction, with leading axes that broadcast: each
+    row is carried by its own arithmetic, whatever is stacked beside it."""
     eps = np.asarray(eps, dtype=np.float64)
     moved = np.asarray(moved, dtype=np.float64)
     w = eps + moved
     offsets = np.asarray(thetas, dtype=np.float64) - eps
-    along = (offsets @ w) / (1.0 + float(eps @ moved))
-    return moved + offsets - np.outer(along, w) + 2.0 * np.outer(offsets @ eps, moved)
+    along = (offsets * w).sum(axis=-1, keepdims=True) / (1.0 + (eps * moved).sum(axis=-1, keepdims=True))
+    return moved + offsets - along * w + 2.0 * (offsets * eps).sum(axis=-1, keepdims=True) * moved
 
 
-def _tangent(loc, ambient):
-    # the Riemannian gradient: the radial part carries no information on the
-    # sphere, and Adam's per-coordinate scaling would amplify it into steps
-    # that the renormalization cancels
-    return ambient - loc * float(loc @ ambient)
+def _tangent(locs, ambient):
+    # the Riemannian gradients, row by row: the radial part carries no
+    # information on the sphere, and Adam's per-coordinate scaling would
+    # amplify it into steps that the renormalization cancels
+    return ambient - locs * (locs * ambient).sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,8 +179,16 @@ class _Draw:
     locs: np.ndarray
 
     @cached_property
-    def bases(self) -> list:
-        return [tangent_basis(loc) for loc in self.locs]
+    def bases(self) -> np.ndarray:
+        # (k, d, d-1): the tangent basis at every location
+        return tangent_basis(self.locs)
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        # (m, k): the weight of every draw in its component's mean; a
+        # component that drew nothing has weight 0 everywhere
+        onehot = self.idx[:, None] == np.arange(len(self.locs))
+        return onehot / np.maximum(onehot.sum(axis=0), 1)
 
 
 class SlicingAscent:
@@ -227,40 +238,29 @@ class SlicingAscent:
     def pathwise_gradient(self, ctx: _Draw, g_theta) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients from the (L, d)
         objective gradients in the drawn directions."""
-        grad = np.zeros_like(self.locs)
         if ctx.idx.size == 0:  # "uniform": no location to move
-            return grad
+            return np.zeros_like(self.locs)
         per_sample = reflection_location_grads(self.locs[ctx.idx], ctx.thetas, g_theta)
-        for i, sel in _components(ctx.idx, len(self.locs)):
-            grad[i] = self.alphas[i] * _tangent(self.locs[i], per_sample[sel].mean(axis=0))
-        return grad
+        return self.alphas[:, None] * _tangent(self.locs, ctx.means.T @ per_sample)
 
     def fd_directions(self, ctx: _Draw) -> np.ndarray:
         """(2(d-1) m, d): 2(d-1) batches of the m draws stacked in the order
         (tangent index, then +/- sign). In each batch every location has moved
         along its tangent and carried its draws there by
         ``assemble_directions`` (common random numbers)."""
-        k, d = self.locs.shape
-        moved = np.empty((d - 1, 2, ctx.idx.size, d))
-        for i, sel in _components(ctx.idx, k):
-            loc, basis = self.locs[i], ctx.bases[i]
-            for j in range(d - 1):
-                for s, sign in enumerate((1.0, -1.0)):
-                    target = project_to_sphere(loc + sign * _FD_STEP * basis[:, j])
-                    moved[j, s, sel] = assemble_directions(loc, target, ctx.thetas[sel])
-        return moved.reshape(-1, d)
+        tangents = np.moveaxis(ctx.bases, -1, 0)  # (d-1, k, d)
+        targets = self.locs + _FD_STEP * np.stack([tangents, -tangents], axis=1)
+        targets /= np.linalg.norm(targets, axis=-1, keepdims=True)
+        moved = assemble_directions(self.locs[ctx.idx], targets[:, :, ctx.idx], ctx.thetas)
+        return moved.reshape(-1, self.locs.shape[1])
 
     def fd_gradient(self, ctx: _Draw, costs) -> np.ndarray:
         """(k, d) alpha-weighted tangent location gradients by central
         differences, from the costs of the ``fd_directions`` stack in its order."""
-        k, d = self.locs.shape
-        f = np.asarray(costs, dtype=np.float64).reshape(d - 1, 2, ctx.idx.size)
-        grad = np.zeros_like(self.locs)
-        for i, sel in _components(ctx.idx, k):
-            partials = np.array([f[j, 0, sel].mean() - f[j, 1, sel].mean() for j in range(d - 1)])
-            ambient = ctx.bases[i] @ (partials / (2.0 * _FD_STEP))
-            grad[i] = self.alphas[i] * _tangent(self.locs[i], ambient)
-        return grad
+        f = np.asarray(costs, dtype=np.float64).reshape(-1, 2, ctx.idx.size)
+        partials = (f[:, 0] - f[:, 1]) @ ctx.means / (2.0 * _FD_STEP)  # (d-1, k)
+        ambient = np.einsum("kij,jk->ki", ctx.bases, partials)
+        return self.alphas[:, None] * _tangent(self.locs, ambient)
 
     def step(self, grad) -> float:
         """One projected Adam ascent step; returns how far the locations moved.

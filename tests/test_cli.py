@@ -131,11 +131,16 @@ def test_unwritable_output_path_is_an_input_error(clouds, tmp_path, capsys, monk
              ("dir", "dir", "Is a directory")]
     if argv[0] == "discrepancy":
         cases.append(("x.csv", "x.meta.json", "Is a directory"))  # the sidecar
+    else:  # --particles-out names the results file or their sidecar
+        same = "names the same file as another output"
+        cases += [("o.csv", "o.csv", same, "--output", "o.csv"),
+                  ("o.meta.json", "o.meta.json", same, "--output", "o.csv")]
     before = sorted(tmp_path.rglob("*"))
     paths = {"A": clouds[0], "B": clouds[1]}
-    for path, bad, reason in cases:
-        code, out, err = run_cli([paths.get(arg, arg) for arg in argv] + [str(tmp_path / path)],
-                                 capsys)
+    for path, bad, reason, *more in cases:
+        extra = [more[0], str(tmp_path / more[1])] if more else []
+        code, out, err = run_cli(
+            [paths.get(arg, arg) for arg in argv] + [str(tmp_path / path)] + extra, capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {tmp_path / bad}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before
@@ -283,6 +288,19 @@ def test_non_finite_slicing_parameters_are_input_errors(clouds, capsys, flags, m
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["discrepancy", "A", "B", "--kappa", "1e154"], id="discrepancy-1e154"),
+    pytest.param(["flow", "B", "--kappa", "1e200", "--steps", "2"], id="flow-1e200"),
+])
+def test_concentrations_whose_square_overflows_are_valid(clouds, capsys, argv):
+    # the vMF sampler's constants stay finite at every finite concentration
+    paths = {"A": clouds[0], "B": clouds[1]}
+    code, out, err = run_cli([paths.get(arg, arg) for arg in argv] + ["--L", "4", "--seed", "0"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert out
 
 
 @pytest.mark.parametrize("argv, message", [

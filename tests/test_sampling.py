@@ -315,6 +315,18 @@ def test_vmf_high_concentration_hugs_location():
     assert t.min() > 0.99
 
 
+@pytest.mark.parametrize("kappa", [1e154, 1e200, 1e300, np.finfo(float).max])
+def test_vmf_at_concentrations_whose_square_overflows(kappa):
+    # 4 kappa^2 overflows from about 6.7e153; every finite kappa is valid
+    rng = make_rng(19)
+    for d in (2, 3, 10):
+        loc = _random_location(rng, d)
+        thetas = sample_vmf(VmfParams(loc, kappa), rng, 64)
+        assert np.isfinite(thetas).all()
+        assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(thetas - loc).max() <= 1e-12, (kappa, d)
+
+
 def test_power_spherical_mean_resultant_closed_form():
     L = 100_000
     rng = make_rng(17)

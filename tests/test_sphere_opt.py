@@ -237,14 +237,19 @@ def test_location_gradient_is_tangent():
         return (thetas @ a) ** 2
 
     for family in ("vmf", "dirac"):
-        for k in (1, 3):
-            alphas = np.array([0.2, 0.3, 0.5]) if k == 3 else None
+        # the last mixture has a component of weight 0: it never draws (a
+        # "dirac" location always does), and its gradient row is exactly 0
+        for alphas in (None, [0.2, 0.3, 0.5], [0.5, 0.0, 0.5]):
+            k = 1 if alphas is None else 3
             ascent = SlicingAscent(family, _locations(rng, k, 5), (10.0,) * k, alphas)
             thetas, ctx = ascent.draw(64, rng)
             g_theta = 2.0 * (thetas @ a)[:, None] * a
             fd = ascent.fd_gradient(ctx, costs_at(ascent.fd_directions(ctx)))
+            idle = ascent.alphas == 0.0
+            assert family == "dirac" or not idle[ctx.idx].any()
             for grad in (ascent.pathwise_gradient(ctx, g_theta), fd):
                 assert grad.shape == (k, 5)
+                assert np.all(grad[idle] == 0.0)
                 for loc, g in zip(ascent.locs, grad):
                     assert abs(float(loc @ g)) <= 1e-12 * np.linalg.norm(g), (family, k)
 
@@ -272,13 +277,18 @@ def _fd_reference(ascent, ctx, costs_at):
     return grad
 
 
-@pytest.mark.parametrize(
-    "family, k", [("vmf", 1), ("vmf", 3), ("power_spherical", 1), ("dirac", 3)]
-)
-def test_fd_gradient_makes_one_call_on_every_moved_batch(family, k):
-    # fd_directions stacks every moved batch in (tangent index, sign) order,
-    # so that one call on the stack gives fd_gradient the bits of one call
-    # per location, tangent index and sign
+@pytest.mark.parametrize("family, alphas", [
+    pytest.param("vmf", None, id="vmf-1"),
+    pytest.param("vmf", [0.2, 0.3, 0.5], id="vmf-3"),
+    pytest.param("power_spherical", None, id="power_spherical-1"),
+    pytest.param("dirac", [0.2, 0.3, 0.5], id="dirac-3"),
+    pytest.param("vmf", [0.5, 0.0, 0.5], id="vmf-3-idle"),  # component 1 never draws
+])
+def test_fd_gradient_makes_one_call_on_every_moved_batch(family, alphas):
+    # fd_directions stacks every moved batch in (tangent index, sign) order:
+    # each batch has the bits of its own assemble_directions call, and one
+    # call on the stack gives fd_gradient what one call per location, tangent
+    # index and sign gives, up to the order of the means' sums
     rng = make_rng(36)
     d, L = 5, 40
     a = rng.normal(size=d)
@@ -287,7 +297,7 @@ def test_fd_gradient_makes_one_call_on_every_moved_batch(family, k):
         # row by row, so a row's cost does not depend on the rows beside it
         return np.cos(3.0 * thetas[:, 0]) + ((thetas * a).sum(axis=1)) ** 2
 
-    alphas = np.array([0.2, 0.3, 0.5]) if k == 3 else None
+    k = 1 if alphas is None else 3
     ascent = SlicingAscent(family, _locations(rng, k, d), (10.0,) * k, alphas)
     thetas, ctx = ascent.draw(L, rng)
     m = thetas.shape[0]
@@ -300,10 +310,13 @@ def test_fd_gradient_makes_one_call_on_every_moved_batch(family, k):
         basis = tangent_basis(loc)
         for j in range(d - 1):
             for s, sign in enumerate((1.0, -1.0)):
-                at = project_to_sphere(loc + sign * 1e-4 * basis[:, j])
+                at = loc + sign * 1e-4 * basis[:, j]
+                at /= np.linalg.norm(at, axis=-1)  # as fd_directions normalizes
                 assert np.array_equal(moved[j, s, sel], assemble_directions(loc, at, thetas[sel]))
     grad = ascent.fd_gradient(ctx, costs_at(stack))
-    assert np.array_equal(grad, _fd_reference(ascent, ctx, costs_at))
+    reference = _fd_reference(ascent, ctx, costs_at)
+    assert np.abs(grad - reference).max() <= 1e-9 * np.abs(reference).max()
+    assert np.array_equal(grad[ascent.alphas == 0.0], reference[ascent.alphas == 0.0])
 
 
 def test_assemble_directions_radial_component():
