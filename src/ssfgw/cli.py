@@ -6,8 +6,8 @@ std_error) plus a JSON metadata sidecar echoing the configuration and seed;
 with no ``--output`` the CSV goes to stdout and no sidecar is written. Floats
 are serialized with their shortest round-trip representation so reruns diff
 cleanly. Exit codes: 0 success, 1 input error (including unknown flags and
-paths that cannot be read or written; output paths are checked before anything
-is computed), 2 numeric divergence while computing.
+paths that cannot be read or written, or an output naming an input; output
+paths are checked before anything is read), 2 numeric divergence.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ import sys
 
 import numpy as np
 
-from .discrepancies import (
-    KINDS,
-    OptimizerConfig,
-    max_sfg,
-    mssfg,
-    pssfg,
-    sfg,
-    ssfg,
-)
+from .discrepancies import KINDS, OptimizerConfig, _engine
 from .experiments import (
     DivergenceError,
     FlowObjective,
@@ -139,6 +131,17 @@ _float_list = _list_parser(float, "number")
 _int_list = _list_parser(int, "integer")
 
 
+def _seed(text: str) -> int:
+    """An argparse type for --seed: numpy takes only non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return seed
+
+
 def _add_ascent_flags(sub):
     # every command's slicing ascent: the fused weight, the batch and Adam
     sub.add_argument("--beta", type=float, default=0.1, help="fused weight in [0,1]")
@@ -169,7 +172,7 @@ def _add_slicing_flags(sub, kappa: float):
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--seed", type=_seed, default=None)
     sub.add_argument("--output", default=None, help="results CSV path (stdout if omitted)")
 
 
@@ -243,12 +246,15 @@ def _opt_from_args(args) -> OptimizerConfig:
 
 
 def _kind_kappas(args):
-    """The kind in the library's spelling and the mssfg concentrations: by
-    default a mixture of 10 components, all at --kappa."""
+    """The kind in the library's spelling and its concentrations: none for
+    sfg and max-sfg, --kappa for ssfg and pssfg, and for mssfg --kappas or
+    by default a mixture of 10 components, all at --kappa."""
     kind = args.kind.replace("-", "_")
-    if kind == "mssfg" and args.kappas is None:
-        return kind, (float(args.kappa),) * 10
-    return kind, args.kappas
+    if kind in ("sfg", "max_sfg"):
+        return kind, ()
+    if kind != "mssfg":
+        return kind, (float(args.kappa),)
+    return kind, (float(args.kappa),) * 10 if args.kappas is None else args.kappas
 
 
 def _cmd_discrepancy(args, rng):
@@ -257,18 +263,9 @@ def _cmd_discrepancy(args, rng):
     cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
     opt = _opt_from_args(args)
     kind, kappas = _kind_kappas(args)
-    if kind == "sfg":
-        report = sfg(X, Y, cfg, L=args.L, rng=rng)
-        param = ""
-    elif kind == "max_sfg":
-        report = max_sfg(X, Y, cfg, opt, rng=rng, num_restarts=args.restarts)
-        param = ""
-    elif kind in ("ssfg", "pssfg"):
-        report = (ssfg if kind == "ssfg" else pssfg)(X, Y, cfg, args.kappa, opt, rng=rng)
-        param = repr(float(args.kappa))
-    else:
-        report = mssfg(X, Y, cfg, kappas, args.alphas, opt, rng=rng)
-        param = ",".join(repr(float(k)) for k in kappas)
+    alphas = args.alphas if kind == "mssfg" else None
+    report = _engine(kind, X, Y, cfg, opt, rng, kappas, alphas, args.restarts)
+    param = ",".join(repr(float(k)) for k in kappas)
     rows = [(kind, param, report.value, report.std_error)]
     for iteration, value in report.trace:
         rows.append(("trace", str(iteration), value, 0.0))
@@ -409,13 +406,14 @@ def _sidecar_path(output: str) -> str:
 
 
 def _check_output_paths(args) -> None:
-    """Reject, before anything is computed, an output path that is a
-    directory, whose parent is not one, or that names the same file as an
-    earlier output path. A write that fails only when it happens (a full
-    disk) reaches main's OSError handler."""
+    """Reject, before anything is read or computed, an output path that is
+    a directory, whose parent is not one, that names an input CSV, or that
+    names the same file as an earlier output path. A write that fails only
+    when it happens (a full disk) reaches main's OSError handler."""
     paths = [] if args.output is None else [args.output, _sidecar_path(args.output)]
     if getattr(args, "particles_out", None) is not None:
         paths.append(args.particles_out)
+    inputs = {os.path.realpath(getattr(args, key)) for key in ("source", "target") if key in args}
     seen = set()
     for path in paths:
         parent, real = os.path.dirname(path) or ".", os.path.realpath(path)
@@ -423,6 +421,8 @@ def _check_output_paths(args) -> None:
             reason = os.strerror(errno.EISDIR)
         elif not os.path.isdir(parent):
             reason = os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+        elif real in inputs:
+            reason = "names an input file"
         elif real in seen:
             reason = "names the same file as another output"
         else:

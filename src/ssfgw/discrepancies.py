@@ -15,16 +15,16 @@ parameter classes ``sampling.VmfParams``, ``PowerSphericalParams`` and
 ``MixtureVmfParams`` themselves, which the engines report as ``final_slicing``.
 
 SSFG, PSSFG and MSSFG differ only in the distribution whose locations they
-ascend, and max_sfg is its Dirac limit. So the four ascents and the flows run
-one iteration, ``_ascent_step``: draw directions from the
-``sphere_opt.SlicingAscent`` that ``_slicing_ascent`` builds for one of the
-``KINDS`` (it validates its own parameters), evaluate the slices and pull
-their gradients back to the locations; the caller takes the Adam step.
-``_engine`` drives the four ascents, with pathwise location gradients iff r=2
-and ``OptimizerConfig.gradient_method`` is pathwise and finite differences
-otherwise, and draws their final values from the same ascent. A non-finite
-ascent objective, location gradient or final value raises ``DivergenceError``
-naming the kind.
+ascend, max_sfg is its Dirac limit and sfg its uniform member, with no
+location. So every engine and the flows run one iteration, ``_ascent_step``:
+draw directions from the ``sphere_opt.SlicingAscent`` that ``_slicing_ascent``
+builds for one of the ``KINDS`` (it validates its own parameters), evaluate
+the slices and pull their gradients back to the locations; the caller takes
+the Adam step. ``_engine`` drives every kind (sfg takes no iteration), with
+pathwise location gradients iff r=2 and ``OptimizerConfig.gradient_method``
+is pathwise and finite differences otherwise, and draws the final value from
+the same ascent. A non-finite ascent objective, location gradient or final
+value raises ``DivergenceError`` naming the kind.
 
 The clouds may hold n and m points where one size divides the other; the
 engines then compare their quantile functions (``fgw.spread_rows``).
@@ -357,27 +357,17 @@ def _report(engine, costs, slicing, trace, projections) -> DiscrepancyReport:
 
 
 # ---------------------------------------------------------------------------
-# fixed-slicing estimators
+# fixed-slicing estimator
 # ---------------------------------------------------------------------------
-
-
-def _expected(engine, X, Y, cfg, slicing, L, rng) -> DiscrepancyReport:
-    thetas = sample_slicing(slicing, X.shape[1], L, rng)
-    costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
-    return _report(engine, costs, slicing, (), L)
 
 
 def expected_fgw(mu, nu, cfg: FgwConfig, slicing: SlicingDistribution, L: int, rng: Rng) -> DiscrepancyReport:
     """Monte Carlo estimate of the expected fused cost under a fixed slicing
     distribution (no optimization)."""
     X, Y = _validate_pair(mu, nu)
-    return _expected("expected_fgw", X, Y, cfg, slicing, L, rng)
-
-
-def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> DiscrepancyReport:
-    """Sliced fused Gromov-Wasserstein: expectation over uniform directions."""
-    X, Y = _validate_pair(mu, nu)
-    return _expected("sfg", X, Y, cfg, UniformSlicing(), L, _resolve_rng(rng))
+    thetas = sample_slicing(slicing, X.shape[1], L, rng)
+    costs, _, _ = _eval_slices(X, Y, thetas, cfg, want_grads=False)
+    return _report("expected_fgw", costs, slicing, (), L)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +377,8 @@ def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> Discr
 
 def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):
     """The ``SlicingAscent`` of a kind in dimension d: no locations for sfg,
-    ``starts`` uniform directions for max_sfg, one uniform location per
-    concentration otherwise. ``settings`` (``OptimizerConfig`` or
+    ``starts`` (>= 1) uniform directions for max_sfg, one uniform location
+    per concentration otherwise. ``settings`` (``OptimizerConfig`` or
     ``FlowObjective``) gives the Adam learning rate and betas."""
     adam = (settings.learning_rate, settings.adam_beta1, settings.adam_beta2)
     if kind == "sfg":
@@ -396,6 +386,8 @@ def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):
     if kind != "max_sfg":
         kappas = np.atleast_1d(np.asarray(kappas, dtype=np.float64))
         starts = len(kappas)
+    elif int(starts) < 1:
+        raise ValueError("num_restarts must be >= 1")
     return SlicingAscent(_FAMILIES[kind], sample_uniform_sphere(d, rng, starts), kappas, alphas,
                          *adam)
 
@@ -426,7 +418,8 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
 def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> DiscrepancyReport:
     """Ascend a kind's slicing for up to ``opt.max_iter`` iterations, until the
     locations move less than the convergence tolerance, and report the value
-    at the final slicing (for max_sfg, at its first best restart)."""
+    at the final slicing (for max_sfg, at its first best restart). sfg has
+    no location to move and takes no iteration."""
     opt = opt or OptimizerConfig()
     rng = _resolve_rng(rng)
     X, Y = _validate_pair(mu, nu)
@@ -434,7 +427,7 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
     pathwise = cfg.exponent == 2 and opt.gradient_method is GradientMethod.PATHWISE
     L = opt.num_projections
     history, projections = [], 0
-    for it in range(1, opt.max_iter + 1):
+    for it in range(1, opt.max_iter + 1 if ascent.locs.size else 1):
         _, costs, _, grad = _ascent_step(kind, X, Y, cfg, ascent, L, pathwise, rng, it)
         history.append(costs)
         # a finite-difference gradient evaluates 2(d-1) moved copies of every slice
@@ -451,13 +444,21 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
         return _report(kind, costs[best:best + 1], DiracSlicing(locs[best]), trace, projections)
     trace = [(it, float(row.mean())) for it, row in enumerate(history, 1)]
     comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(locs, kappas))
-    if kind == "mssfg":
+    if kind == "sfg":
+        final_slicing = UniformSlicing()
+    elif kind == "mssfg":
         final_slicing = MixtureVmfParams(comps, ascent.alphas)
     elif kind == "ssfg":
         final_slicing = comps[0]
     else:
         final_slicing = PowerSphericalParams(locs[0], kappas[0])
     return _report(kind, costs, final_slicing, trace, projections)
+
+
+def sfg(mu, nu, cfg: FgwConfig, L: int = 50, rng: Optional[Rng] = None) -> DiscrepancyReport:
+    """Sliced fused Gromov-Wasserstein: expectation over uniform directions,
+    the ascent with nothing to move (one fresh batch of L directions)."""
+    return _engine("sfg", mu, nu, cfg, OptimizerConfig(num_projections=L), rng)
 
 
 def max_sfg(
@@ -473,10 +474,7 @@ def max_sfg(
     one Dirac ``SlicingAscent``, each with weight 1, and they stop together.
     Reports the first restart with the highest final cost and its trace. The
     gradient is pathwise iff r=2 and ``opt`` asks for it, finite-difference otherwise."""
-    R = int(num_restarts)
-    if R < 1:
-        raise ValueError("num_restarts must be >= 1")
-    return _engine("max_sfg", mu, nu, cfg, opt, rng, starts=R)
+    return _engine("max_sfg", mu, nu, cfg, opt, rng, starts=num_restarts)
 
 
 # ---------------------------------------------------------------------------

@@ -123,18 +123,21 @@ def test_unwritable_output_path_is_an_input_error(clouds, tmp_path, capsys, monk
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the output paths were checked")
 
-    entry = {"discrepancy": "sfg", "flow": "particle_flow"}[argv[0]]
+    entry = {"discrepancy": "_engine", "flow": "particle_flow"}[argv[0]]
     monkeypatch.setattr(f"ssfgw.cli.{entry}", refuse)
     (tmp_path / "dir").mkdir()
     (tmp_path / "x.meta.json").mkdir()
+    (tmp_path / "link.csv").symlink_to(clouds[0])
     cases = [("missing/x.csv", "missing/x.csv", "No such file or directory"),
-             ("dir", "dir", "Is a directory")]
+             ("dir", "dir", "Is a directory"),
+             ("a.csv", "a.csv", "names an input file")]  # the first input cloud
     if argv[0] == "discrepancy":
         cases.append(("x.csv", "x.meta.json", "Is a directory"))  # the sidecar
     else:  # --particles-out names the results file or their sidecar
         same = "names the same file as another output"
         cases += [("o.csv", "o.csv", same, "--output", "o.csv"),
-                  ("o.meta.json", "o.meta.json", same, "--output", "o.csv")]
+                  ("o.meta.json", "o.meta.json", same, "--output", "o.csv"),
+                  ("p.csv", "link.csv", "names an input file", "--output", "link.csv")]
     before = sorted(tmp_path.rglob("*"))
     paths = {"A": clouds[0], "B": clouds[1]}
     for path, bad, reason, *more in cases:
@@ -209,6 +212,8 @@ def test_every_trailing_blank_line_is_dropped(tmp_path):
                  "c.csv: point cloud dimension must be >= 2", id="one-column"),
     pytest.param(["convergence", "--sizes", "8", "--trials", "2", "--metric", "w1-control"], "",
                  "at least two sample sizes are needed to fit the slope", id="one-size"),
+    pytest.param(["discrepancy", "CLOUD", "CLOUD", "--seed", "-1"], "1,2\n3,4\n",
+                 "argument --seed: not a non-negative integer: '-1'", id="negative-seed"),
 ])
 def test_input_errors_that_no_other_test_reaches(tmp_path, capsys, argv, text, message):
     cloud = tmp_path / "c.csv"
@@ -388,32 +393,31 @@ def test_discrepancy_of_identical_clouds_is_zero(clouds, capsys):
 
 
 def test_discrepancy_rows_per_kind(clouds, capsys):
+    # every kind's rows print its library engine's report under the same seed
     a, b = clouds
-    common = ["--L", "8", "--max-iter", "2", "--seed", "2"]
-    for kind, param_check in [
-        ("sfg", lambda p: p == ""),
-        ("max-sfg", lambda p: p == ""),
-        ("ssfg", lambda p: p == "10.0"),
-        ("pssfg", lambda p: p == "10.0"),
-        ("mssfg", lambda p: p == ",".join(["10.0"] * 10)),
+    X, Y = parse_point_cloud(a), parse_point_cloud(b)
+    cfg = ssfgw.FgwConfig(beta=0.1, exponent=2)
+    opt = ssfgw.OptimizerConfig(max_iter=2, num_projections=8)
+    common = ["--L", "8", "--max-iter", "2", "--seed", "2", "--restarts", "2"]
+    for kind, flags, param, engine in [
+        ("sfg", [], "", lambda rng: ssfgw.sfg(X, Y, cfg, L=8, rng=rng)),
+        ("max-sfg", [], "", lambda rng: ssfgw.max_sfg(X, Y, cfg, opt, rng, num_restarts=2)),
+        ("ssfg", [], "10.0", lambda rng: ssfgw.ssfg(X, Y, cfg, 10.0, opt, rng)),
+        ("pssfg", [], "10.0", lambda rng: ssfgw.pssfg(X, Y, cfg, 10.0, opt, rng)),
+        ("mssfg", [], ",".join(["10.0"] * 10),
+         lambda rng: ssfgw.mssfg(X, Y, cfg, [10.0] * 10, None, opt, rng)),
+        ("mssfg", ["--kappas", "2,5", "--alphas", "0.3,0.7"], "2.0,5.0",
+         lambda rng: ssfgw.mssfg(X, Y, cfg, [2.0, 5.0], [0.3, 0.7], opt, rng)),
     ]:
-        code, out, err = run_cli(
-            ["discrepancy", a, b, "--kind", kind, "--restarts", "2"] + common,
-            capsys,
-        )
+        code, out, err = run_cli(["discrepancy", a, b, "--kind", kind] + flags + common, capsys)
         assert code == 0, err
-        rows = rows_of(out)
-        assert rows[0][0] == kind.replace("-", "_")
-        assert param_check(rows[0][1])
-        assert float(rows[0][2]) >= 0.0
-        assert rows[-1][0] == "num_projections_used"
-        trace_rows = [r for r in rows if r[0] == "trace"]
-        if kind == "sfg":
-            assert trace_rows == []
-        else:
-            assert [r[1] for r in trace_rows] == [
-                str(i + 1) for i in range(len(trace_rows))
-            ]
+        report = engine(np.random.default_rng(2))
+        assert (report.trace == ()) == (kind == "sfg")
+        expected = [[kind.replace("-", "_"), param, repr(report.value), repr(report.std_error)]]
+        expected += [["trace", str(it), repr(value), "0.0"] for it, value in report.trace]
+        expected.append(
+            ["num_projections_used", "", repr(float(report.num_projections_used)), "0.0"])
+        assert rows_of(out) == expected
 
 
 def test_discrepancy_against_a_multiple_size_matches_replication(tmp_path, capsys):

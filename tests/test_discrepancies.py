@@ -1014,6 +1014,19 @@ def test_expected_fgw_dirac_slicing_has_zero_spread():
     assert rep.value == pytest.approx(direct, rel=1e-12)
 
 
+@pytest.mark.parametrize("L", [1, 7, 50])
+@pytest.mark.parametrize("n, m", [(16, 16), (8, 24), (24, 8)])
+def test_sfg_is_expected_fgw_under_uniform_slicing(L, n, m):
+    # sfg's ascent takes no iteration: its one draw is sample_slicing's
+    r = make_rng(L * 100 + n + m)
+    X, Y = as_point_cloud(r.normal(size=(n, 3))), as_point_cloud(r.normal(size=(m, 3)) * 1.3)
+    rep = sfg(X, Y, CFG, L=L, rng=make_rng(61))
+    assert report_bits(rep) == report_bits(
+        expected_fgw(X, Y, CFG, UniformSlicing(), L, make_rng(61)))
+    assert rep.trace == () and rep.final_slicing == UniformSlicing()
+    assert rep.num_projections_used == L
+
+
 # ---------------------------------------------------------------------------
 # max_sfg
 # ---------------------------------------------------------------------------
