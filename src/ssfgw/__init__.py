@@ -31,12 +31,8 @@ from .sampling import (
     sample_vmf,
 )
 from .sphere_opt import (
-    AdamState,
     GradientMethod,
-    adam_init,
-    adam_step,
     estimate_location_gradient,
-    project_to_sphere,
     tangent_basis,
 )
 from .discrepancies import (
@@ -98,12 +94,8 @@ __all__ = [
     "sample_power_spherical",
     "sample_uniform_sphere",
     "sample_vmf",
-    "AdamState",
     "GradientMethod",
-    "adam_init",
-    "adam_step",
     "estimate_location_gradient",
-    "project_to_sphere",
     "tangent_basis",
     "DiracSlicing",
     "DiscrepancyReport",

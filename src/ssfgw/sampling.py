@@ -63,15 +63,16 @@ def unit_vector(v) -> np.ndarray:
 
 
 def _check_directions(rows) -> np.ndarray:
-    # every row of an (L, d) array: d >= 2, finite, unit norm within 1e-9
+    # every row of an (L, d) array: d >= 2, finite, unit norm within 1e-9; an
+    # array with no rows (every sfg call's uniform ascent) skips the value checks
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("directions must be a 2D (L, d) array")
     if arr.shape[1] < 2:
         raise ValueError("directions live on S^{d-1} with d >= 2")
-    if not np.all(np.isfinite(arr)):
+    if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("direction has non-finite entries")
-    if np.any(np.abs(np.linalg.norm(arr, axis=1) - 1.0) > 1e-9):
+    if arr.size and np.any(np.abs(np.linalg.norm(arr, axis=1) - 1.0) > 1e-9):
         raise ValueError("direction is not unit norm; normalize with unit_vector")
     return arr
 

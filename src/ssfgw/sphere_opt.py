@@ -1,14 +1,15 @@
 """Sphere-constrained first-order optimization and the one slicing path.
 
-Plain bias-corrected Adam on the ambient coordinates followed by projection
-back to S^{d-1} (no Riemannian transport of the moments), and
-``SlicingAscent``: the single direction-sampling and location-gradient path
-that every engine, the flows and ``estimate_location_gradient`` run through.
-It draws directions around k locations of one family (uniform, Dirac, vMF or
-power spherical; k > 1 is a mixture), maps objective information to
-alpha-weighted tangent gradients of the locations, and takes the projected
-Adam step. It checks its own locations, concentrations and weights, so no
-caller needs to.
+``SlicingAscent`` is the single direction-sampling and location-gradient
+path that every engine, the flows and ``estimate_location_gradient`` run
+through. It draws directions around k locations of one family (uniform,
+Dirac, vMF or power spherical; k > 1 is a mixture), maps objective
+information to alpha-weighted tangent gradients of the locations, and takes
+the projected Adam step: plain bias-corrected Adam on the ambient
+coordinates (``adam_step``) followed by projection back to S^{d-1}, with no
+Riemannian transport of the moments. The ascent holds its own Adam state and
+updates it in place. It checks its own locations, concentrations, weights
+and Adam settings, so no caller needs to.
 
 Both gradient estimators move a location eps to eps' by one transport: the
 rotation in the plane of eps and eps' that maps eps to eps' carries every
@@ -36,7 +37,7 @@ draws that ``fd_directions`` hands out. So the engines, the flows and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -50,7 +51,6 @@ from .sampling import (
     _draw_directions,
     householder_matrix,
     sample_uniform_sphere,
-    unit_vector,
 )
 
 # Not called here since the draws moved into sampling._draw_directions; kept
@@ -58,6 +58,7 @@ from .sampling import (
 from .sampling import _ps_omega, _uniform_sphere, _vmf_omega
 
 _FD_STEP = 1e-4
+_ADAM_EPSILON = 1e-8  # added to Adam's root second moment
 
 
 class GradientMethod(Enum):
@@ -65,19 +66,6 @@ class GradientMethod(Enum):
 
     PATHWISE = "pathwise"
     FINITE_DIFFERENCE = "finite_difference"
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """Immutable Adam accumulator; ``adam_step`` returns updated copies."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int
-    learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon_stability: float = 1e-8
 
 
 def _check_adam_settings(learning_rate, beta1, beta2):
@@ -93,37 +81,22 @@ def _check_adam_settings(learning_rate, beta1, beta2):
     return lr, b1, b2
 
 
-def adam_init(shape, learning_rate: float, beta1: float = 0.5, beta2: float = 0.999) -> AdamState:
-    """Fresh Adam state with zero moments for a parameter of ``shape``."""
-    lr, b1, b2 = _check_adam_settings(learning_rate, beta1, beta2)
-    zeros = np.zeros(shape, dtype=np.float64)
-    return AdamState(zeros, zeros.copy(), 0, lr, b1, b2)
-
-
-def adam_step(state: AdamState, gradient, current, ascend: bool = True):
-    """One bias-corrected Adam update. Returns (updated parameter, new state);
-    ``ascend`` adds the step instead of subtracting it. Pure."""
+def adam_step(moments, gradient, step, learning_rate, beta1, beta2) -> np.ndarray:
+    """One bias-corrected Adam update at step count ``step`` (1 first).
+    Updates ``moments``, the stacked first and second moments of the
+    gradient's shape, in place and returns the step to add to the parameter.
+    ``SlicingAscent.step`` is its caller; the package does not export it."""
     g = np.asarray(gradient, dtype=np.float64)
-    x = np.asarray(current, dtype=np.float64)
-    if g.shape != state.first_moment.shape or x.shape != g.shape:
-        raise ValueError("gradient/parameter shape mismatch with Adam state")
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * (g * g)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    delta = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon_stability)
-    updated = x + delta if ascend else x - delta
-    new_state = AdamState(
-        m, v, t, state.learning_rate, state.beta1, state.beta2, state.epsilon_stability
-    )
-    return updated, new_state
-
-
-def project_to_sphere(v) -> np.ndarray:
-    """v / ||v|| (``sampling.unit_vector``); rejects near-zero vectors (caller
-    must reinitialize)."""
-    return unit_vector(v)
+    if g.shape != moments.shape[1:]:
+        raise ValueError("gradient shape mismatch with the Adam moments")
+    m, v = moments
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    return learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
 
 
 def tangent_basis(eps) -> np.ndarray:
@@ -198,10 +171,13 @@ class SlicingAscent:
     direction), "vmf" or "power_spherical" (location of component i drawn
     with concentration ``kappas[i]``, finite and >= 0). ``locs`` is (k, d),
     unit rows; ``alphas`` are mixture weights, uniform by default (1 for each
-    "dirac" location). All are validated here. The smoothed families draw
-    through ``sampling._draw_directions``, the routine behind the public
-    samplers. ``max_sfg``'s restarts are the rows of one "dirac" ascent: they
-    share one Adam state and stop together. A "uniform" ascent moves nothing.
+    "dirac" location); ``learning_rate``, ``beta1`` and ``beta2`` are Adam's
+    settings. All are validated here. The ascent is its own Adam state: one
+    (2, k, d) array of first and second moments and a step count, which
+    ``step`` updates in place. The smoothed families draw through
+    ``sampling._draw_directions``, the routine behind the public samplers.
+    ``max_sfg``'s restarts are the rows of one "dirac" ascent: they share one
+    Adam state and stop together. A "uniform" ascent moves nothing.
     """
 
     def __init__(self, family, locs, kappas=(), alphas=None,
@@ -220,7 +196,9 @@ class SlicingAscent:
         self.kappas = [_check_concentration(kappa) for kappa in kappas] if smoothed else []
         default = np.full(k, 1.0 / k) if smoothed else np.ones(k)
         self.alphas = default if alphas is None else _check_weights(alphas, k, "alphas")
-        self.adam = adam_init(self.locs.shape, learning_rate, beta1, beta2)
+        self._adam = _check_adam_settings(learning_rate, beta1, beta2)
+        self._moments = np.zeros((2, *self.locs.shape))
+        self._steps = 0
         self._shift = 0  # Adam sees gradients times 2^-_shift (see ``step``)
 
     def draw(self, L: int, rng: Rng):
@@ -263,22 +241,27 @@ class SlicingAscent:
         return self.alphas[:, None] * _tangent(self.locs, ambient)
 
     def step(self, grad) -> float:
-        """One projected Adam ascent step; returns how far the locations moved.
+        """One projected Adam ascent step on the (k, d) location gradient
+        ``grad``: ``adam_step`` updates the moments in place, the step is added
+        to the locations and every row is renormalized. Returns how far the
+        locations moved.
 
         Adam sees the gradient times 2^-shift. When that reaches 2^500 the
         shift grows so that it lands just below 2^400, and the moments are
-        rescaled with it (the second by the square). The shift is an exact
-        power of two, so Adam's steps are unchanged while its squares stay
-        far from overflow and its epsilon negligible, at any cloud scale."""
+        rescaled in place with it (the second by the square). The shift is an
+        exact power of two, so Adam's steps are unchanged while its squares
+        stay far from overflow and its epsilon negligible, at any cloud scale."""
         g = np.ldexp(grad, -self._shift) if self._shift else grad
         exponent = int(np.frexp(np.abs(g).max(initial=0.0))[1])
         if exponent > 500:
             k = exponent - 400
             self._shift += k
             g = np.ldexp(g, -k)
-            self.adam = replace(self.adam, first_moment=np.ldexp(self.adam.first_moment, -k),
-                                second_moment=np.ldexp(self.adam.second_moment, -2 * k))
-        updated, self.adam = adam_step(self.adam, g, self.locs, ascend=True)
+            m, v = self._moments
+            np.ldexp(m, -k, out=m)
+            np.ldexp(v, -2 * k, out=v)
+        self._steps += 1
+        updated = self.locs + adam_step(self._moments, g, self._steps, *self._adam)
         updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
         delta = float(np.linalg.norm(updated - self.locs))
         self.locs = updated

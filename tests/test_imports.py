@@ -1,19 +1,21 @@
-"""Every name a module of the package imports is used in that module, every
-private module-level name is referenced, every public kernel function is
-called from another module, and the package imports no scipy:
-no module's source names it in an import, and importing and running the
-package loads none."""
+"""The package root exports exactly its public names, every name a module
+of the package imports is used in that module, every private module-level
+name is referenced, every public kernel function is called from another
+module, and the package imports no scipy: no module's source names it in an
+import, and importing and running the package loads none."""
 
 import ast
 from collections import Counter
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssfgw
 from ssfgw.cli import write_point_cloud
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ssfgw"
@@ -50,6 +52,20 @@ def _unused_imports(tree) -> set:
 def test_every_imported_name_is_used(path):
     unused = _unused_imports(ast.parse(path.read_text()))
     assert unused == TRACER_ALIASES.get(path.stem, set())
+
+
+def test_package_root_exports_exactly_its_public_names():
+    # ``from ssfgw import *`` resolves every name in __all__, and the root
+    # binds no public name (other than its submodules) that __all__ omits
+    namespace = {}
+    exec("from ssfgw import *", namespace)
+    assert set(ssfgw.__all__) <= namespace.keys()
+    public = {
+        name for name, value in vars(ssfgw).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(ssfgw.__all__) - {"__version__"}
+    assert ssfgw.backend_name() == "numpy" and ssfgw.NUMBA_AVAILABLE is False
 
 
 def test_unused_import_is_caught():

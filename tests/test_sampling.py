@@ -173,8 +173,24 @@ def test_vmf_rejection_cap_raises_sampling_error(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reflection frame
+# unit vectors and the reflection frame
 # ---------------------------------------------------------------------------
+
+
+def test_unit_vector_worked_example():
+    assert np.array_equal(unit_vector(np.array([3.0, 4.0])), np.array([0.6, 0.8]))
+
+
+def test_unit_vector_idempotent_on_unit_vectors():
+    rng = make_rng(21)
+    for d in (2, 5, 32):
+        v = _random_location(rng, d)
+        assert np.abs(unit_vector(v) - v).max() <= 1e-15
+
+
+def test_unit_vector_rejects_zero():
+    with pytest.raises(ValueError, match="cannot normalize"):
+        unit_vector(np.zeros(3))
 
 
 def test_householder_maps_pole_to_location():

@@ -1,5 +1,6 @@
-"""Sphere-constrained optimization pieces: projection, the pure Adam update,
-and the two location-gradient estimators for smoothed directional objectives."""
+"""Sphere-constrained optimization pieces: the tangent frame, the in-place
+Adam update and the ascent's Adam step, and the two location-gradient
+estimators for smoothed directional objectives."""
 
 import math
 from typing import NamedTuple
@@ -17,14 +18,11 @@ from ssfgw.sampling import (
     unit_vector,
 )
 from ssfgw.sphere_opt import (
-    AdamState,
     GradientMethod,
     SlicingAscent,
-    adam_init,
     adam_step,
     assemble_directions,
     estimate_location_gradient,
-    project_to_sphere,
     reflection_location_grads,
     tangent_basis,
 )
@@ -33,26 +31,8 @@ from oracles import vmf_mean_resultant_oracle
 
 
 # ---------------------------------------------------------------------------
-# projection and tangent frame
+# tangent frame
 # ---------------------------------------------------------------------------
-
-
-def test_project_to_sphere_worked_example():
-    out = project_to_sphere(np.array([3.0, 4.0]))
-    assert np.array_equal(out, np.array([0.6, 0.8]))
-
-
-def test_project_to_sphere_idempotent_on_unit_vectors():
-    rng = make_rng(21)
-    for d in (2, 5, 32):
-        v = unit_vector(rng.normal(size=d))
-        again = project_to_sphere(v)
-        assert np.abs(again - v).max() <= 1e-15
-
-
-def test_project_to_sphere_rejects_zero():
-    with pytest.raises(ValueError):
-        project_to_sphere(np.zeros(3))
 
 
 def test_tangent_basis_orthonormal_and_orthogonal_to_location():
@@ -71,61 +51,61 @@ def test_tangent_basis_orthonormal_and_orthogonal_to_location():
 
 
 def test_adam_zero_gradient_leaves_parameter_unchanged():
-    state = adam_init((3,), learning_rate=0.1)
-    x = np.array([1.0, -2.0, 0.5])
-    updated, new_state = adam_step(state, np.zeros(3), x)
-    assert np.array_equal(updated, x)
-    assert new_state.step_count == 1
+    moments = np.zeros((2, 3))
+    step = adam_step(moments, np.zeros(3), 1, 0.1, 0.5, 0.999)
+    assert np.array_equal(step, np.zeros(3))
+    assert np.array_equal(moments, np.zeros((2, 3)))
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
     # after bias correction the first step is lr * g / (|g| + stability)
-    state = adam_init((2,), learning_rate=0.03)
+    moments = np.zeros((2, 2))
     g = np.array([5.0, -0.002])
-    updated, _ = adam_step(state, g, np.zeros(2), ascend=False)
-    assert updated[0] == pytest.approx(-0.03, rel=1e-5)
-    assert updated[1] == pytest.approx(0.03, rel=1e-3)
-
-
-def test_adam_ascend_flips_direction():
-    state = adam_init((2,), learning_rate=0.01)
-    g = np.array([1.0, -2.0])
-    down, _ = adam_step(state, g, np.zeros(2), ascend=False)
-    up, _ = adam_step(state, g, np.zeros(2), ascend=True)
-    assert np.array_equal(up, -down)
-
-
-def test_adam_step_is_pure():
-    state = adam_init((2,), learning_rate=0.05)
-    x = np.array([0.3, 0.7])
-    g = np.array([1.0, 1.0])
-    first, _ = adam_step(state, g, x)
-    second, _ = adam_step(state, g, x)
-    assert np.array_equal(first, second)
-    assert state.step_count == 0
-    assert np.array_equal(state.first_moment, np.zeros(2))
-
-
-def test_adam_init_validation():
-    with pytest.raises(ValueError):
-        adam_init((2,), learning_rate=0.0)
-    with pytest.raises(ValueError, match="learning_rate must be positive"):
-        adam_init((2,), learning_rate=np.nan)
-    with pytest.raises(ValueError, match="learning_rate must be finite"):
-        adam_init((2,), learning_rate=np.inf)
-    with pytest.raises(ValueError):
-        adam_init((2,), learning_rate=0.1, beta1=1.0)
-    state = adam_init((3,), learning_rate=0.1)
-    with pytest.raises(ValueError):
-        adam_step(state, np.zeros(2), np.zeros(2))
+    step = adam_step(moments, g, 1, 0.03, 0.5, 0.999)
+    assert step[0] == pytest.approx(0.03, rel=1e-5)
+    assert step[1] == pytest.approx(-0.03, rel=1e-3)
+    # the moments are updated in place
+    assert np.array_equal(moments, [0.5 * g, (1.0 - 0.999) * (g * g)])
 
 
 def test_adam_converges_on_quadratic():
-    state = adam_init((2,), learning_rate=0.05)
+    moments = np.zeros((2, 2))
     x = np.array([2.0, -3.0])
-    for _ in range(400):
-        x, state = adam_step(state, 2.0 * x, x, ascend=False)
+    for t in range(1, 401):
+        x = x - adam_step(moments, 2.0 * x, t, 0.05, 0.5, 0.999)
     assert np.abs(x).max() < 1e-3
+
+
+def test_ascent_step_is_projected_adam_with_a_power_of_two_rescale():
+    # SlicingAscent.step against Adam written out here in the order of its
+    # arithmetic. At the third gradient Adam's input crosses 2^500: from then
+    # on it sees the gradients times 2^-shift, and at the crossing the moments,
+    # still of the first gradients' size, are rescaled by 2^-k (the second by
+    # 2^-2k). Steps larger than the locations carry the last bits of every
+    # step into the locations.
+    rng = make_rng(38)
+    lr, b1, b2 = 3.0, 0.9, 0.99
+    locs = _locations(rng, 2, 3)
+    grads = [rng.normal(size=(2, 3)) * 2.0**e for e in (495, 495, 510, 510, 505)]
+    ascent = SlicingAscent("vmf", locs, (5.0, 5.0), learning_rate=lr, beta1=b1, beta2=b2)
+    x, m, v, shift = locs, np.zeros((2, 3)), np.zeros((2, 3)), 0
+    for t, grad in enumerate(grads, 1):
+        g = grad * 2.0**-shift
+        exponent = math.frexp(np.abs(g).max())[1]
+        if exponent > 500:
+            k = exponent - 400
+            shift += k
+            g, m, v = g * 2.0**-k, m * 2.0**-k, v * 2.0 ** (-2 * k)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        moved = x + lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + 1e-8)
+        moved = moved / np.linalg.norm(moved, axis=1, keepdims=True)
+        delta = ascent.step(grad)
+        assert np.array_equal(ascent._moments, [m, v]), t
+        assert np.array_equal(ascent.locs, moved), t
+        assert delta == float(np.linalg.norm(moved - x)), t
+        x = moved
+    assert 100 < shift == ascent._shift
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +155,19 @@ def test_slicing_ascent_validates_its_parameters(family):
         # rejected when built, not at the first draw
         with pytest.raises(ValueError, match=message):
             SlicingAscent(family, locs, kappas, alphas)
+    for settings, message in (
+        ({"learning_rate": 0.0}, "learning_rate must be positive"),
+        ({"learning_rate": np.nan}, "learning_rate must be positive"),
+        ({"learning_rate": np.inf}, "learning_rate must be finite"),
+        ({"beta1": 1.0}, "Adam betas must lie in"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SlicingAscent(family, e1, (5.0,), **settings)
     ascent = SlicingAscent(family, two, (0.0, 5.0))
     assert ascent.kappas == [0.0, 5.0] and np.array_equal(ascent.alphas, [0.5, 0.5])
+    # a gradient of another shape would broadcast into the moments
+    with pytest.raises(ValueError, match="gradient shape mismatch"):
+        ascent.step(np.zeros(3))
     # Dirac locations carry weight 1 each unless weights are given
     assert np.array_equal(SlicingAscent("dirac", two).alphas, [1.0, 1.0])
     with pytest.raises(ValueError, match="not unit norm"):
@@ -267,7 +258,7 @@ def _fd_reference(ascent, ctx, costs_at):
         for j in range(d - 1):
             f = [
                 costs_at(assemble_directions(
-                    loc, project_to_sphere(loc + sign * 1e-4 * basis[:, j]), ctx.thetas[sel]
+                    loc, unit_vector(loc + sign * 1e-4 * basis[:, j]), ctx.thetas[sel]
                 )).mean()
                 for sign in (1.0, -1.0)
             ]
@@ -535,20 +526,11 @@ def test_full_ascent_loop_reaches_maximizer():
     # maximize E[a . theta]; the optimum location is a itself
     rng = make_rng(32)
     a = unit_vector(np.array([1.0, 2.0, -0.5, 0.3]))
-    eps = unit_vector(rng.normal(size=4))
-    state = adam_init((4,), learning_rate=0.05)
+    ascent = SlicingAscent("vmf", [unit_vector(rng.normal(size=4))], (20.0,), learning_rate=0.05)
     for _ in range(200):
-        grad = estimate_location_gradient(
-            lambda th: (th @ a, np.tile(a, (len(th), 1))),
-            eps,
-            kappa=20.0,
-            L=64,
-            method=GradientMethod.PATHWISE,
-            rng=rng,
-        )
-        moved, state = adam_step(state, grad, eps, ascend=True)
-        eps = project_to_sphere(moved)
-    assert float(a @ eps) > 0.99
+        thetas, ctx = ascent.draw(64, rng)
+        ascent.step(ascent.pathwise_gradient(ctx, np.tile(a, (len(thetas), 1))))
+    assert float(a @ ascent.locs[0]) > 0.99
 
 
 def test_estimator_calls_its_objective_once_per_batch():
