@@ -68,6 +68,22 @@ def test_adam_first_step_magnitude_is_learning_rate():
     assert np.array_equal(moments, [0.5 * g, (1.0 - 0.999) * (g * g)])
 
 
+def test_adam_init_validation():
+    # the Adam settings are checked when the ascent is built
+    e1 = [[1.0, 0.0, 0.0]]
+    for settings, message in (
+        ({"learning_rate": 0.0}, "learning_rate must be positive"),
+        ({"learning_rate": np.nan}, "learning_rate must be positive"),
+        ({"learning_rate": np.inf}, "learning_rate must be finite"),
+        ({"beta1": 1.0}, "Adam betas must lie in"),
+        ({"beta2": 0.0}, "Adam betas must lie in"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SlicingAscent("vmf", e1, (5.0,), **settings)
+    with pytest.raises(ValueError, match="gradient shape mismatch"):
+        adam_step(np.zeros((2, 3)), np.zeros(2), 1, 0.1, 0.5, 0.999)
+
+
 def test_adam_converges_on_quadratic():
     moments = np.zeros((2, 2))
     x = np.array([2.0, -3.0])
@@ -155,14 +171,6 @@ def test_slicing_ascent_validates_its_parameters(family):
         # rejected when built, not at the first draw
         with pytest.raises(ValueError, match=message):
             SlicingAscent(family, locs, kappas, alphas)
-    for settings, message in (
-        ({"learning_rate": 0.0}, "learning_rate must be positive"),
-        ({"learning_rate": np.nan}, "learning_rate must be positive"),
-        ({"learning_rate": np.inf}, "learning_rate must be finite"),
-        ({"beta1": 1.0}, "Adam betas must lie in"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            SlicingAscent(family, e1, (5.0,), **settings)
     ascent = SlicingAscent(family, two, (0.0, 5.0))
     assert ascent.kappas == [0.0, 5.0] and np.array_equal(ascent.alphas, [0.5, 0.5])
     # a gradient of another shape would broadcast into the moments
