@@ -38,6 +38,7 @@ from .sphere_opt import (
 from .discrepancies import (
     DiracSlicing,
     DiscrepancyReport,
+    DivergenceError,
     OptimizerConfig,
     UniformSlicing,
     expected_fgw,
@@ -50,7 +51,6 @@ from .discrepancies import (
     ssfg,
 )
 from .experiments import (
-    DivergenceError,
     ExperimentResult,
     FlowObjective,
     FlowResult,
@@ -99,6 +99,7 @@ __all__ = [
     "tangent_basis",
     "DiracSlicing",
     "DiscrepancyReport",
+    "DivergenceError",
     "OptimizerConfig",
     "UniformSlicing",
     "expected_fgw",
@@ -109,7 +110,6 @@ __all__ = [
     "sfg",
     "slice_costs",
     "ssfg",
-    "DivergenceError",
     "ExperimentResult",
     "FlowObjective",
     "FlowResult",

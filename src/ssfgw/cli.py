@@ -22,9 +22,8 @@ import sys
 
 import numpy as np
 
-from .discrepancies import KINDS, OptimizerConfig, _engine
+from .discrepancies import KINDS, DivergenceError, OptimizerConfig, _engine
 from .experiments import (
-    DivergenceError,
     FlowObjective,
     convergence_rate,
     gmm_fit,
@@ -248,8 +247,11 @@ def _opt_from_args(args) -> OptimizerConfig:
 def _kind_kappas(args):
     """The kind in the library's spelling and its concentrations: none for
     sfg and max-sfg, --kappa for ssfg and pssfg, and for mssfg --kappas or
-    by default a mixture of 10 components, all at --kappa."""
+    by default a mixture of 10 components, all at --kappa. Only mssfg reads
+    --kappas and --alphas; any other kind rejects them."""
     kind = args.kind.replace("-", "_")
+    if kind != "mssfg" and (args.kappas is not None or args.alphas is not None):
+        raise CliInputError(f"--kappas and --alphas apply only to --kind mssfg, not {args.kind}")
     if kind in ("sfg", "max_sfg"):
         return kind, ()
     if kind != "mssfg":
@@ -258,13 +260,12 @@ def _kind_kappas(args):
 
 
 def _cmd_discrepancy(args, rng):
+    kind, kappas = _kind_kappas(args)
     X = parse_point_cloud(args.source)
     Y = parse_point_cloud(args.target)
     cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
     opt = _opt_from_args(args)
-    kind, kappas = _kind_kappas(args)
-    alphas = args.alphas if kind == "mssfg" else None
-    report = _engine(kind, X, Y, cfg, opt, rng, kappas, alphas, args.restarts)
+    report = _engine(kind, X, Y, cfg, opt, rng, kappas, args.alphas, args.restarts)
     param = ",".join(repr(float(k)) for k in kappas)
     rows = [(kind, param, report.value, report.std_error)]
     for iteration, value in report.trace:
@@ -325,8 +326,8 @@ def _flow_objective(args) -> FlowObjective:
 
 
 def _cmd_flow(args, rng):
-    Y = parse_point_cloud(args.target)
     objective = _flow_objective(args)
+    Y = parse_point_cloud(args.target)
     num_particles = args.num_particles if args.num_particles is not None else Y.shape[0]
     if num_particles != Y.shape[0]:
         raise CliInputError(
@@ -355,11 +356,12 @@ def _cmd_flow(args, rng):
 
 
 def _cmd_gmm(args, rng):
+    objective = _flow_objective(args)
     Y = parse_point_cloud(args.target)
     params = gmm_fit(
         Y,
         args.components,
-        _flow_objective(args),
+        objective,
         steps=args.steps,
         step_size=args.step_size,
         batch=args.batch,

@@ -23,8 +23,14 @@ the slices and pull their gradients back to the locations; the caller takes
 the Adam step. ``_engine`` drives every kind (sfg takes no iteration), with
 pathwise location gradients iff r=2 and ``OptimizerConfig.gradient_method``
 is pathwise and finite differences otherwise, and draws the final value from
-the same ascent. A non-finite ascent objective, location gradient or final
-value raises ``DivergenceError`` naming the kind.
+the same ascent.
+
+One rule stops a run, at any scale: a number it needs is not finite. The
+engines check the ascent objective, the location gradient and the final
+value, the flows also their particles and GMM parameters, and every
+``DivergenceError`` comes from ``_check_finite``. Monte Carlo means are
+taken at an exact power-of-two scale (``_mc_estimate``), so finite costs
+whose sum overflows still have their finite mean.
 
 The clouds may hold n and m points where one size divides the other; the
 engines then compare their quantile functions (``fgw.spread_rows``).
@@ -83,8 +89,8 @@ _FAMILIES = {"max_sfg": "dirac", "ssfg": "vmf", "pssfg": "power_spherical", "mss
 
 
 class DivergenceError(RuntimeError):
-    """A computation produced a non-finite (or runaway) state; ``step`` is the
-    ascent iteration or flow step where it was caught."""
+    """A computation produced a non-finite state; ``step`` is the ascent
+    iteration or flow step where it was caught."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)
@@ -323,13 +329,20 @@ def slice_costs(mu, nu, cfg: FgwConfig, directions) -> np.ndarray:
     return costs
 
 
-def _mc_std_error(costs: np.ndarray) -> float:
-    if costs.size < 2:
-        return 0.0
-    # exact power-of-two scaling keeps np.std's squares from over/underflowing
+def _mc_estimate(costs: np.ndarray, std_error: bool = True):
+    """Monte Carlo mean of ``costs`` and its standard error (0 below two
+    costs or when not asked for), at exact power-of-two scales. The mean is
+    only scaled down: a sum of finite costs cannot overflow where their mean
+    is finite, and a subnormal mean keeps a plain mean's one rounding. The
+    spread is scaled both ways, so np.std's squares neither over- nor
+    underflow."""
     _, exponent = np.frexp(np.abs(costs).max())
+    down = max(int(exponent), 0)
+    mean = float(np.ldexp(np.ldexp(costs, -down).mean(), down))
+    if not std_error or costs.size < 2:
+        return mean, 0.0
     spread = np.std(np.ldexp(costs, -exponent), ddof=1) / np.sqrt(costs.size)
-    return float(np.ldexp(spread, exponent))
+    return mean, float(np.ldexp(spread, exponent))
 
 
 def _resolve_rng(rng) -> Rng:
@@ -337,22 +350,22 @@ def _resolve_rng(rng) -> Rng:
     return np.random.default_rng() if rng is None else rng
 
 
-def _check_finite(engine: str, what: str, values, iteration: int) -> None:
+def _check_finite(source: str, what: str, values, iteration: int) -> None:
     if not np.isfinite(values).all():
-        raise DivergenceError(f"{engine}: non-finite {what} (iteration {iteration})", iteration)
+        raise DivergenceError(f"{source}: non-finite {what} (iteration {iteration})", iteration)
 
 
 def _report(engine, costs, slicing, trace, projections) -> DiscrepancyReport:
     """The Monte Carlo value of ``costs`` as a report; non-finite values raise
     DivergenceError."""
-    value = float(costs.mean())
+    value, std_error = _mc_estimate(costs)
     _check_finite(engine, "final value", value, len(trace))
     return DiscrepancyReport(
         value=float(max(value, 0.0)),
         final_slicing=slicing,
         trace=tuple(trace),
         num_projections_used=int(projections),
-        std_error=_mc_std_error(costs),
+        std_error=std_error,
     )
 
 
@@ -398,21 +411,23 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
     the location gradient, raising DivergenceError on a non-finite objective
     or gradient. Finite differences evaluate the draws with their moved
     copies (``fd_directions``) in one ``_stacked_costs`` call. Returns
-    (directions, costs, per-slice gradients wrt the rows of X or None,
-    location gradient); the caller takes the Adam step."""
+    (directions, costs, their mean, per-slice gradients wrt the rows of X or
+    None, location gradient); the caller takes the Adam step."""
     thetas, ctx = ascent.draw(L, rng)
     if pathwise:
         costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)
-        _check_finite(engine, "ascent objective", float(costs.mean()), iteration)
+        value = _mc_estimate(costs, std_error=False)[0]
+        _check_finite(engine, "ascent objective", value, iteration)
         grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
     else:
         m, gx = thetas.shape[0], None
         costs = _stacked_costs(X, Y, np.concatenate([thetas, ascent.fd_directions(ctx)]), cfg, m)
+        value = _mc_estimate(costs[:m], std_error=False)[0]
         # a non-finite objective stops here, before any difference is taken
-        _check_finite(engine, "ascent objective", float(costs[:m].mean()), iteration)
+        _check_finite(engine, "ascent objective", value, iteration)
         costs, grad = costs[:m], ascent.fd_gradient(ctx, costs[m:])
     _check_finite(engine, "location gradient", grad, iteration)
-    return thetas, costs, gx, grad
+    return thetas, costs, value, gx, grad
 
 
 def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> DiscrepancyReport:
@@ -428,8 +443,8 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
     L = opt.num_projections
     history, projections = [], 0
     for it in range(1, opt.max_iter + 1 if ascent.locs.size else 1):
-        _, costs, _, grad = _ascent_step(kind, X, Y, cfg, ascent, L, pathwise, rng, it)
-        history.append(costs)
+        _, costs, value, _, grad = _ascent_step(kind, X, Y, cfg, ascent, L, pathwise, rng, it)
+        history.append((costs, value))
         # a finite-difference gradient evaluates 2(d-1) moved copies of every slice
         projections += costs.size * (1 if pathwise else 2 * X.shape[1] - 1)
         if ascent.step(grad) < _CONVERGENCE_TOL:
@@ -440,9 +455,9 @@ def _engine(kind, mu, nu, cfg, opt, rng, kappas=(), alphas=None, starts=1) -> Di
     if kind == "max_sfg":
         # argmax picks a NaN or inf row if there is one, and _report rejects it
         best = int(np.argmax(costs))
-        trace = [(it, float(row[best])) for it, row in enumerate(history, 1)]
+        trace = [(it, float(row[best])) for it, (row, _) in enumerate(history, 1)]
         return _report(kind, costs[best:best + 1], DiracSlicing(locs[best]), trace, projections)
-    trace = [(it, float(row.mean())) for it, row in enumerate(history, 1)]
+    trace = [(it, value) for it, (_, value) in enumerate(history, 1)]
     comps = tuple(VmfParams(loc, kappa) for loc, kappa in zip(locs, kappas))
     if kind == "sfg":
         final_slicing = UniformSlicing()

@@ -214,6 +214,15 @@ def test_every_trailing_blank_line_is_dropped(tmp_path):
                  "at least two sample sizes are needed to fit the slope", id="one-size"),
     pytest.param(["discrepancy", "CLOUD", "CLOUD", "--seed", "-1"], "1,2\n3,4\n",
                  "argument --seed: not a non-negative integer: '-1'", id="negative-seed"),
+    pytest.param(["discrepancy", "CLOUD", "CLOUD", "--kind", "pssfg", "--kappas", "1,2"],
+                 "1,2\n3,4\n", "--kappas and --alphas apply only to --kind mssfg, not pssfg",
+                 id="kappas-without-mssfg"),
+    pytest.param(["flow", "CLOUD", "--kind", "ssfg", "--alphas", "0.2,0.8"], "1,2\n3,4\n",
+                 "--kappas and --alphas apply only to --kind mssfg, not ssfg",
+                 id="alphas-without-mssfg"),
+    pytest.param(["gmm-fit", "CLOUD", "--kind", "max-sfg", "--kappas", "5"], "",
+                 "--kappas and --alphas apply only to --kind mssfg, not max-sfg",
+                 id="kappas-before-the-cloud-is-read"),
 ])
 def test_input_errors_that_no_other_test_reaches(tmp_path, capsys, argv, text, message):
     cloud = tmp_path / "c.csv"
@@ -306,6 +315,20 @@ def test_concentrations_whose_square_overflows_are_valid(clouds, capsys, argv):
                              capsys)
     assert (code, err) == (0, "")
     assert out
+
+
+def test_sweep_of_finite_costs_whose_sum_overflows_succeeds(tmp_path, capsys):
+    # single-slice costs up to about 8e307: 30 trials' values are finite, but
+    # their sum is not, so the row means are taken at a power-of-two scale
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("0,0\n1,0\n")
+    b.write_text("9e153,0\n9e153,0\n")
+    code, out, err = run_cli(["sweep-kappa", str(a), str(b), "--beta", "0", "--kappas", "10",
+                              "--trials", "30", "--max-iter", "1", "--L", "1", "--seed", "0"],
+                             capsys)
+    assert (code, err) == (0, "")
+    values = [float(row[2]) for row in rows_of(out)]
+    assert len(values) == 3 and all(4e307 < v < 8e307 for v in values)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -48,6 +48,7 @@ from ssfgw.sampling import (
     make_rng,
     sample_mixture_vmf,
     sample_power_spherical,
+    sample_uniform_sphere,
     sample_vmf,
 )
 from ssfgw.sphere_opt import GradientMethod, SlicingAscent
@@ -605,7 +606,7 @@ def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
     Y = np.repeat(Y[:8], 2, axis=0)[:, ::-1].copy()  # 8 points against 16
     cfg = FgwConfig(beta=0.3, exponent=r_exp)
     L = 12
-    thetas, costs, gx, grad = _ascent_step(
+    thetas, costs, value, gx, grad = _ascent_step(
         "ssfg", Y, X, cfg, _fd_ascent(family, d, 89), L, False, make_rng(90), 1
     )
     reference = _fd_ascent(family, d, 89)
@@ -626,6 +627,7 @@ def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
     assert gx is None
     assert_bitwise(thetas, ref_thetas)
     assert_bitwise(costs, ref_costs)
+    assert value == float(ref_costs.mean())
     assert_bitwise(grad, ref_grad)
 
 
@@ -973,6 +975,33 @@ def test_std_error_survives_extreme_cost_scales():
     for std_error in (np.inf, np.nan, -1.0):
         with pytest.raises(ValueError, match="std_error must be finite and >= 0"):
             DiscrepancyReport(1.0, UniformSlicing(), (), 1, std_error)
+
+
+def test_finite_costs_whose_sum_overflows_have_their_finite_mean():
+    # every slice cost is finite, up to about 8.06e307, but 50 of them sum
+    # past the largest double: the Monte Carlo means are taken at a
+    # power-of-two scale
+    X = np.array([[0.0, 0.0], [1.0, 0.0]])
+    Y = X + np.array([9e153, 0.0])
+    cfg = FgwConfig(beta=0.0, exponent=2)
+    costs = slice_costs(X, Y, cfg, sample_uniform_sphere(2, make_rng(0), size=50))
+    assert np.isfinite(costs).all() and costs.max() > 8e307
+    rep = sfg(X, Y, cfg, L=50, rng=make_rng(0))
+    assert rep.value == np.mean(np.ldexp(costs, -10)) * 2.0**10
+    assert rep.std_error == np.std(np.ldexp(costs, -600), ddof=1) / np.sqrt(50) * 2.0**600
+    rep = ssfg(X, Y, cfg, 10.0, rng=make_rng(0))
+    assert np.isfinite(rep.value) and rep.value > 1e307
+    assert len(rep.trace) == 10 and np.isfinite([v for _, v in rep.trace]).all()
+
+
+def test_monte_carlo_mean_has_a_plain_means_bits_wherever_that_is_finite():
+    # far from and near the subnormal range: scaling the costs up would round
+    # a subnormal mean twice
+    rng = make_rng(50)
+    for low, high in ((-300, 300), (-310, -300)):
+        for _ in range(1000):
+            costs = rng.uniform(size=int(rng.integers(1, 60))) ** 4 * 10.0 ** rng.uniform(low, high)
+            assert discrepancies._mc_estimate(costs, std_error=False)[0] == float(costs.mean())
 
 
 @pytest.mark.parametrize("kind", ["ssfg", "pssfg", "max_sfg", "mssfg"])

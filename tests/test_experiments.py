@@ -6,9 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from ssfgw.discrepancies import OptimizerConfig, ssfg
+from ssfgw.discrepancies import KINDS, DivergenceError, OptimizerConfig, ssfg
 from ssfgw.experiments import (
-    DivergenceError,
     ExperimentResult,
     FlowObjective,
     GmmParams,
@@ -161,7 +160,7 @@ def test_convergence_rate_validation():
     pytest.param(lambda: particle_flow(four_mode_gmm(64, make_rng(0)), 64,
                                        FlowObjective(kind="sfg", num_projections=1), steps=3,
                                        step_size=1e307, rng=make_rng(1)), DivergenceError,
-                 "non-finite particle at step 1", id="flow-particle-overflow"),
+                 "particle_flow: non-finite particle (iteration 1)", id="flow-particle-overflow"),
 ])
 def test_experiment_checks_that_no_other_test_reaches(call, error, message):
     with np.errstate(all="ignore"), pytest.raises(error, match=re.escape(message)):
@@ -314,14 +313,27 @@ def test_flow_and_gmm_single_component_mixture_reduce_to_ssfg():
     assert np.array_equal(fits[0].log_std_devs, fits[1].log_std_devs)
 
 
-def test_flow_divergence_reports_step():
+@pytest.mark.parametrize("kind", KINDS)
+def test_flow_divergence_reports_step(kind):
     target = four_mode_gmm(128, make_rng(500))
-    with pytest.raises(DivergenceError) as info:
-        particle_flow(
-            target, 128, FlowObjective(kind="ssfg", kappa=1000.0),
-            steps=50, step_size=1.0, rng=make_rng(3),
-        )
+    objective = FlowObjective(kind=kind, kappa=1000.0,
+                              kappas=(1000.0, 10.0) if kind == "mssfg" else None)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        particle_flow(target, 128, objective, steps=50, step_size=1.0, rng=make_rng(3))
     assert info.value.step >= 1
+    assert str(info.value).startswith(f"{kind}: non-finite")
+
+
+@pytest.mark.parametrize("kind", ["sfg", "ssfg"])
+def test_flows_run_on_a_target_at_large_scale(kind):
+    # the first cost is about 2.5e106: large but finite, so every step runs
+    target = four_mode_gmm(64, make_rng(0)) * 1e26
+    objective = FlowObjective(kind=kind, kappa=10.0)
+    flow = particle_flow(target, 64, objective, steps=20, step_size=0.01, rng=make_rng(1))
+    assert flow.trace.shape == (20,) and np.isfinite(flow.trace).all()
+    assert flow.trace.min() > 1e106 and np.isfinite(flow.particles).all()
+    params = gmm_fit(target, 4, objective, steps=20, step_size=0.01, batch=32, rng=make_rng(2))
+    assert np.isfinite(params.means).all() and np.isfinite(params.log_std_devs).all()
 
 
 def test_flow_trace_smoothed_nonincreasing_at_boundary_step_size():
@@ -448,14 +460,15 @@ def test_gmm_finite_under_default_configuration():
     assert np.isfinite(params.log_std_devs).all()
 
 
-def test_gmm_divergence_reports_step():
+@pytest.mark.parametrize("kind", KINDS)
+def test_gmm_divergence_reports_step(kind):
     target = four_mode_gmm(128, make_rng(500))
-    with pytest.raises(DivergenceError) as info:
-        gmm_fit(
-            target, 4, FlowObjective(kind="ssfg", kappa=10.0),
-            steps=200, step_size=2.0, batch=64, rng=make_rng(4),
-        )
+    objective = FlowObjective(kind=kind, kappa=10.0,
+                              kappas=(10.0, 10.0) if kind == "mssfg" else None)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        gmm_fit(target, 4, objective, steps=200, step_size=2.0, batch=64, rng=make_rng(4))
     assert info.value.step >= 1
+    assert str(info.value).startswith(f"{kind}: non-finite")
 
 
 def test_gmm_determinism():

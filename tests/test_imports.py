@@ -156,6 +156,56 @@ def test_uncalled_public_kernel_function_is_caught():
     assert _uncalled_public_functions(trees, "_kernels") == {"inner", "idle"}
 
 
+def _divergence_errors(trees) -> list:
+    """(module, innermost enclosing function or None) of every call that
+    constructs a ``DivergenceError``, by bare name or as an attribute."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "DivergenceError" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                found.append((module, function))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+            else:
+                visit(child, module, function)
+
+    for module, tree in trees.items():
+        visit(tree, module, None)
+    return found
+
+
+def test_divergence_error_is_raised_only_by_check_finite():
+    # one divergence rule: a number the run needs is not finite
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _divergence_errors(trees) == [("discrepancies", "_check_finite")]
+
+
+def test_stray_divergence_error_is_caught():
+    trees = {
+        "discrepancies": ast.parse(
+            "class DivergenceError(RuntimeError):\n    pass\n"
+            "def _check_finite(values):\n"
+            "    if not values:\n        raise DivergenceError('non-finite', 0)\n"
+        ),
+        "experiments": ast.parse(
+            "from . import discrepancies\n"
+            "def flow(cost):\n"
+            "    def cap():\n        raise discrepancies.DivergenceError('runaway', 1)\n"
+            "    if cost > 1e100:\n        raise DivergenceError('runaway', 1)\n"
+            "ERROR = DivergenceError('at import', 0)\n"
+        ),
+    }
+    assert _divergence_errors(trees) == [
+        ("discrepancies", "_check_finite"),
+        ("experiments", "cap"),
+        ("experiments", "flow"),
+        ("experiments", None),
+    ]
+
+
 def _scipy_imports(tree) -> list:
     """Line of every import of scipy or of a scipy submodule, at any depth
     (function bodies included)."""
