@@ -85,9 +85,11 @@ to the system and fault it back in. The engines' gradient outputs come from
 the same workspace (``grad_outputs``), and ``discrepancies._eval_slices``
 scatters each row block's before the next. Threads never share a buffer, and
 the maps are private, so a process forked after a warm call writes its own
-copies of the pages. A thread keeps its buffers for its lifetime: at most
-seven times its largest batch (the engines' row blocks keep that near
-``discrepancies._SLICE_BLOCK_ENTRIES`` entries).
+copies of the pages. ``discrepancies._sorted_block`` sorts each row block of
+a projection into the same workspace, values and order (intp) for either
+cloud. A thread keeps its buffers for its lifetime: at most eleven times its
+largest batch (the engines' row blocks keep that near
+``discrepancies._SLICE_BLOCK_ENTRIES`` entries, 2.9 MB).
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ import numpy as np
 
 
 class _Workspace(threading.local):
-    """Flat float64 buffers of one thread, by name, that only grow; ``take``
-    views the first rows * cols entries of one as a C-contiguous array.
+    """Flat 8-byte buffers of one thread, by name, that only grow; ``take``
+    views the first rows * cols entries of one as a C-contiguous array of
+    float64 or another 8-byte dtype (the sort orders take intp).
 
     Each buffer is its own private anonymous memory map, outside the malloc
     heap: long-lived buffers inside the heap split the free space that the
@@ -112,13 +115,13 @@ class _Workspace(threading.local):
     def __init__(self):
         self.flat = {}
 
-    def take(self, name, shape):
+    def take(self, name, shape, dtype=np.float64):
         size = shape[0] * shape[1]
         flat = self.flat.get(name)
         if flat is None or flat.size < size:
             pages = mmap.mmap(-1, 8 * max(size, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
             flat = self.flat[name] = np.frombuffer(pages, dtype=np.float64)
-        return flat[:size].reshape(shape)
+        return flat[:size].view(dtype).reshape(shape)
 
 
 _WORKSPACE = _Workspace()
@@ -285,11 +288,16 @@ def _cost_ds_np(A, B, beta, b_lead, grads):
 
 
 def _b_lead_rows(A, B):
-    # Rows where B is lexicographically smaller than A.
-    differs = A != B
-    first = np.argmax(differs, axis=1)
-    rows = np.arange(A.shape[0])
-    return differs.any(axis=1) & (B[rows, first] < A[rows, first])
+    # Rows where B is lexicographically smaller than A, at the first entries
+    # that differ (a NaN differs from everything, +0 and -0 do not). Only
+    # rows whose first entries are equal are scanned further.
+    lead = B[:, 0] < A[:, 0]
+    tied = np.flatnonzero(A[:, 0] == B[:, 0])
+    if tied.size:
+        differs = A[tied] != B[tied]
+        first = np.argmax(differs, axis=1)
+        lead[tied] = differs.any(axis=1) & (B[tied, first] < A[tied, first])
+    return lead
 
 
 def _grad_pairwise_np(P, Q, beta):

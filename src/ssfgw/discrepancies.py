@@ -47,11 +47,13 @@ Every slice batch goes through ``_eval_slices``: one projection product per
 cloud and L-row batch, then one loop over row blocks of about
 ``_SLICE_BLOCK_ENTRIES`` entries for the sort with its order, the kernel and
 the gradient scatter, whatever the batch size, so that large batches (n in
-the thousands) reuse cache-sized temporaries. Each step after the projection
-works row by row, so the blocks do not change a bit of any result. A
-finite-difference iteration stacks its draws and their 2(d-1) moved copies
-(``SlicingAscent.fd_directions``) and evaluates them in groups of whole
-batches (``_stacked_costs``) of at most max(L * max(n, m),
+the thousands) reuse cache-sized temporaries. The sort reads a block of the
+projection and writes values and order into per-thread block buffers, so
+only the projections and the outputs span the batch. Each step after the
+projection works row by row, so the blocks do not change a bit of any
+result. A finite-difference iteration stacks its draws and their 2(d-1)
+moved copies (``SlicingAscent.fd_directions``) and evaluates them in groups
+of whole batches (``_stacked_costs``) of at most max(L * max(n, m),
 ``_SLICE_BLOCK_ENTRIES``) entries: at small n one call instead of 2(d-1) + 1,
 with the bits of separate calls.
 """
@@ -229,38 +231,39 @@ def _row_blocks(L: int, k: int) -> list:
     return [slice(i, min(i + step, L)) for i in range(0, L, step)]
 
 
-def _project_sorted(X, thetas, want_order: bool, batch_rows=None):
-    """Rows of ``thetas @ X.T`` sorted ascending, and the permutation that
-    sorts them when ``want_order`` (else None).
-
-    The permutation is the stable one, ties broken by point index
-    (``fgw.stable_sort_rows``); it is computed only when gradients are wanted.
-    The value-only path sorts values alone, which gives the same rows up to
-    the order of tied signed zeros, and so the same costs.
+def _project_sorted(X, thetas, sort: bool, batch_rows=None):
+    """Rows of ``thetas @ X.T``, sorted ascending in place when ``sort``.
 
     The projection is one product per batch of ``batch_rows`` rows (one over
     all rows by default), each into its rows of one array: a product's
     rounding can depend on its row count (a one-row product takes BLAS's
     matrix-vector path, and at d >= 32 small products can round differently
     from large ones), so a batch stacked with others keeps the bits it has
-    alone. Values alone are sorted in place in one sort. Values with their
-    order are sorted block by block (``_row_blocks`` at the cloud's own
-    size), each from a copy of the block straight into its rows of the
-    projection's array and of one order array. Every row is sorted on its
-    own, so the result does not depend on the blocks.
+    alone. With ``sort``, the values alone are sorted in one sort, which
+    gives the rows of the stable order up to the order of tied signed zeros,
+    and so the same costs. The gradient path leaves the projection unsorted
+    and sorts it block by block with its order (``_sorted_block``).
     """
     L = thetas.shape[0]
     rows = max(1, L if batch_rows is None else batch_rows)
     values = np.empty((L, X.shape[0]))
     for i in range(0, L, rows):
         np.matmul(thetas[i:i + rows], X.T, out=values[i:i + rows])
-    if not want_order:
+    if sort:
         values.sort(axis=1)
-        return values, None
-    order = np.empty(values.shape, dtype=np.intp)
-    for rows in _row_blocks(*values.shape):
-        stable_sort_rows(values[rows].copy(), out=(values[rows], order[rows]))
-    return values, order
+    return values
+
+
+def _sorted_block(P, rows, name):
+    """Rows ``rows`` of the projection ``P`` sorted ascending, and the stable
+    permutation that sorts them (``fgw.stable_sort_rows``: ties broken by
+    point index), written from ``P`` straight into this thread's block
+    buffers ``name`` and ``name + "_order"`` of ``_kernels._WORKSPACE``.
+    The thread's next call with that name overwrites them."""
+    block = P[rows]
+    take = _kernels._WORKSPACE.take
+    out = (take(name, block.shape), take(name + "_order", block.shape, np.intp))
+    return stable_sort_rows(block, out=out)
 
 
 def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None):
@@ -272,29 +275,34 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
     it gets alone. Gradients need r = 2 (the kernel raises otherwise).
 
     The outputs are allocated once; then each row block (``_row_blocks`` at
-    max(n, m)) runs the kernel and the scatter. The kernel writes the
-    gradients in its cost pass into this thread's reused buffers
-    (``_kernels.grad_outputs``), which the scatter consumes before the next
-    block. The scatter writes through flat indices: each block of an order,
-    offset in place by its rows' starts in the flattened gradient array
-    (the orders are not read again), indexes that array. Every kernel works
-    row by row, so the blocks do not change a bit.
+    max(n, m)) runs the kernel, and with gradients also the sort and the
+    scatter. The sort reads the block's projection rows and writes their
+    values and order into this thread's block buffers (``_sorted_block``);
+    the kernel writes the gradients in its cost pass into the thread's
+    reused buffers (``_kernels.grad_outputs``). The scatter consumes both
+    before the next block: each order, offset in place by its rows' starts
+    in the flattened gradient array, indexes that array. So besides the
+    outputs only the two projections span the batch. Every step after the
+    projection works row by row, so the blocks do not change a bit.
     """
-    A, order_x = _project_sorted(X, thetas, want_grads, batch_rows=batch_rows)
-    B, order_y = _project_sorted(Y, thetas, want_grads, batch_rows=batch_rows)
+    A = _project_sorted(X, thetas, not want_grads, batch_rows=batch_rows)
+    B = _project_sorted(Y, thetas, not want_grads, batch_rows=batch_rows)
     n, m = A.shape[1], B.shape[1]
     k = max(n, m)
     costs = np.empty(A.shape[0])
     gx, gy = (np.empty(A.shape), np.empty(B.shape)) if want_grads else (None, None)
     for rows in _row_blocks(A.shape[0], k):
-        a, b = spread_rows(A[rows], k), spread_rows(B[rows], k)
+        if want_grads:
+            (a, order_x), (b, order_y) = _sorted_block(A, rows, "x"), _sorted_block(B, rows, "y")
+        else:
+            a, b = A[rows], B[rows]
+        a, b = spread_rows(a, k), spread_rows(b, k)
         grads = _kernels.grad_outputs(a.shape) if want_grads else None
         costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, grads=grads)[0]
         if want_grads:
             for g, order, grad in ((gx, order_x, grads[0]), (gy, order_y, grads[1])):
-                flat = order[rows]
-                flat += np.arange(rows.start, rows.stop)[:, None] * g.shape[1]
-                g.reshape(-1)[flat] = fold_rows(grad, g.shape[1])
+                order += np.arange(rows.start, rows.stop)[:, None] * g.shape[1]
+                g.reshape(-1)[order] = fold_rows(grad, g.shape[1])
     return costs, gx, gy
 
 

@@ -276,13 +276,17 @@ def householder_matrix(location) -> np.ndarray:
     return np.eye(u.shape[-1]) - 2.0 * u[..., :, None] * u[..., None, :]
 
 
-def _assemble_directions(location: np.ndarray, omega: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _assemble_directions(locs: np.ndarray, idx: np.ndarray, omega: np.ndarray,
+                         v: np.ndarray) -> np.ndarray:
     """Build pole-frame samples h = (omega, sqrt(1-omega^2) v) and reflect
-    each onto ``location``: one (d,) location, or one per sample."""
-    radial = np.sqrt(np.clip(1.0 - omega * omega, 0.0, None))
-    h = np.concatenate([omega[:, None], radial[:, None] * v], axis=1)
-    u = _pole_gaps(location)
-    return h - 2.0 * (h * u).sum(axis=1, keepdims=True) * u
+    each onto its component's location ``locs[idx]``: the k reflection axes
+    are computed once and indexed per sample."""
+    h = np.empty((omega.size, locs.shape[1]))
+    h[:, 0] = omega
+    np.multiply(np.sqrt(np.clip(1.0 - omega * omega, 0.0, None))[:, None], v, out=h[:, 1:])
+    u = _pole_gaps(locs)[idx]
+    h -= 2.0 * (h * u).sum(axis=1, keepdims=True) * u
+    return h
 
 
 def _draw_directions(family: str, locs: np.ndarray, kappas, weights, L: int, rng: Rng):
@@ -300,7 +304,7 @@ def _draw_directions(family: str, locs: np.ndarray, kappas, weights, L: int, rng
         if count:
             omega[idx == i] = radial(kappas[i], d, int(count), rng)
     v = _uniform_sphere(d - 1, rng, L)
-    return _assemble_directions(locs[idx], omega, v), idx
+    return _assemble_directions(locs, idx, omega, v), idx
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from ssfgw.discrepancies import (
     _ascent_step,
     _eval_slices,
     _project_sorted,
+    _sorted_block,
     expected_fgw,
     max_sfg,
     mssfg,
@@ -157,22 +158,36 @@ SORT_CASES = {
 }
 
 
+def _block_sorted(P):
+    # the gradient path's sort: each row block of the projection P sorted
+    # with its stable order into the workspace, copied out and stacked
+    blocks = [[x.copy() for x in _sorted_block(P, rows, "x")]
+              for rows in discrepancies._row_blocks(*P.shape)]
+    return tuple(np.vstack(part) for part in zip(*blocks))
+
+
 @pytest.mark.parametrize("case", sorted(SORT_CASES))
 def test_project_sorted_matches_stable_argsort_bitwise(case, monkeypatch):
     X, thetas = SORT_CASES[case](make_rng(70))
     # one pass, then one row per block: rows with +-inf, NaN and ties cross
-    # block boundaries
+    # block boundaries; with batch_rows = 2 every two rows take their own
+    # product
     for budget in (discrepancies._SLICE_BLOCK_ENTRIES, 1):
         monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref_values, ref_order = stable_reference(thetas @ X.T)
-            values, order = _project_sorted(X, thetas, True)
-            sorted_only, no_order = _project_sorted(X, thetas, False)
-        assert_bitwise(values, ref_values)
-        assert_bitwise(order, ref_order)
-        assert no_order is None
-        # the value-only path sorts values alone: equal rows, NaNs last
-        assert np.array_equal(sorted_only, ref_values, equal_nan=True)
+        for batch_rows in (None, 2):
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = batch_rows or thetas.shape[0]
+                product = np.vstack([thetas[i:i + step] @ X.T
+                                     for i in range(0, thetas.shape[0], step)])
+                ref_values, ref_order = stable_reference(product)
+                projection = _project_sorted(X, thetas, False, batch_rows=batch_rows)
+                values, order = _block_sorted(projection)
+                sorted_only = _project_sorted(X, thetas, True, batch_rows=batch_rows)
+            assert_bitwise(projection, product)
+            assert_bitwise(values, ref_values)
+            assert_bitwise(order, ref_order)
+            # the value-only path sorts values alone: equal rows, NaNs last
+            assert np.array_equal(sorted_only, ref_values, equal_nan=True)
 
 
 @pytest.mark.parametrize("case", sorted(SORT_CASES))
@@ -257,7 +272,7 @@ def test_project_sorted_orders_colliding_projections_across_row_blocks():
     thetas = np.vstack([[1.0, 0.0], [-1.0, 0.0], _unit_rows(make_rng(75), 8, 2)])
     assert len(discrepancies._row_blocks(thetas.shape[0], n)) >= 2
     ref_values, ref_order = stable_reference(thetas @ X.T)
-    values, order = _project_sorted(X, thetas, True)
+    values, order = _block_sorted(_project_sorted(X, thetas, False))
     assert_bitwise(values, ref_values)
     assert_bitwise(order, ref_order)
 
@@ -277,7 +292,7 @@ def test_strictly_increasing_rows_make_no_argsort_call(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counting)
     ordered, order = stable_sort_rows(values)
-    projected = _project_sorted(X, thetas, True)
+    projected = _block_sorted(_project_sorted(X, thetas, False))
     assert calls == []
     assert_bitwise(ordered, ref_rows)
     assert_bitwise(order, ref_order)

@@ -606,3 +606,57 @@ def test_fused_pass_allocates_at_most_two_fresh_batches_once_warm():
             finally:
                 tracemalloc.stop()
             assert peak - current <= 2 * A.nbytes
+
+
+@pytest.mark.parametrize("m", [8192, 4096])
+def test_warm_gradient_evaluation_allocates_its_projections_and_outputs_only(m):
+    # Once warm, a (50, 8192) gradient evaluation allocates the two clouds'
+    # projections and their two gradient outputs, each spanning the batch;
+    # the sort with its order, the kernel and the scatter work one row block
+    # at a time in the workspace, and add under 3 blocks here (4 allowed).
+    # Sorting each whole projection with its order before the block loop
+    # added 26 blocks (21 at m = 4096).
+    rng = np.random.default_rng(23)
+    X = rng.exponential(size=(8192, 3))
+    # mirrored along the first axis: the reversed coupling wins on some slices
+    Y = X[:m] * np.array([-1.3, 1.0, 0.5]) + 0.05 * rng.normal(size=(m, 3))
+    thetas = rng.normal(size=(50, 3))
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    cfg = FgwConfig(beta=0.4, exponent=2)
+    _eval_slices(X, Y, thetas, cfg, want_grads=True)
+    tracemalloc.start()
+    try:
+        _eval_slices(X, Y, thetas, cfg, want_grads=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    batches = 2 * thetas.shape[0] * (X.shape[0] + Y.shape[0]) * 8
+    assert peak <= batches + 4 * discrepancies._SLICE_BLOCK_ENTRIES * 8
+
+
+def _b_lead_by_full_scan(A, B):
+    # the lead rule scanned over every entry: B leads where, at the first
+    # entries that compare unequal (NaN included), B's is the smaller
+    differs = A != B
+    first = np.argmax(differs, axis=1)
+    rows = np.arange(A.shape[0])
+    return differs.any(axis=1) & (B[rows, first] < A[rows, first])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 256])
+def test_lead_rows_from_first_entries_match_the_full_scan(n):
+    # entries drawn from a small pool of +-0, NaN, +-inf and +-1, so that
+    # rows with equal, signed-zero and NaN first entries are common
+    rng = np.random.default_rng(n)
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0])
+    A, B = (pool[rng.integers(pool.size, size=(400, n))] for _ in range(2))
+    B[::3] = A[::3]  # equal rows
+    B[1::3, :n // 2] = A[1::3, :n // 2]  # rows equal up to their middle
+    B[2::6, 0] = -A[2::6, 0]  # signed zeros, and infinities of either sign
+    lead = _kernels._b_lead_rows(A, B)
+    assert lead.dtype == bool
+    assert np.array_equal(lead, _b_lead_by_full_scan(A, B))
+    first_a, first_b = A[:, 0], B[:, 0]
+    assert ((first_a == 0.0) & (first_b == 0.0) & (np.signbit(first_a) != np.signbit(first_b))).any()
+    assert (np.isnan(first_a) & np.isnan(first_b)).any()
+    assert (first_a == first_b).sum() > 100 and lead.any() and not lead.all()

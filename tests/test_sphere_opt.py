@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ssfgw.sampling import (
     _assemble_directions,
+    _pole_gaps,
     _uniform_sphere,
     _vmf_omega,
     make_rng,
@@ -323,9 +324,32 @@ def test_assemble_directions_radial_component():
     rng = make_rng(24)
     eps = unit_vector(rng.normal(size=4))
     omega = _vmf_omega(10.0, 4, 200, rng)
-    thetas = _assemble_directions(eps, omega, _uniform_sphere(3, rng, 200))
+    idx = np.zeros(200, dtype=np.intp)
+    thetas = _assemble_directions(eps[None, :], idx, omega, _uniform_sphere(3, rng, 200))
     assert np.abs(thetas @ eps - omega).max() <= 1e-12
     assert np.abs(np.linalg.norm(thetas, axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 64, 512])
+@pytest.mark.parametrize("k", [1, 4])
+def test_assembly_has_the_bits_of_the_per_draw_formula(d, k):
+    # the k reflection axes computed once and indexed by component, against
+    # h concatenated and each draw's own axis; with k = 4 one location is
+    # e_1, which is not reflected
+    rng = make_rng(d + k)
+    locs = _uniform_sphere(d, rng, k)
+    if k > 1:
+        locs[-1] = np.eye(d)[0]
+    idx = rng.integers(k, size=200)
+    omega = _vmf_omega(10.0, d, 200, rng)
+    v = _uniform_sphere(d - 1, rng, 200)
+    radial = np.sqrt(np.clip(1.0 - omega * omega, 0.0, None))
+    h = np.concatenate([omega[:, None], radial[:, None] * v], axis=1)
+    u = _pole_gaps(locs[idx])
+    expected = h - 2.0 * (h * u).sum(axis=1, keepdims=True) * u
+    thetas = _assemble_directions(locs, idx, omega, v)
+    assert thetas.dtype == expected.dtype and thetas.shape == expected.shape
+    assert thetas.tobytes() == expected.tobytes()
 
 
 def _rotation(eps, moved):
