@@ -32,7 +32,6 @@ from .sampling import (
 )
 from .sphere_opt import (
     GradientMethod,
-    estimate_location_gradient,
     tangent_basis,
 )
 from .discrepancies import (
@@ -95,7 +94,6 @@ __all__ = [
     "sample_uniform_sphere",
     "sample_vmf",
     "GradientMethod",
-    "estimate_location_gradient",
     "tangent_basis",
     "DiracSlicing",
     "DiscrepancyReport",

@@ -316,7 +316,7 @@ def _flow_objective(args) -> FlowObjective:
         kind=kind,
         beta=args.beta,
         kappa=args.kappa,
-        kappas=kappas,
+        kappas=kappas if kind == "mssfg" else None,
         alphas=args.alphas,
         num_projections=args.L,
         learning_rate=args.learning_rate,

@@ -249,7 +249,9 @@ def convergence_rate(
 
 @dataclass(frozen=True)
 class FlowObjective:
-    """Which discrepancy a flow descends, and its slicing-ascent settings."""
+    """Which discrepancy a flow descends, and its slicing-ascent settings.
+    ``kappa`` is the concentration of ssfg and pssfg; ``kappas`` (required)
+    and ``alphas`` are mssfg's, and every other kind rejects them."""
 
     kind: str = "ssfg"
     beta: float = 0.1
@@ -264,6 +266,8 @@ class FlowObjective:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.kind != "mssfg" and (self.kappas is not None or self.alphas is not None):
+            raise ValueError(f"kappas and alphas apply only to kind mssfg, not {self.kind}")
         if int(self.num_projections) < 1:
             raise ValueError("num_projections must be >= 1")
         object.__setattr__(self, "num_projections", int(self.num_projections))
@@ -275,7 +279,7 @@ class FlowObjective:
 
 def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
     """The flow's slicing distribution, ascended one warm-started step per
-    flow step. Only mssfg reads ``kappas`` and ``alphas``."""
+    flow step. Only mssfg has ``kappas`` and ``alphas``."""
     if objective.kind != "mssfg":
         return _slicing_ascent(objective.kind, d, rng, objective, [objective.kappa])
     if objective.kappas is None:

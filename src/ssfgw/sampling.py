@@ -51,17 +51,6 @@ def make_rng(seed=None) -> Rng:
     return np.random.default_rng(seed)
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalize ``v`` to unit Euclidean norm (error on near-zero input)."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1D vector")
-    norm = float(np.linalg.norm(arr))
-    if norm <= _UNIT_TOL:
-        raise ValueError("cannot normalize a vector with norm <= 1e-12")
-    return arr / norm
-
-
 def _check_directions(rows) -> np.ndarray:
     # every row of an (L, d) array: d >= 2, finite, unit norm within 1e-9; an
     # array with no rows (every sfg call's uniform ascent) skips the value checks
@@ -73,7 +62,7 @@ def _check_directions(rows) -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("direction has non-finite entries")
     if arr.size and np.any(np.abs(np.linalg.norm(arr, axis=1) - 1.0) > 1e-9):
-        raise ValueError("direction is not unit norm; normalize with unit_vector")
+        raise ValueError("direction is not unit norm (within 1e-9)")
     return arr
 
 

@@ -1,8 +1,8 @@
 """Sphere-constrained first-order optimization and the one slicing path.
 
 ``SlicingAscent`` is the single direction-sampling and location-gradient
-path that every engine, the flows and ``estimate_location_gradient`` run
-through. It draws directions around k locations of one family (uniform,
+path: every engine and flow iteration, ``discrepancies._ascent_step``, runs
+through it. It draws directions around k locations of one family (uniform,
 Dirac, vMF or power spherical; k > 1 is a mixture), maps objective
 information to alpha-weighted tangent gradients of the locations, and takes
 the projected Adam step: plain bias-corrected Adam on the ambient
@@ -31,8 +31,9 @@ weight, and take one pass over the draws of every component: each row is the
 mean over its component's draws, 0 for a component that drew nothing. Both
 take data, not callbacks: ``pathwise_gradient`` takes the objective's
 gradients at the m draws, and ``fd_gradient`` its values on the stack of moved
-draws that ``fd_directions`` hands out. So the engines, the flows and
-``estimate_location_gradient`` evaluate either in one batch call.
+draws that ``fd_directions`` hands out. So the engines and the flows
+evaluate either in one batch call, and any batched objective on directions
+can use the same four methods.
 """
 
 from __future__ import annotations
@@ -266,42 +267,3 @@ class SlicingAscent:
         delta = float(np.linalg.norm(updated - self.locs))
         self.locs = updated
         return delta
-
-
-def estimate_location_gradient(
-    objective,
-    eps,
-    kappa: float,
-    L: int,
-    method: GradientMethod,
-    rng: Rng,
-    family: str = "vmf",
-) -> np.ndarray:
-    """Monte Carlo estimate of the ambient gradient in the location eps of
-    E_{theta ~ family(eps, kappa)}[objective(theta)].
-
-    ``objective`` maps (m, d) directions to m values, or to the pair (values,
-    (m, d) gradients in the directions) that the pathwise method needs. Like
-    the engines' slice batches, it is called once: on the L draws (pathwise),
-    or on the ``fd_directions`` stack of their 2(d-1) moved copies, whose
-    values ``fd_gradient`` takes back (finite differences, m = 2(d-1) L).
-    Returns a (d,) tangent vector at eps (both methods project out the
-    radial component, which carries no information on the sphere). Draws
-    and gradients go through ``SlicingAscent`` with one location, which
-    validates eps (a unit vector) and kappa (finite, >= 0).
-    """
-    L = int(L)
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if family not in ("vmf", "power_spherical"):
-        raise ValueError(f"unknown directional family: {family!r}")
-    method = GradientMethod(method)
-    ascent = SlicingAscent(family, [eps], kappas=(kappa,))
-    thetas, ctx = ascent.draw(L, rng)
-    if method is GradientMethod.PATHWISE:
-        out = objective(thetas)
-        if not isinstance(out, tuple):
-            raise ValueError("pathwise estimation needs the objective to return (values, grads)")
-        return ascent.pathwise_gradient(ctx, out[1])[0]
-    out = objective(ascent.fd_directions(ctx))
-    return ascent.fd_gradient(ctx, out[0] if isinstance(out, tuple) else out)[0]

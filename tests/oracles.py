@@ -1,6 +1,8 @@
 """Test oracles: reference computations that the tests compare the package
 against and that no engine, flow or CLI command runs.
 
+- ``unit_vector``: a 1D vector scaled to unit norm, the tests' way of making
+  locations.
 - ``fgw_1d_bruteforce``: the minimum of the fused 1D objective over all n!
   permutation couplings, for n <= 8.
 - ``vmf_mean_resultant_oracle`` (with ``QuadratureError``): E[location^T theta]
@@ -32,6 +34,17 @@ _BRUTEFORCE_LIMIT = 8
 
 class QuadratureError(RuntimeError):
     """The oracle quadrature did not converge."""
+
+
+def unit_vector(v) -> np.ndarray:
+    """Normalize ``v`` to unit Euclidean norm (error on near-zero input)."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("expected a 1D vector")
+    norm = float(np.linalg.norm(arr))
+    if norm <= 1e-12:
+        raise ValueError("cannot normalize a vector with norm <= 1e-12")
+    return arr / norm
 
 
 def fgw_1d_bruteforce(xs, ys, cfg) -> float:

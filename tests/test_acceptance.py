@@ -12,6 +12,7 @@ from ssfgw.cli import main as cli_main
 from ssfgw.cli import write_point_cloud
 from ssfgw.discrepancies import (
     OptimizerConfig,
+    _ascent_step,
     _eval_slices,
     max_sfg,
     mssfg,
@@ -33,11 +34,10 @@ from ssfgw.sampling import (
     make_rng,
     sample_power_spherical,
     sample_vmf,
-    unit_vector,
 )
-from ssfgw.sphere_opt import GradientMethod, estimate_location_gradient
+from ssfgw.sphere_opt import SlicingAscent
 
-from oracles import fgw_1d_bruteforce, vmf_mean_resultant_oracle
+from oracles import fgw_1d_bruteforce, unit_vector, vmf_mean_resultant_oracle
 
 CFG = FgwConfig(beta=0.1, exponent=2)
 MODES = np.array([[4.0, 4.0], [4.0, -4.0], [-4.0, 4.0], [-4.0, -4.0]])
@@ -243,19 +243,14 @@ def test_criterion_6_gradient_routes_agree(capsys):
     worst_loc = 0.0
     for d in (3, 8):
         Xg, Yg = iid_pair(600 + d, d, n=16)
-
-        def objective(thetas):
-            # the engines' own pullback of a slice batch to its directions
-            c, gx, gy = _eval_slices(Xg, Yg, thetas, CFG, want_grads=True)
-            return c, gx @ Xg + gy @ Yg
-
         for kappa in (1.0, 10.0, 50.0):
             eps = unit_vector(make_rng(d * 100 + int(kappa)).normal(size=d))
-            gp = estimate_location_gradient(
-                objective, eps, kappa, 2000, GradientMethod.PATHWISE, make_rng(5)
-            )
-            gf = estimate_location_gradient(
-                objective, eps, kappa, 2000, GradientMethod.FINITE_DIFFERENCE, make_rng(5)
+            # the engines' and flows' own ascent iteration, on each route
+            # from a fresh ascent and the same draws
+            gp, gf = (
+                _ascent_step("ssfg", Xg, Yg, CFG, SlicingAscent("vmf", [eps], (kappa,)), 2000,
+                             pathwise, make_rng(5), 1)[4][0]
+                for pathwise in (True, False)
             )
             rel = float(
                 np.linalg.norm(gp - gf) / max(np.linalg.norm(gp), np.linalg.norm(gf))

@@ -384,6 +384,18 @@ def test_gmm_validation():
             GmmParams(np.zeros((k, 2)), np.zeros((k, 2)), weights)
 
 
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "mssfg"])
+def test_flow_objective_takes_kappas_and_alphas_only_for_mssfg(kind):
+    # they would be ignored: the flow's ascent reads them only for mssfg
+    message = f"kappas and alphas apply only to kind mssfg, not {kind}"
+    for extra in ({"kappas": (1.0, 500.0)}, {"alphas": (0.9, 0.1)},
+                  {"kappas": (1.0, 500.0), "alphas": (0.9, 0.1)}, {"kappas": ()}):
+        with pytest.raises(ValueError, match=message):
+            FlowObjective(kind=kind, kappa=10.0, **extra)
+    mixture = FlowObjective(kind="mssfg", kappas=(1.0, 500.0), alphas=(0.9, 0.1))
+    assert mixture.kappas == (1.0, 500.0) and mixture.alphas == (0.9, 0.1)
+
+
 @pytest.mark.parametrize("objective, message", [
     pytest.param(FlowObjective(kind="ssfg", kappa=np.inf), "must be finite", id="ssfg-inf"),
     pytest.param(FlowObjective(kind="pssfg", kappa=np.nan), "must be finite", id="pssfg-nan"),

@@ -1,8 +1,9 @@
 """The package root exports exactly its public names, every name a module
 of the package imports is used in that module, every private module-level
 name is referenced, every public kernel function is called from another
-module, and the package imports no scipy: no module's source names it in an
-import, and importing and running the package loads none."""
+module, every public function or class is used or exported, and the package
+imports no scipy: no module's source names it in an import, and importing and
+running the package loads none."""
 
 import ast
 from collections import Counter
@@ -154,6 +155,43 @@ def test_uncalled_public_kernel_function_is_caught():
         "fgw": ast.parse("from . import _kernels\nfrom ._kernels import idle\n_kernels.used(1)\n"),
     }
     assert _uncalled_public_functions(trees, "_kernels") == {"inner", "idle"}
+
+
+def _unused_public_definitions(trees, exported) -> set:
+    """(module, name) of each public module-level function or class that no
+    module reads outside its own definition and the package root does not
+    export."""
+    total = sum((_references(tree) for tree in trees.values()), Counter())
+    return {
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in exported and total[node.name] == _references(node)[node.name]
+    }
+
+
+def test_every_public_definition_is_used_or_exported():
+    # no code that only the tests call: what tests alone need lives in tests/
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "SlicingAscent" in _references(trees["discrepancies"])
+    assert _unused_public_definitions(trees, set(ssfgw.__all__)) == set()
+
+
+def test_unused_public_definition_is_caught():
+    trees = {
+        "sampling": ast.parse(
+            "def exported(v):\n    return v\n"
+            "def helper(v):\n    return v\n"
+            "def stray(v):\n    return stray(v)\n"
+            "class Idle:\n    pass\n"
+            "def _private(v):\n    return v\n"
+        ),
+        # an import alone is no use, an attribute read is
+        "cli": ast.parse("from .sampling import stray, Idle\nimport sampling\nsampling.helper(1)\n"),
+    }
+    assert _unused_public_definitions(trees, {"exported"}) == {("sampling", "stray"),
+                                                               ("sampling", "Idle")}
 
 
 def _divergence_errors(trees) -> list:

@@ -18,11 +18,10 @@ from ssfgw.sampling import (
     sample_power_spherical,
     sample_uniform_sphere,
     sample_vmf,
-    unit_vector,
 )
 from ssfgw.sphere_opt import SlicingAscent
 
-from oracles import vmf_mean_resultant_oracle
+from oracles import unit_vector, vmf_mean_resultant_oracle
 
 
 def _random_location(rng, d):

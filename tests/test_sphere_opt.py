@@ -16,19 +16,16 @@ from ssfgw.sampling import (
     _uniform_sphere,
     _vmf_omega,
     make_rng,
-    unit_vector,
 )
 from ssfgw.sphere_opt import (
-    GradientMethod,
     SlicingAscent,
     adam_step,
     assemble_directions,
-    estimate_location_gradient,
     reflection_location_grads,
     tangent_basis,
 )
 
-from oracles import vmf_mean_resultant_oracle
+from oracles import unit_vector, vmf_mean_resultant_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -288,35 +285,38 @@ def test_fd_gradient_makes_one_call_on_every_moved_batch(family, alphas):
     # fd_directions stacks every moved batch in (tangent index, sign) order:
     # each batch has the bits of its own assemble_directions call, and one
     # call on the stack gives fd_gradient what one call per location, tangent
-    # index and sign gives, up to the order of the means' sums
-    rng = make_rng(36)
-    d, L = 5, 40
-    a = rng.normal(size=d)
+    # index and sign gives, up to the order of the means' sums; d = 2 has a
+    # single tangent
+    L = 40
+    for d in (2, 3, 5, 6):
+        rng = make_rng(36)
+        a = rng.normal(size=d)
 
-    def costs_at(thetas):
-        # row by row, so a row's cost does not depend on the rows beside it
-        return np.cos(3.0 * thetas[:, 0]) + ((thetas * a).sum(axis=1)) ** 2
+        def costs_at(thetas):
+            # row by row, so a row's cost does not depend on the rows beside it
+            return np.cos(3.0 * thetas[:, 0]) + ((thetas * a).sum(axis=1)) ** 2
 
-    k = 1 if alphas is None else 3
-    ascent = SlicingAscent(family, _locations(rng, k, d), (10.0,) * k, alphas)
-    thetas, ctx = ascent.draw(L, rng)
-    m = thetas.shape[0]
-    assert m == (k if family == "dirac" else L)
-    stack = ascent.fd_directions(ctx)
-    assert stack.shape == (2 * (d - 1) * m, d)
-    moved = stack.reshape(d - 1, 2, m, d)
-    for i, loc in enumerate(ascent.locs):
-        sel = ctx.idx == i
-        basis = tangent_basis(loc)
-        for j in range(d - 1):
-            for s, sign in enumerate((1.0, -1.0)):
-                at = loc + sign * 1e-4 * basis[:, j]
-                at /= np.linalg.norm(at, axis=-1)  # as fd_directions normalizes
-                assert np.array_equal(moved[j, s, sel], assemble_directions(loc, at, thetas[sel]))
-    grad = ascent.fd_gradient(ctx, costs_at(stack))
-    reference = _fd_reference(ascent, ctx, costs_at)
-    assert np.abs(grad - reference).max() <= 1e-9 * np.abs(reference).max()
-    assert np.array_equal(grad[ascent.alphas == 0.0], reference[ascent.alphas == 0.0])
+        k = 1 if alphas is None else 3
+        ascent = SlicingAscent(family, _locations(rng, k, d), (10.0,) * k, alphas)
+        thetas, ctx = ascent.draw(L, rng)
+        m = thetas.shape[0]
+        assert m == (k if family == "dirac" else L)
+        stack = ascent.fd_directions(ctx)
+        assert stack.shape == (2 * (d - 1) * m, d)
+        moved = stack.reshape(d - 1, 2, m, d)
+        for i, loc in enumerate(ascent.locs):
+            sel = ctx.idx == i
+            basis = tangent_basis(loc)
+            for j in range(d - 1):
+                for s, sign in enumerate((1.0, -1.0)):
+                    at = loc + sign * 1e-4 * basis[:, j]
+                    at /= np.linalg.norm(at, axis=-1)  # as fd_directions normalizes
+                    assert np.array_equal(moved[j, s, sel],
+                                          assemble_directions(loc, at, thetas[sel]))
+        grad = ascent.fd_gradient(ctx, costs_at(stack))
+        reference = _fd_reference(ascent, ctx, costs_at)
+        assert np.abs(grad - reference).max() <= 1e-9 * np.abs(reference).max(), d
+        assert np.array_equal(grad[ascent.alphas == 0.0], reference[ascent.alphas == 0.0])
 
 
 def test_assemble_directions_radial_component():
@@ -461,28 +461,23 @@ def test_location_gradient_at_and_near_the_pole(case):
 # ---------------------------------------------------------------------------
 
 
+def _location_gradient(eps, kappa, L, rng, grad_at=None, costs_at=None):
+    """The (d,) gradient of one vMF location from one draw of L directions:
+    pathwise from ``grad_at`` on the draws, or by finite differences from
+    ``costs_at`` on the ``fd_directions`` stack of their moved copies."""
+    ascent = SlicingAscent("vmf", [eps], (kappa,))
+    thetas, ctx = ascent.draw(L, rng)
+    if grad_at is not None:
+        return ascent.pathwise_gradient(ctx, grad_at(thetas))[0]
+    return ascent.fd_gradient(ctx, costs_at(ascent.fd_directions(ctx)))[0]
+
+
 def test_constant_objective_gives_zero_gradient_both_methods():
     rng = make_rng(28)
     eps = unit_vector(rng.normal(size=4))
-
-    pathwise = estimate_location_gradient(
-        lambda th: (np.full(len(th), 3.25), np.zeros_like(th)),
-        eps,
-        kappa=5.0,
-        L=64,
-        method=GradientMethod.PATHWISE,
-        rng=make_rng(1),
-    )
+    pathwise = _location_gradient(eps, 5.0, 64, make_rng(1), grad_at=np.zeros_like)
     assert np.abs(pathwise).max() == 0.0
-
-    fd = estimate_location_gradient(
-        lambda th: np.full(len(th), 3.25),
-        eps,
-        kappa=5.0,
-        L=64,
-        method=GradientMethod.FINITE_DIFFERENCE,
-        rng=make_rng(1),
-    )
+    fd = _location_gradient(eps, 5.0, 64, make_rng(1), costs_at=lambda th: np.full(len(th), 3.25))
     assert np.abs(fd).max() <= 1e-10
 
 
@@ -491,14 +486,7 @@ def test_fd_gradient_is_tangent():
     for d in (3, 8):
         eps = unit_vector(rng.normal(size=d))
         a = rng.normal(size=d)
-        grad = estimate_location_gradient(
-            lambda th: (th @ a) ** 2,
-            eps,
-            kappa=10.0,
-            L=100,
-            method=GradientMethod.FINITE_DIFFERENCE,
-            rng=make_rng(2),
-        )
+        grad = _location_gradient(eps, 10.0, 100, make_rng(2), costs_at=lambda th: (th @ a) ** 2)
         assert abs(float(grad @ eps)) <= 1e-8
 
 
@@ -508,20 +496,10 @@ def test_pathwise_matches_finite_difference_on_quadratic():
         for kappa in (1.0, 10.0, 50.0):
             eps = unit_vector(rng.normal(size=d))
             a = rng.normal(size=d)
-
-            def value_only(th):
-                return (th @ a) ** 2
-
-            def value_and_grad(th):
-                s = th @ a
-                return s * s, 2.0 * np.outer(s, a)
-
-            pathwise = estimate_location_gradient(
-                value_and_grad, eps, kappa, 2000, GradientMethod.PATHWISE, make_rng(3)
-            )
-            fd = estimate_location_gradient(
-                value_only, eps, kappa, 2000, GradientMethod.FINITE_DIFFERENCE, make_rng(3)
-            )
+            pathwise = _location_gradient(eps, kappa, 2000, make_rng(3),
+                                          grad_at=lambda th: 2.0 * np.outer(th @ a, a))
+            fd = _location_gradient(eps, kappa, 2000, make_rng(3),
+                                    costs_at=lambda th: (th @ a) ** 2)
             # compare tangent components: the pathwise estimate is ambient
             tangent = pathwise - eps * float(eps @ pathwise)
             scale = max(np.abs(fd).max(), 1e-10)
@@ -538,15 +516,8 @@ def test_estimated_gradient_is_ascent_direction():
         d = int(rng.integers(3, 9))
         eps = unit_vector(rng.normal(size=d))
         a = unit_vector(rng.normal(size=d))
-
-        grad = estimate_location_gradient(
-            lambda th, a=a: (th @ a, np.tile(a, (len(th), 1))),
-            eps,
-            kappa=20.0,
-            L=200,
-            method=GradientMethod.PATHWISE,
-            rng=rng,
-        )
+        grad = _location_gradient(eps, 20.0, 200, rng,
+                                  grad_at=lambda th, a=a: np.tile(a, (len(th), 1)))
         tangent = grad - eps * float(eps @ grad)
         truth = a - eps * float(a @ eps)
         if float(tangent @ truth) > 0.0:
@@ -563,58 +534,6 @@ def test_full_ascent_loop_reaches_maximizer():
         thetas, ctx = ascent.draw(64, rng)
         ascent.step(ascent.pathwise_gradient(ctx, np.tile(a, (len(thetas), 1))))
     assert float(a @ ascent.locs[0]) > 0.99
-
-
-def test_estimator_calls_its_objective_once_per_batch():
-    # pathwise: one call on the L draws; finite differences: one on the
-    # 2(d-1) moved batches stacked, as fd_directions hands them out
-    rng = make_rng(34)
-    for d in (2, 3, 6):
-        eps = unit_vector(rng.normal(size=d))
-        a = rng.normal(size=d)
-        for method, rows in ((GradientMethod.PATHWISE, 37),
-                             (GradientMethod.FINITE_DIFFERENCE, 2 * (d - 1) * 37)):
-            shapes = []
-
-            def objective(th):
-                shapes.append(th.shape)
-                return th @ a, np.tile(a, (len(th), 1))
-
-            estimate_location_gradient(objective, eps, 5.0, 37, method, make_rng(4))
-            assert shapes == [(rows, d)]
-
-
-def test_estimator_validation():
-    eps = np.array([1.0, 0.0])
-    with pytest.raises(ValueError, match="L must be >= 1"):
-        estimate_location_gradient(
-            lambda th: np.ones(len(th)), eps, 1.0, 0, GradientMethod.PATHWISE, make_rng(0)
-        )
-    with pytest.raises(ValueError, match="pathwise estimation needs"):
-        # pathwise needs (values, gradients) pairs
-        estimate_location_gradient(
-            lambda th: np.ones(len(th)), eps, 1.0, 4, GradientMethod.PATHWISE, make_rng(0)
-        )
-    for family in ("uniform", "dirac"):
-        with pytest.raises(ValueError, match="unknown directional family"):
-            estimate_location_gradient(
-                lambda th: np.ones(len(th)), eps, 1.0, 4, GradientMethod.FINITE_DIFFERENCE,
-                make_rng(0), family,
-            )
-    # the location and the concentration are validated as the family's parameters
-    for family in ("vmf", "power_spherical"):
-        for method in GradientMethod:
-            for loc, kappa, message in (
-                (eps, np.inf, "concentration must be finite"),
-                (eps, np.nan, "concentration must be finite"),
-                (eps, -1.0, "concentration must be finite"),
-                (np.array([0.0, 2.0, 0.0]), 5.0, "not unit norm"),
-            ):
-                with pytest.raises(ValueError, match=message):
-                    estimate_location_gradient(
-                        lambda th: (np.ones(len(th)), np.zeros_like(th)), loc, kappa, 4, method,
-                        make_rng(0), family,
-                    )
 
 
 def test_oracle_consistency_of_smoothed_linear_objective():
