@@ -85,10 +85,12 @@ to the system and fault it back in. The engines' gradient outputs come from
 the same workspace (``grad_outputs``), and ``discrepancies._eval_slices``
 scatters each row block's before the next. Threads never share a buffer, and
 the maps are private, so a process forked after a warm call writes its own
-copies of the pages. ``discrepancies._sorted_block`` sorts each row block of
-a projection into the same workspace, values and order (intp) for either
-cloud. A thread keeps its buffers for its lifetime: at most eleven times its
-largest batch (the engines' row blocks keep that near
+copies of the pages. ``discrepancies._project_sorted`` projects each row
+block of a slice batch into the same workspace and sorts it there: value
+only in place, and with gradients from the gradient outputs (which the
+kernel writes only after both sorts) into values and order (intp), for
+either cloud. A thread keeps its buffers for its lifetime: at most eleven
+times its largest batch (the engines' row blocks keep that near
 ``discrepancies._SLICE_BLOCK_ENTRIES`` entries, 2.9 MB).
 """
 
@@ -134,6 +136,12 @@ def grad_outputs(shape):
 
 
 def _row_dot(X, Y):
+    # einsum sums a lone row longer than its 8192-entry buffer chunk by chunk,
+    # which rounds differently from the same row in a batch; so a lone row
+    # (L = 1, or one gathered row) is read as two
+    if X.shape[0] == 1:
+        X, Y = (np.broadcast_to(Z, (2, Z.shape[1])) for Z in (X, Y))
+        return np.einsum("ij,ij->i", X, Y)[:1]
     return np.einsum("ij,ij->i", X, Y)
 
 

@@ -43,19 +43,18 @@ O(n) delta/s kernels and other exponents with the O(n^2) double sum; the tests
 check the kernels against that sum, and on nearly-agreeing clouds, where the
 float sum loses digits, against exact rationals.
 
-Every slice batch goes through ``_eval_slices``: one projection product per
-cloud and L-row batch, then one loop over row blocks of about
-``_SLICE_BLOCK_ENTRIES`` entries for the sort with its order, the kernel and
-the gradient scatter, whatever the batch size, so that large batches (n in
-the thousands) reuse cache-sized temporaries. The sort reads a block of the
-projection and writes values and order into per-thread block buffers, so
-only the projections and the outputs span the batch. Each step after the
-projection works row by row, so the blocks do not change a bit of any
-result. A finite-difference iteration stacks its draws and their 2(d-1)
-moved copies (``SlicingAscent.fd_directions``) and evaluates them in groups
-of whole batches (``_stacked_costs``) of at most max(L * max(n, m),
-``_SLICE_BLOCK_ENTRIES``) entries: at small n one call instead of 2(d-1) + 1,
-with the bits of separate calls.
+Every slice batch goes through ``_eval_slices``: one loop over row blocks
+of about ``_SLICE_BLOCK_ENTRIES`` entries, whatever the batch size, that
+projects, sorts and evaluates each block (and with gradients scatters it)
+in per-thread block buffers, so that large batches (n in the thousands)
+reuse cache-sized temporaries and only the outputs span the batch. Each
+step after the projection works row by row, so there the blocks change no
+bit. The projection is one BLAS product per block of at least two rows
+(unless L = 1), and BLAS can round a row differently in products of
+different row counts (at d >= 32, and at some n that are not multiples of
+8, such as 300), so there the blocks can move the last bits. A
+finite-difference iteration stacks its draws and their 2(d-1) moved copies
+(``SlicingAscent.fd_directions``) and evaluates the stack in one call.
 """
 
 from __future__ import annotations
@@ -66,7 +65,15 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .fgw import FgwConfig, as_point_cloud, common_size, fold_rows, spread_rows, stable_sort_rows
+from .fgw import (
+    FgwConfig,
+    _check_count,
+    as_point_cloud,
+    common_size,
+    fold_rows,
+    spread_rows,
+    stable_sort_rows,
+)
 from .sampling import (
     MixtureVmfParams,
     PowerSphericalParams,
@@ -126,9 +133,7 @@ SlicingDistribution = Union[
 
 def sample_slicing(slicing: SlicingDistribution, d: int, L: int, rng: Rng) -> np.ndarray:
     """Draw (L, d) directions from a slicing distribution."""
-    L = int(L)
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = _check_count(L, "L")
     if isinstance(slicing, UniformSlicing):
         return sample_uniform_sphere(d, rng, size=L)
     if isinstance(slicing, DiracSlicing):
@@ -168,12 +173,9 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _check_adam_settings(self.learning_rate, self.adam_beta1, self.adam_beta2)
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be >= 1")
-        if int(self.num_projections) < 1:
-            raise ValueError("num_projections must be >= 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "num_projections", int(self.num_projections))
+        object.__setattr__(self, "max_iter", _check_count(self.max_iter, "max_iter"))
+        object.__setattr__(self, "num_projections",
+                           _check_count(self.num_projections, "num_projections"))
         object.__setattr__(self, "gradient_method", GradientMethod(self.gradient_method))
 
 
@@ -225,77 +227,58 @@ _SLICE_BLOCK_ENTRIES = 32_768
 
 
 def _row_blocks(L: int, k: int) -> list:
-    """Row slices that cut an (L, k) batch into blocks of about
-    ``_SLICE_BLOCK_ENTRIES`` entries (at least one row each)."""
-    step = max(1, _SLICE_BLOCK_ENTRIES // k)
-    return [slice(i, min(i + step, L)) for i in range(0, L, step)]
+    """Row slices that cut an (L, k) batch into blocks of near-equal row
+    counts: at most ``_SLICE_BLOCK_ENTRIES`` // k rows each where that is at
+    least three, else two or three rows. No block is a single row unless
+    L = 1: a one-row projection takes BLAS's matrix-vector path, which rounds
+    differently from a row of a larger product."""
+    count = min(-(-L // max(1, _SLICE_BLOCK_ENTRIES // k)), max(1, L // 2))
+    return [slice(i * L // count, (i + 1) * L // count) for i in range(count)]
 
 
-def _project_sorted(X, thetas, sort: bool, batch_rows=None):
-    """Rows of ``thetas @ X.T``, sorted ascending in place when ``sort``.
+def _project_sorted(X, thetas, name, via=None):
+    """The rows of ``thetas @ X.T`` sorted ascending, in this thread's block
+    buffer ``name`` of ``_kernels._WORKSPACE``, and their stable order or
+    None; the thread's next call with that name overwrites them.
 
-    The projection is one product per batch of ``batch_rows`` rows (one over
-    all rows by default), each into its rows of one array: a product's
-    rounding can depend on its row count (a one-row product takes BLAS's
-    matrix-vector path, and at d >= 32 small products can round differently
-    from large ones), so a batch stacked with others keeps the bits it has
-    alone. With ``sort``, the values alone are sorted in one sort, which
-    gives the rows of the stable order up to the order of tied signed zeros,
-    and so the same costs. The gradient path leaves the projection unsorted
-    and sorts it block by block with its order (``_sorted_block``).
+    Without ``via`` the product is written into ``name`` and its values
+    alone are sorted there in place, which gives the rows of the stable
+    order up to the order of tied signed zeros, and so the same costs. With
+    ``via`` the product is written into the workspace buffer ``via``, and
+    ``fgw.stable_sort_rows`` (ties broken by point index) writes the sorted
+    values into ``name`` and the order (intp) into ``name + "_order"``.
     """
-    L = thetas.shape[0]
-    rows = max(1, L if batch_rows is None else batch_rows)
-    values = np.empty((L, X.shape[0]))
-    for i in range(0, L, rows):
-        np.matmul(thetas[i:i + rows], X.T, out=values[i:i + rows])
-    if sort:
-        values.sort(axis=1)
-    return values
-
-
-def _sorted_block(P, rows, name):
-    """Rows ``rows`` of the projection ``P`` sorted ascending, and the stable
-    permutation that sorts them (``fgw.stable_sort_rows``: ties broken by
-    point index), written from ``P`` straight into this thread's block
-    buffers ``name`` and ``name + "_order"`` of ``_kernels._WORKSPACE``.
-    The thread's next call with that name overwrites them."""
-    block = P[rows]
     take = _kernels._WORKSPACE.take
-    out = (take(name, block.shape), take(name + "_order", block.shape, np.intp))
-    return stable_sort_rows(block, out=out)
+    shape = (thetas.shape[0], X.shape[0])
+    product = np.matmul(thetas, X.T, out=take(via or name, shape))
+    if via is None:
+        product.sort(axis=1)
+        return product, None
+    return stable_sort_rows(product, out=(take(name, shape), take(name + "_order", shape, np.intp)))
 
 
-def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None):
+def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
     """Per-direction fused costs, optionally with gradients wrt the original
     (unsorted) cloud rows. Each cloud is sorted at its own size, spread to
     max(n, m) columns for the kernels, and its gradients folded back.
-    ``thetas`` may stack batches of ``batch_rows`` rows, each projected by
-    its own product (``_project_sorted``), so each batch's costs are the bits
-    it gets alone. Gradients need r = 2 (the kernel raises otherwise).
+    Gradients need r = 2 (the kernel raises otherwise).
 
-    The outputs are allocated once; then each row block (``_row_blocks`` at
-    max(n, m)) runs the kernel, and with gradients also the sort and the
-    scatter. The sort reads the block's projection rows and writes their
-    values and order into this thread's block buffers (``_sorted_block``);
-    the kernel writes the gradients in its cost pass into the thread's
-    reused buffers (``_kernels.grad_outputs``). The scatter consumes both
-    before the next block: each order, offset in place by its rows' starts
-    in the flattened gradient array, indexes that array. So besides the
-    outputs only the two projections span the batch. Every step after the
-    projection works row by row, so the blocks do not change a bit.
+    The outputs are allocated once, and then each row block (``_row_blocks``
+    at max(n, m)) is projected and sorted (``_project_sorted``), evaluated
+    and scattered. With gradients the projections go into the gradient
+    buffers (``_kernels.grad_outputs``), which the kernel writes only after
+    both sorts. The scatter offsets each order in place by its rows' starts
+    in the flattened gradient array, and indexes that array with it.
     """
-    A = _project_sorted(X, thetas, not want_grads, batch_rows=batch_rows)
-    B = _project_sorted(Y, thetas, not want_grads, batch_rows=batch_rows)
-    n, m = A.shape[1], B.shape[1]
+    n, m = X.shape[0], Y.shape[0]
     k = max(n, m)
-    costs = np.empty(A.shape[0])
-    gx, gy = (np.empty(A.shape), np.empty(B.shape)) if want_grads else (None, None)
-    for rows in _row_blocks(A.shape[0], k):
-        if want_grads:
-            (a, order_x), (b, order_y) = _sorted_block(A, rows, "x"), _sorted_block(B, rows, "y")
-        else:
-            a, b = A[rows], B[rows]
+    costs = np.empty(thetas.shape[0])
+    gx, gy = (np.empty((costs.size, n)), np.empty((costs.size, m))) if want_grads else (None, None)
+    for rows in _row_blocks(costs.size, k):
+        (a, order_x), (b, order_y) = (
+            _project_sorted(Z, thetas[rows], name, via if want_grads else None)
+            for Z, name, via in ((X, "x", "GA"), (Y, "y", "GB"))
+        )
         a, b = spread_rows(a, k), spread_rows(b, k)
         grads = _kernels.grad_outputs(a.shape) if want_grads else None
         costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, grads=grads)[0]
@@ -306,28 +289,14 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool, batch_rows=None
     return costs, gx, gy
 
 
-def _stacked_costs(X, Y, thetas, cfg: FgwConfig, batch_rows: int) -> np.ndarray:
-    """Costs of ``thetas`` stacked from batches of ``batch_rows`` rows,
-    evaluated in groups of whole batches that hold at most
-    max(batch_rows * max(n, m), ``_SLICE_BLOCK_ENTRIES``) projected entries
-    each: small batches share one evaluation, and a large stack is never
-    projected at once. Each batch gets the bits it gets alone."""
-    per_batch = batch_rows * max(X.shape[0], Y.shape[0])
-    group = max(1, _SLICE_BLOCK_ENTRIES // per_batch) * batch_rows
-    return np.concatenate([
-        _eval_slices(X, Y, thetas[i:i + group], cfg, False, batch_rows=batch_rows)[0]
-        for i in range(0, thetas.shape[0], group)
-    ])
-
-
 def slice_costs(mu, nu, cfg: FgwConfig, directions) -> np.ndarray:
     """Fused 1D costs of two clouds along (L, d) unit directions or one (d,).
 
     A direction evaluated alone (L = 1) can differ in the last bits from the
     same direction inside a batch: BLAS projects a single row on its
-    matrix-vector path, which rounds differently (and at d >= 32 small
-    batches can round differently from large ones). Row blocking adds no such
-    dependence: the projection is one product over the whole batch.
+    matrix-vector path, which rounds differently. Inside a batch the
+    projection is one product per row block, whose rounding can depend on
+    its row count (see the module docstring).
     """
     X, Y = _validate_pair(mu, nu)
     thetas = _check_directions(np.atleast_2d(directions))
@@ -407,8 +376,8 @@ def _slicing_ascent(kind, d, rng, settings, kappas=(), alphas=None, starts=1):
     if kind != "max_sfg":
         kappas = np.atleast_1d(np.asarray(kappas, dtype=np.float64))
         starts = len(kappas)
-    elif int(starts) < 1:
-        raise ValueError("num_restarts must be >= 1")
+    else:
+        starts = _check_count(starts, "num_restarts")
     return SlicingAscent(_FAMILIES[kind], sample_uniform_sphere(d, rng, starts), kappas, alphas,
                          *adam)
 
@@ -418,7 +387,7 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
     evaluate their slices (with point gradients when ``pathwise``) and take
     the location gradient, raising DivergenceError on a non-finite objective
     or gradient. Finite differences evaluate the draws with their moved
-    copies (``fd_directions``) in one ``_stacked_costs`` call. Returns
+    copies (``fd_directions``) in one ``_eval_slices`` call. Returns
     (directions, costs, their mean, per-slice gradients wrt the rows of X or
     None, location gradient); the caller takes the Adam step."""
     thetas, ctx = ascent.draw(L, rng)
@@ -429,7 +398,8 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
         grad = ascent.pathwise_gradient(ctx, gx @ X + gy @ Y)
     else:
         m, gx = thetas.shape[0], None
-        costs = _stacked_costs(X, Y, np.concatenate([thetas, ascent.fd_directions(ctx)]), cfg, m)
+        stack = np.concatenate([thetas, ascent.fd_directions(ctx)])
+        costs = _eval_slices(X, Y, stack, cfg, want_grads=False)[0]
         value = _mc_estimate(costs[:m], std_error=False)[0]
         # a non-finite objective stops here, before any difference is taken
         _check_finite(engine, "ascent objective", value, iteration)

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fgw import FgwConfig, as_point_cloud
+from .fgw import FgwConfig, _check_count, as_point_cloud
 from .discrepancies import (
     KINDS,
     OptimizerConfig,
@@ -101,7 +101,8 @@ def _draw_gmm(means, log_std, weights, n: int, rng: Rng):
 
 def sample_gmm(params: GmmParams, n: int, rng: Rng) -> np.ndarray:
     """n draws from a diagonal GMM."""
-    return _draw_gmm(params.means, params.log_std_devs, params.weights, int(n), rng)[0]
+    n = _check_count(n, "n", 0)
+    return _draw_gmm(params.means, params.log_std_devs, params.weights, n, rng)[0]
 
 
 _FOUR_MODES = np.array([[4.0, 4.0], [4.0, -4.0], [-4.0, 4.0], [-4.0, -4.0]])
@@ -111,7 +112,7 @@ _FOUR_MODE_STD = 0.5
 def four_mode_gmm(n: int, rng: Rng) -> np.ndarray:
     """The 2D four-Gaussian toy target: modes at (+-4, +-4), std 0.5, with
     points assigned to modes in balanced round-robin order."""
-    n = int(n)
+    n = _check_count(n, "n", 0)
     comp = np.arange(n) % 4
     return _FOUR_MODES[comp] + _FOUR_MODE_STD * rng.standard_normal((n, 2))
 
@@ -137,9 +138,7 @@ def kappa_sweep(
     """ssfg across a concentration grid, mean and standard error over trials,
     plus sfg and max_sfg reference rows computed with the same budget."""
     opt = opt or OptimizerConfig()
-    if int(trials) < 1:
-        raise ValueError("trials must be >= 1")
-    trials = int(trials)
+    trials = _check_count(trials, "trials")
     rng = _resolve_rng(rng)
     kappas = [float(k) for k in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
 
@@ -189,18 +188,16 @@ def convergence_rate(
     validate the harness on a known 1/n rate.
     """
     opt = opt or OptimizerConfig()
-    sizes = [int(n) for n in sample_sizes]
+    d = _check_count(d, "d")
+    sizes = [_check_count(n, "sample sizes", 1, "sample sizes must be positive")
+             for n in sample_sizes]
     if len(sizes) < 2:
         raise ValueError("at least two sample sizes are needed to fit the slope")
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sample sizes must be strictly increasing")
-    if min(sizes) < 1:
-        raise ValueError("sample sizes must be positive")
-    if int(trials) < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _check_count(trials, "trials")
     if metric not in ("ssfg", "w1_control"):
         raise ValueError("metric must be 'ssfg' or 'w1_control'")
-    trials = int(trials)
     rng = _resolve_rng(rng)
     m = 16 * max(sizes)
     rows = []
@@ -230,7 +227,7 @@ def convergence_rate(
     metadata = {
         "experiment": "convergence_rate",
         "metric": metric,
-        "d": int(d),
+        "d": d,
         "sample_sizes": sizes,
         "reference_size": m,
         "trials": trials,
@@ -268,9 +265,8 @@ class FlowObjective:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.kind != "mssfg" and (self.kappas is not None or self.alphas is not None):
             raise ValueError(f"kappas and alphas apply only to kind mssfg, not {self.kind}")
-        if int(self.num_projections) < 1:
-            raise ValueError("num_projections must be >= 1")
-        object.__setattr__(self, "num_projections", int(self.num_projections))
+        object.__setattr__(self, "num_projections",
+                           _check_count(self.num_projections, "num_projections"))
 
     def fgw_config(self) -> FgwConfig:
         # particle gradients chain through the r=2 closed form
@@ -323,13 +319,11 @@ def particle_flow(
     sliced discrepancy. Particles start at 0.1 * standard normal; snapshots
     are taken at step 0, every ``snapshot_every`` steps, and at the end."""
     Y = as_point_cloud(target)
-    n, d = int(num_particles), Y.shape[1]
+    n, d = _check_count(num_particles, "num_particles"), Y.shape[1]
     if n != Y.shape[0]:
         raise ValueError("num_particles must equal the target size")
-    if int(steps) < 1:
-        raise ValueError("steps must be >= 1")
-    if int(snapshot_every) < 1:
-        raise ValueError("snapshot_every must be >= 1")
+    steps = _check_count(steps, "steps")
+    snapshot_every = _check_count(snapshot_every, "snapshot_every")
     if not np.isfinite(float(step_size)):
         raise ValueError("step_size must be finite")
     rng = _resolve_rng(rng)
@@ -338,16 +332,16 @@ def particle_flow(
     ascent = _flow_ascent(objective, d, rng)
     snapshots = [X.copy()]
     snapshot_steps = [0]
-    trace = np.empty(int(steps))
-    for step in range(1, int(steps) + 1):
+    trace = np.empty(steps)
+    for step in range(1, steps + 1):
         trace[step - 1], gx, thetas = _slice_step(ascent, objective, cfg, X, Y, rng, step)
         X = X - float(step_size) * (gx.T @ thetas) * (n / thetas.shape[0])
         _check_finite("particle_flow", "particle", X, step)
-        if step % int(snapshot_every) == 0 and step != int(steps):
+        if step % snapshot_every == 0 and step != steps:
             snapshots.append(X.copy())
             snapshot_steps.append(step)
     snapshots.append(X.copy())
-    snapshot_steps.append(int(steps))
+    snapshot_steps.append(steps)
     return FlowResult(tuple(snapshots), tuple(snapshot_steps), trace, X)
 
 
@@ -368,14 +362,11 @@ def gmm_fit(
     carries no usable weight gradient under straight-through routing)."""
     Y = as_point_cloud(target)
     n, d = Y.shape
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    batch = int(batch)
-    if not (1 <= batch <= n):
+    k = _check_count(k, "k")
+    batch = _check_count(batch, "batch", 1, "batch must lie in [1, target size]")
+    if batch > n:
         raise ValueError("batch must lie in [1, target size]")
-    if int(steps) < 0:
-        raise ValueError("steps must be >= 0")
+    steps = _check_count(steps, "steps", 0)
     if not np.isfinite(float(step_size)):
         raise ValueError("step_size must be finite")
     rng = _resolve_rng(rng)
@@ -384,7 +375,7 @@ def gmm_fit(
     log_std = np.zeros((k, d))
     weights = np.full(k, 1.0 / k)
     ascent = _flow_ascent(objective, d, rng)
-    for step in range(1, int(steps) + 1):
+    for step in range(1, steps + 1):
         Z, comp, eta = _draw_gmm(means, log_std, weights, batch, rng)
         sel_rows = rng.choice(n, size=batch, replace=False)
         _, gz, thetas = _slice_step(ascent, objective, cfg, Z, Y[sel_rows], rng, step)

@@ -47,6 +47,17 @@ class MonotoneCoupling(Enum):
     REVERSED = "reversed"
 
 
+def _check_count(value, name: str, minimum: int = 1, below: str = ""):
+    """``value`` as an int, if it is an int or a numpy integer (not a bool)
+    of at least ``minimum``; ``below`` words the error for a smaller one. A
+    count is never rounded: 2.5 draws is an error, not 2."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if value < minimum:
+        raise ValueError(below or f"{name} must be >= {minimum}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FgwConfig:
     """Fused-cost parameters: tradeoff beta in [0, 1] and integer exponent
@@ -59,11 +70,9 @@ class FgwConfig:
         beta = float(self.beta)
         if not np.isfinite(beta) or not 0.0 <= beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        r = self.exponent
-        if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or r < 1:
-            raise ValueError("exponent must be an integer >= 1")
+        r = _check_count(self.exponent, "exponent", 1, "exponent must be an integer >= 1")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "exponent", int(r))
+        object.__setattr__(self, "exponent", r)
 
 
 @dataclass(frozen=True)

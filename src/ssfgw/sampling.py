@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fgw import _check_count
+
 Rng = np.random.Generator
 
 _UNIT_TOL = 1e-12
@@ -166,9 +168,8 @@ def _uniform_sphere(d: int, rng: Rng, size) -> np.ndarray:
 
 def sample_uniform_sphere(d: int, rng: Rng, size=None) -> np.ndarray:
     """Uniform draw(s) on S^{d-1}, d >= 2."""
-    if int(d) < 2:
-        raise ValueError("uniform sphere sampling requires d >= 2")
-    return _uniform_sphere(int(d), rng, size)
+    d = _check_count(d, "d", 2, "uniform sphere sampling requires d >= 2")
+    return _uniform_sphere(d, rng, size if size is None else _check_count(size, "size", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def _sample(family, comps, weights, rng: Rng, size):
     # draw when size is None
     locs = np.stack([comp.location for comp in comps])
     kappas = [comp.concentration for comp in comps]
-    m = 1 if size is None else int(size)
+    m = 1 if size is None else _check_count(size, "size", 0)
     thetas, idx = _draw_directions(family, locs, kappas, weights, m, rng)
     return (thetas[0], int(idx[0])) if size is None else (thetas, idx)
 

@@ -24,7 +24,6 @@ from ssfgw.discrepancies import (
     _ascent_step,
     _eval_slices,
     _project_sorted,
-    _sorted_block,
     expected_fgw,
     max_sfg,
     mssfg,
@@ -158,36 +157,34 @@ SORT_CASES = {
 }
 
 
-def _block_sorted(P):
-    # the gradient path's sort: each row block of the projection P sorted
-    # with its stable order into the workspace, copied out and stacked
-    blocks = [[x.copy() for x in _sorted_block(P, rows, "x")]
-              for rows in discrepancies._row_blocks(*P.shape)]
-    return tuple(np.vstack(part) for part in zip(*blocks))
+def _block_sorted(X, thetas, via="GA"):
+    # _project_sorted over the row blocks of thetas, as _eval_slices runs
+    # it: each block projected and sorted in the workspace (with its stable
+    # order through ``via``, values alone without), copied out and stacked
+    blocks = [[None if x is None else x.copy() for x in _project_sorted(X, thetas[rows], "x", via)]
+              for rows in discrepancies._row_blocks(thetas.shape[0], X.shape[0])]
+    return tuple(None if part[0] is None else np.vstack(part) for part in zip(*blocks))
+
+
+BUDGETS = (discrepancies._SLICE_BLOCK_ENTRIES, 1)
 
 
 @pytest.mark.parametrize("case", sorted(SORT_CASES))
 def test_project_sorted_matches_stable_argsort_bitwise(case, monkeypatch):
     X, thetas = SORT_CASES[case](make_rng(70))
-    # one pass, then one row per block: rows with +-inf, NaN and ties cross
-    # block boundaries; with batch_rows = 2 every two rows take their own
-    # product
-    for budget in (discrepancies._SLICE_BLOCK_ENTRIES, 1):
+    # one block, then two or three rows per block, each its own product:
+    # rows with +-inf, NaN and ties cross block boundaries
+    for budget in BUDGETS:
         monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
-        for batch_rows in (None, 2):
-            with np.errstate(over="ignore", invalid="ignore"):
-                step = batch_rows or thetas.shape[0]
-                product = np.vstack([thetas[i:i + step] @ X.T
-                                     for i in range(0, thetas.shape[0], step)])
-                ref_values, ref_order = stable_reference(product)
-                projection = _project_sorted(X, thetas, False, batch_rows=batch_rows)
-                values, order = _block_sorted(projection)
-                sorted_only = _project_sorted(X, thetas, True, batch_rows=batch_rows)
-            assert_bitwise(projection, product)
-            assert_bitwise(values, ref_values)
-            assert_bitwise(order, ref_order)
-            # the value-only path sorts values alone: equal rows, NaNs last
-            assert np.array_equal(sorted_only, ref_values, equal_nan=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_values, ref_order = stable_reference(thetas @ X.T)
+            values, order = _block_sorted(X, thetas)
+            sorted_only, no_order = _block_sorted(X, thetas, via=None)
+        assert_bitwise(values, ref_values)
+        assert_bitwise(order, ref_order)
+        # the value-only path sorts values alone: equal rows, NaNs last
+        assert no_order is None
+        assert np.array_equal(sorted_only, ref_values, equal_nan=True)
 
 
 @pytest.mark.parametrize("case", sorted(SORT_CASES))
@@ -263,18 +260,21 @@ def test_stable_sort_rows_matches_stable_argsort_where_keys_collide(n):
     assert_bitwise(out[1], ref_order)
 
 
-def test_project_sorted_orders_colliding_projections_across_row_blocks():
+def test_project_sorted_orders_colliding_projections_across_row_blocks(monkeypatch):
     # axis directions project the first column exactly, so those rows hold
-    # the colliding keys; 8192 points give 4 rows per block, so 10 rows span
-    # three blocks
+    # the colliding keys; 8192 points give at most 4 rows per block, so 10
+    # rows span three blocks (of 3, 3 and 4 rows), and with a budget of one
+    # entry five blocks of 2
     n = 8192
     X = np.column_stack([_colliding_rows(n, 73)[0], make_rng(74).normal(size=n)])
     thetas = np.vstack([[1.0, 0.0], [-1.0, 0.0], _unit_rows(make_rng(75), 8, 2)])
-    assert len(discrepancies._row_blocks(thetas.shape[0], n)) >= 2
     ref_values, ref_order = stable_reference(thetas @ X.T)
-    values, order = _block_sorted(_project_sorted(X, thetas, False))
-    assert_bitwise(values, ref_values)
-    assert_bitwise(order, ref_order)
+    for budget in BUDGETS:
+        monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
+        assert len(discrepancies._row_blocks(thetas.shape[0], n)) >= 3
+        values, order = _block_sorted(X, thetas)
+        assert_bitwise(values, ref_values)
+        assert_bitwise(order, ref_order)
 
 
 def test_strictly_increasing_rows_make_no_argsort_call(monkeypatch):
@@ -282,7 +282,6 @@ def test_strictly_increasing_rows_make_no_argsort_call(monkeypatch):
     values = r.normal(size=(50, 256))
     X, thetas = r.normal(size=(300, 3)), _unit_rows(r, 20, 3)
     ref_rows, ref_order = stable_reference(values)
-    ref_proj = stable_reference(thetas @ X.T)
     calls = []
     argsort = np.argsort
 
@@ -292,12 +291,19 @@ def test_strictly_increasing_rows_make_no_argsort_call(monkeypatch):
 
     monkeypatch.setattr(np, "argsort", counting)
     ordered, order = stable_sort_rows(values)
-    projected = _block_sorted(_project_sorted(X, thetas, False))
+    projected, products = [], []
+    for budget in BUDGETS:
+        monkeypatch.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
+        projected.append(_block_sorted(X, thetas))
+        # at n = 300 BLAS rounds some entries of a product by its row count
+        products.append(np.vstack([thetas[rows] @ X.T
+                                   for rows in discrepancies._row_blocks(20, 300)]))
     assert calls == []
     assert_bitwise(ordered, ref_rows)
     assert_bitwise(order, ref_order)
-    for got, ref in zip(projected, ref_proj):
-        assert_bitwise(got, ref)
+    for blocked, product in zip(projected, products):
+        for got, ref in zip(blocked, stable_reference(product)):
+            assert_bitwise(got, ref)
 
 
 def test_project_uses_the_stable_order():
@@ -575,6 +581,21 @@ def test_row_blocks_give_the_same_bits(case):
     assert_bitwise(blocked[2], one_pass[2])
 
 
+@given(st.integers(0, 120), st.integers(1, 70_000),
+       st.sampled_from([1, 64, 1000, discrepancies._SLICE_BLOCK_ENTRIES]))
+def test_row_blocks_cover_the_batch_once_in_blocks_of_two_rows_or_more(L, k, budget):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrepancies, "_SLICE_BLOCK_ENTRIES", budget)
+        blocks = discrepancies._row_blocks(L, k)
+    assert [i for rows in blocks for i in range(L)[rows]] == list(range(L))
+    sizes = [len(range(L)[rows]) for rows in blocks]
+    assert all(size >= 2 for size in sizes) or sizes == [1] == [L]
+    # at most max(2k, budget) entries; an odd batch of rows longer than a
+    # third of the budget must put three rows in one block
+    over = [size for size in sizes if size * k > max(2 * k, budget)]
+    assert over == [] or (over == [3] and L % 2 == 1)
+
+
 def test_engine_reports_do_not_depend_on_row_blocks(monkeypatch):
     X, Y = iid_pair(84, d=4, n=40)
     Y = np.repeat(Y[:20], 2, axis=0)
@@ -615,8 +636,9 @@ def _fd_ascent(family, d, seed):
 @pytest.mark.parametrize("d", [2, 3, 40])
 @pytest.mark.parametrize("r_exp", [2, 3])
 def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
-    # the route of one _eval_slices call per batch: the draws alone, then
-    # every moved batch alone
+    # the step evaluates the draws and every moved batch in one _eval_slices
+    # call over their stack; below d = 32 its costs are also the bits of one
+    # call per batch (the draws alone, then every moved batch alone)
     X, Y = iid_pair(88 + d, d, n=16)
     Y = np.repeat(Y[:8], 2, axis=0)[:, ::-1].copy()  # 8 points against 16
     cfg = FgwConfig(beta=0.3, exponent=r_exp)
@@ -629,41 +651,46 @@ def test_fd_step_matches_one_evaluation_per_moved_batch(family, d, r_exp):
     if family == "mixture":
         # every component drew, and their draws interleave
         assert set(ctx.idx) == {0, 1, 2} and (np.diff(ctx.idx) < 0).any()
-    ref_costs = _eval_slices(Y, X, ref_thetas, cfg, want_grads=False)[0]
+    stack = np.concatenate([ref_thetas, reference.fd_directions(ctx)])
+    stacked = _eval_slices(Y, X, stack, cfg, want_grads=False)[0]
     m = ref_thetas.shape[0]
-
-    def one_call_per_batch(stacked):
-        return np.concatenate([
-            _eval_slices(Y, X, stacked[i:i + m], cfg, want_grads=False)[0]
-            for i in range(0, stacked.shape[0], m)
-        ])
-
-    ref_grad = reference.fd_gradient(ctx, one_call_per_batch(reference.fd_directions(ctx)))
+    ref_costs = stacked[:m]
     assert gx is None
     assert_bitwise(thetas, ref_thetas)
     assert_bitwise(costs, ref_costs)
     assert value == float(ref_costs.mean())
-    assert_bitwise(grad, ref_grad)
+    assert_bitwise(grad, reference.fd_gradient(ctx, stacked[m:]))
+    if d < 32:
+        per_batch = [_eval_slices(Y, X, stack[i:i + m], cfg, want_grads=False)[0]
+                     for i in range(0, stack.shape[0], m)]
+        assert_bitwise(stacked, np.concatenate(per_batch))
 
 
 def test_fd_step_keeps_every_evaluation_within_the_entry_bound(monkeypatch):
-    # d = 8: the draws and 14 moved batches; at n = 1024 a 10-row batch holds
-    # 10,240 entries, so three share a group, and a 50-row batch is alone
+    # d = 8: the draws and 14 moved batches in one _eval_slices call, which
+    # projects each cloud one row block at a time, at n = 1024 at most 32
+    # rows (_SLICE_BLOCK_ENTRIES entries)
     X, Y = iid_pair(91, d=8, n=1024)
-    entries = []
+    calls, blocks = [], []
 
-    def recorded(X, Y, thetas, *args, **kwargs):
-        entries.append(thetas.shape[0] * max(X.shape[0], Y.shape[0]))
+    def recorded_eval(X, Y, thetas, *args, **kwargs):
+        calls.append(thetas.shape[0])
         return evaluate(X, Y, thetas, *args, **kwargs)
 
-    evaluate = discrepancies._eval_slices
-    monkeypatch.setattr(discrepancies, "_eval_slices", recorded)
-    for L, calls in ((10, 5), (50, 15)):
-        entries.clear()
+    def recorded_project(X, thetas, *args, **kwargs):
+        blocks.append(thetas.shape[0] * X.shape[0])
+        return project(X, thetas, *args, **kwargs)
+
+    evaluate, project = discrepancies._eval_slices, discrepancies._project_sorted
+    monkeypatch.setattr(discrepancies, "_eval_slices", recorded_eval)
+    monkeypatch.setattr(discrepancies, "_project_sorted", recorded_project)
+    for L in (10, 50):
+        calls.clear()
+        blocks.clear()
         _ascent_step("ssfg", X, Y, CFG, _fd_ascent("vmf", 8, 92), L, False, make_rng(93), 1)
-        bound = max(L * 1024, discrepancies._SLICE_BLOCK_ENTRIES)
-        assert len(entries) == calls and max(entries) <= bound, (L, entries)
-        assert sum(entries) == 15 * L * 1024
+        assert calls == [15 * L]
+        assert max(blocks) <= discrepancies._SLICE_BLOCK_ENTRIES, (L, blocks)
+        assert sum(blocks) == 2 * 15 * L * 1024
 
 
 def test_fd_step_on_a_nan_cloud_raises_on_the_objective():

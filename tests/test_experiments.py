@@ -6,7 +6,15 @@ import re
 import numpy as np
 import pytest
 
-from ssfgw.discrepancies import KINDS, DivergenceError, OptimizerConfig, ssfg
+from ssfgw.discrepancies import (
+    KINDS,
+    DivergenceError,
+    OptimizerConfig,
+    UniformSlicing,
+    max_sfg,
+    sample_slicing,
+    ssfg,
+)
 from ssfgw.experiments import (
     ExperimentResult,
     FlowObjective,
@@ -20,7 +28,16 @@ from ssfgw.experiments import (
     sample_gmm,
 )
 from ssfgw.fgw import FgwConfig, as_point_cloud
-from ssfgw.sampling import make_rng
+from ssfgw.sampling import (
+    MixtureVmfParams,
+    PowerSphericalParams,
+    VmfParams,
+    make_rng,
+    sample_mixture_vmf,
+    sample_power_spherical,
+    sample_uniform_sphere,
+    sample_vmf,
+)
 
 CFG = FgwConfig(beta=0.1, exponent=2)
 MODES = np.array([[4.0, 4.0], [4.0, -4.0], [-4.0, 4.0], [-4.0, -4.0]])
@@ -36,6 +53,79 @@ def axis_pair(seed, d, n=48, stretch=3.0):
 
 def _smoothed(vals, w=50):
     return np.convolve(vals, np.ones(w) / w, mode="valid")
+
+
+# ---------------------------------------------------------------------------
+# counts: integers, never rounded
+# ---------------------------------------------------------------------------
+
+_TARGET = four_mode_gmm(16, make_rng(0))
+_FLOW = FlowObjective(kind="sfg", num_projections=2)
+_E1 = np.array([1.0, 0.0, 0.0])
+_GMM = GmmParams(np.zeros((1, 2)), np.zeros((1, 2)), [1.0])
+
+
+def _flow(**counts):
+    return particle_flow(_TARGET, counts.pop("num_particles", 16), _FLOW,
+                         step_size=0.01, rng=make_rng(1), **{"steps": 1, **counts})
+
+
+def _fit(**counts):
+    return gmm_fit(_TARGET, counts.pop("k", 2), _FLOW, step_size=0.01, rng=make_rng(2),
+                   **{"steps": 1, "batch": 8, **counts})
+
+
+def _convergence(d=2, sizes=(4, 8), trials=1):
+    return convergence_rate(d, sizes, trials, CFG, 1.0, OptimizerConfig(max_iter=1, num_projections=2),
+                            rng=make_rng(3))
+
+
+# every count of the public API, given a bool or a non-integral number
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: OptimizerConfig(max_iter=1.9), "max_iter", id="optimizer-max-iter"),
+    pytest.param(lambda: OptimizerConfig(num_projections=True), "num_projections",
+                 id="optimizer-projections-bool"),
+    pytest.param(lambda: OptimizerConfig(num_projections=2.5), "num_projections",
+                 id="optimizer-projections"),
+    pytest.param(lambda: FlowObjective(num_projections=2.7), "num_projections",
+                 id="flow-objective-projections"),
+    pytest.param(lambda: sample_slicing(UniformSlicing(), 3, 2.5, make_rng(0)), "L",
+                 id="slicing-L"),
+    pytest.param(lambda: max_sfg(*axis_pair(0, 2, n=8), CFG, num_restarts=2.5), "num_restarts",
+                 id="max-sfg-restarts"),
+    pytest.param(lambda: _flow(num_particles=16.0), "num_particles", id="flow-particles"),
+    pytest.param(lambda: _flow(steps=2.5), "steps", id="flow-steps"),
+    pytest.param(lambda: _flow(snapshot_every=1.5), "snapshot_every", id="flow-snapshots"),
+    pytest.param(lambda: _fit(k=2.0), "k", id="gmm-k"),
+    pytest.param(lambda: _fit(steps=2.5), "steps", id="gmm-steps"),
+    pytest.param(lambda: _fit(batch=8.5), "batch", id="gmm-batch"),
+    pytest.param(lambda: kappa_sweep(*axis_pair(0, 2, n=8), CFG, [1.0], trials=1.5), "trials",
+                 id="sweep-trials"),
+    pytest.param(lambda: _convergence(trials=1.5), "trials", id="convergence-trials"),
+    pytest.param(lambda: _convergence(sizes=(4.0, 8)), "sample sizes", id="convergence-sizes"),
+    pytest.param(lambda: _convergence(d=2.5), "d", id="convergence-d"),
+    pytest.param(lambda: sample_uniform_sphere(3.0, make_rng(0)), "d", id="uniform-d"),
+    pytest.param(lambda: sample_uniform_sphere(3, make_rng(0), 2.5), "size", id="uniform-size"),
+    pytest.param(lambda: sample_vmf(VmfParams(_E1, 1.0), make_rng(0), 2.5), "size", id="vmf-size"),
+    pytest.param(lambda: sample_power_spherical(PowerSphericalParams(_E1, 1.0), make_rng(0), True),
+                 "size", id="power-spherical-size"),
+    pytest.param(lambda: sample_mixture_vmf(MixtureVmfParams((VmfParams(_E1, 1.0),), [1.0]),
+                                            make_rng(0), 1.5), "size", id="mixture-size"),
+    pytest.param(lambda: sample_gmm(_GMM, 2.5, make_rng(0)), "n", id="gmm-sample-n"),
+    pytest.param(lambda: four_mode_gmm(2.5, make_rng(0)), "n", id="four-mode-n"),
+])
+def test_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call()
+
+
+def test_counts_take_numpy_integers():
+    counts = OptimizerConfig(max_iter=np.int64(3), num_projections=np.uint8(7))
+    assert (counts.max_iter, counts.num_projections) == (3, 7)
+    assert type(counts.max_iter) is int and type(counts.num_projections) is int
+    assert sample_uniform_sphere(np.int32(3), make_rng(0), np.int64(4)).shape == (4, 3)
+    flow = _flow(num_particles=np.int64(16), steps=np.int16(2), snapshot_every=np.int8(1))
+    assert flow.snapshot_steps == (0, 1, 2) and flow.trace.shape == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The package root exports exactly its public names, every name a module
 of the package imports is used in that module, every private module-level
 name is referenced, every public kernel function is called from another
-module, every public function or class is used or exported, and the package
+module, every public function or class is used or exported, one function
+raises every divergence and one evaluates every slice batch, and the package
 imports no scipy: no module's source names it in an import, and importing and
 running the package loads none."""
 
@@ -30,6 +31,10 @@ TRACER_ALIASES = {
     "experiments": {"_eval_slices", "_uniform_sphere", "adam_step", "reflection_location_grads"},
     "sphere_opt": {"_ps_omega", "_uniform_sphere", "_vmf_omega"},
 }
+
+
+def _src_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def _unused_imports(tree) -> set:
@@ -138,7 +143,7 @@ def _uncalled_public_functions(trees, module) -> set:
 
 
 def test_every_public_kernel_function_is_called_from_another_module():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     assert any(isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
                for node in trees["_kernels"].body)
     assert _uncalled_public_functions(trees, "_kernels") == set()
@@ -173,7 +178,7 @@ def _unused_public_definitions(trees, exported) -> set:
 
 def test_every_public_definition_is_used_or_exported():
     # no code that only the tests call: what tests alone need lives in tests/
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     assert "SlicingAscent" in _references(trees["discrepancies"])
     assert _unused_public_definitions(trees, set(ssfgw.__all__)) == set()
 
@@ -194,14 +199,14 @@ def test_unused_public_definition_is_caught():
                                                                ("sampling", "Idle")}
 
 
-def _divergence_errors(trees) -> list:
-    """(module, innermost enclosing function or None) of every call that
-    constructs a ``DivergenceError``, by bare name or as an attribute."""
+def _call_sites(trees, name) -> list:
+    """(module, innermost enclosing function or None) of every call of
+    ``name``, by bare name or as an attribute."""
     found = []
 
     def visit(node, module, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "DivergenceError" in (
+            if isinstance(child, ast.Call) and name in (
                 getattr(child.func, "id", None), getattr(child.func, "attr", None)
             ):
                 found.append((module, function))
@@ -217,8 +222,7 @@ def _divergence_errors(trees) -> list:
 
 def test_divergence_error_is_raised_only_by_check_finite():
     # one divergence rule: a number the run needs is not finite
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _divergence_errors(trees) == [("discrepancies", "_check_finite")]
+    assert _call_sites(_src_trees(), "DivergenceError") == [("discrepancies", "_check_finite")]
 
 
 def test_stray_divergence_error_is_caught():
@@ -236,12 +240,45 @@ def test_stray_divergence_error_is_caught():
             "ERROR = DivergenceError('at import', 0)\n"
         ),
     }
-    assert _divergence_errors(trees) == [
+    assert _call_sites(trees, "DivergenceError") == [
         ("discrepancies", "_check_finite"),
         ("experiments", "cap"),
         ("experiments", "flow"),
         ("experiments", None),
     ]
+
+
+# the steps of a slice batch's one evaluation path
+SLICE_PATH = ("_project_sorted", "_row_blocks", "cost_batch")
+
+
+def test_slice_batches_have_one_evaluation_path():
+    # every slice batch is projected, blocked and evaluated in _eval_slices
+    trees = _src_trees()
+    for name in SLICE_PATH:
+        assert _call_sites(trees, name) == [("discrepancies", "_eval_slices")], name
+
+
+def test_second_slice_evaluation_path_is_caught():
+    trees = {
+        "discrepancies": ast.parse(
+            "def _eval_slices(X, thetas):\n"
+            "    for rows in _row_blocks(thetas.shape[0], X.shape[0]):\n"
+            "        a = _project_sorted(X, thetas[rows], 'x')\n"
+            "        _kernels.cost_batch(a, a, 0.1, 2)\n"
+            "def _stacked_costs(X, thetas):\n"
+            "    return _kernels.cost_batch(*_project_sorted(X, thetas, 'x'), 0.1, 2)\n"
+        ),
+        "experiments": ast.parse(
+            "from . import discrepancies\n"
+            "BLOCKS = discrepancies._row_blocks(50, 64)\n"
+        ),
+    }
+    assert {name: _call_sites(trees, name) for name in SLICE_PATH} == {
+        "_project_sorted": [("discrepancies", "_eval_slices"), ("discrepancies", "_stacked_costs")],
+        "_row_blocks": [("discrepancies", "_eval_slices"), ("experiments", None)],
+        "cost_batch": [("discrepancies", "_eval_slices"), ("discrepancies", "_stacked_costs")],
+    }
 
 
 def _scipy_imports(tree) -> list:

@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from ssfgw import _kernels, discrepancies
 from ssfgw.discrepancies import OptimizerConfig, _eval_slices, slice_costs, ssfg
 from ssfgw.experiments import FlowObjective, four_mode_gmm, particle_flow
-from ssfgw.fgw import FgwConfig, stable_sort_rows
+from ssfgw.fgw import FgwConfig, fold_rows, spread_rows, stable_sort_rows
 
 from oracles import ds_two_pass, exact_costs, exact_grads
 
@@ -430,6 +430,48 @@ def test_fused_eval_slices_gives_the_bits_of_two_passes_across_row_blocks():
     assert _bits([costs, gx, gy]) == _bits([c, gx_ref, gy_ref])
 
 
+@pytest.mark.parametrize("n, m, L", [(20000, 20000, 3), (20000, 20000, 7), (10000, 20000, 3),
+                                     (20000, 10000, 7)])
+def test_eval_slices_gives_the_bits_of_one_block_above_two_rows_per_budget(n, m, L):
+    # Above 16,384 points one row fills a block budget, yet the blocks hold
+    # two or three rows (a one-row projection takes gemv), and the kernel
+    # reads a lone row as two. So the blocked evaluation, with gradients or
+    # without, has the bits of the whole stably-sorted batch at once.
+    rng = np.random.default_rng(24)
+    X = rng.exponential(size=(n, 3))
+    # mirrored along the first axis: the reversed coupling wins on some slices
+    Y = rng.exponential(size=(m, 3)) * np.array([-1.3, 1.0, 0.5]) + 0.05
+    thetas = np.vstack([np.eye(3), rng.normal(size=(L - 3, 3))])
+    thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
+    cfg = FgwConfig(beta=0.4, exponent=2)
+    costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)
+    value_only = _eval_slices(X, Y, thetas, cfg, want_grads=False)[0]
+    A, order_x = stable_sort_rows(thetas @ X.T)
+    B, order_y = stable_sort_rows(thetas @ Y.T)
+    k = max(n, m)
+    c, orients, GA, GB = ds_two_pass(spread_rows(A, k), spread_rows(B, k), cfg.beta)
+    assert 0 < orients.sum() < orients.size
+    gx_ref, gy_ref = np.empty((L, n)), np.empty((L, m))
+    np.put_along_axis(gx_ref, order_x, fold_rows(GA, n), axis=1)
+    np.put_along_axis(gy_ref, order_y, fold_rows(GB, m), axis=1)
+    assert _bits([costs, value_only, gx, gy]) == _bits([c, c, gx_ref, gy_ref])
+
+
+@pytest.mark.parametrize("n", [8193, 20000])
+def test_a_lone_row_gets_the_bits_it_gets_in_a_batch(n):
+    # numpy's einsum sums a lone row of more than 8192 entries chunk by chunk;
+    # the kernel reads it as two rows, so a row evaluated alone, or gathered
+    # alone for the reversed coupling, rounds as it does among other rows
+    rng = np.random.default_rng(25)
+    A, B = _with_mirrored_rows(np.sort(rng.normal(size=(2, n)), axis=1),
+                               np.sort(rng.normal(size=(2, n)) * 0.6 + 0.4, axis=1), rng)
+    batch = _fused(A, B, 0.4)
+    assert 0 < batch[1].sum() < batch[1].size
+    for row in range(A.shape[0]):
+        alone = _fused(A[row:row + 1], B[row:row + 1], 0.4)
+        assert _bits(alone) == _bits([x[row:row + 1] for x in batch])
+
+
 def _pairwise_full(A, B, beta, r):
     # both couplings of the pairwise route with every row summed in full
     b_lead = np.array([tuple(b) < tuple(a) for a, b in zip(A, B)], dtype=bool)
@@ -608,30 +650,49 @@ def test_fused_pass_allocates_at_most_two_fresh_batches_once_warm():
             assert peak - current <= 2 * A.nbytes
 
 
-@pytest.mark.parametrize("m", [8192, 4096])
-def test_warm_gradient_evaluation_allocates_its_projections_and_outputs_only(m):
-    # Once warm, a (50, 8192) gradient evaluation allocates the two clouds'
-    # projections and their two gradient outputs, each spanning the batch;
-    # the sort with its order, the kernel and the scatter work one row block
-    # at a time in the workspace, and add under 3 blocks here (4 allowed).
-    # Sorting each whole projection with its order before the block loop
-    # added 26 blocks (21 at m = 4096).
+def _warm_peak(n, m, want_grads):
+    """Peak bytes that tracemalloc sees in a warm (50, n) ``_eval_slices``
+    call on n and m <= n points, and the bytes of its largest row block."""
     rng = np.random.default_rng(23)
-    X = rng.exponential(size=(8192, 3))
+    X = rng.exponential(size=(n, 3))
     # mirrored along the first axis: the reversed coupling wins on some slices
     Y = X[:m] * np.array([-1.3, 1.0, 0.5]) + 0.05 * rng.normal(size=(m, 3))
     thetas = rng.normal(size=(50, 3))
     thetas /= np.linalg.norm(thetas, axis=1, keepdims=True)
     cfg = FgwConfig(beta=0.4, exponent=2)
-    _eval_slices(X, Y, thetas, cfg, want_grads=True)
+    _eval_slices(X, Y, thetas, cfg, want_grads)
     tracemalloc.start()
     try:
-        _eval_slices(X, Y, thetas, cfg, want_grads=True)
+        _eval_slices(X, Y, thetas, cfg, want_grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    batches = 2 * thetas.shape[0] * (X.shape[0] + Y.shape[0]) * 8
-    assert peak <= batches + 4 * discrepancies._SLICE_BLOCK_ENTRIES * 8
+    rows = max(len(range(50)[block]) for block in discrepancies._row_blocks(50, n))
+    return peak, rows * n * 8
+
+
+# the benchmark's large-n shapes, and a flow step's
+WARM_SHAPES = [(8192, 8192), (8192, 4096), (256, 256)]
+
+
+@pytest.mark.parametrize("n, m", WARM_SHAPES)
+def test_warm_gradient_evaluation_allocates_its_outputs_only(n, m):
+    # Once warm, a gradient evaluation allocates its two gradient outputs,
+    # which span the batch; each row block is projected, sorted, evaluated
+    # and scattered in the workspace. The rest adds 1.0 blocks here (1.8 at
+    # m = 4096, 1.4 at n = 256; 2 allowed). Projecting each cloud over the
+    # whole batch before the block loop added 25.8 (20.8, 3.4).
+    peak, block = _warm_peak(n, m, want_grads=True)
+    assert peak <= 50 * (n + m) * 8 + 2 * block
+
+
+@pytest.mark.parametrize("n, m", WARM_SHAPES)
+def test_warm_value_only_evaluation_allocates_its_costs_only(n, m):
+    # The same without gradients: the costs, and 1.0 blocks besides (1.8 at
+    # m = 4096, 0.7 at n = 256; 2 allowed). Projecting and sorting each
+    # cloud over the whole batch added 25.8 (20.8, 2.7).
+    peak, block = _warm_peak(n, m, want_grads=False)
+    assert peak <= 50 * 8 + 2 * block
 
 
 def _b_lead_by_full_scan(A, B):
