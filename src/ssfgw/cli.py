@@ -30,8 +30,8 @@ from .experiments import (
     kappa_sweep,
     particle_flow,
 )
-from .fgw import FgwConfig, as_point_cloud
-from .sampling import SamplingError
+from .fgw import FgwConfig, _check_count, as_point_cloud
+from .sampling import SamplingError, _check_concentration
 from .sphere_opt import GradientMethod
 
 _DEFAULT_KAPPA_GRID = (1.0, 5.0, 10.0, 50.0, 100.0)
@@ -141,6 +141,21 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _checked(convert, check):
+    """An argparse type: the library's ``check`` of the converted text, so a
+    value it rejects is an input error whatever kind or metric reads it."""
+
+    def parse(text: str):
+        value = convert(text)  # not a number: argparse's "invalid <type> value"
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{exc}, got {text!r}")
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _add_ascent_flags(sub):
     # every command's slicing ascent: the fused weight, the batch and Adam
     sub.add_argument("--beta", type=float, default=0.1, help="fused weight in [0,1]")
@@ -165,7 +180,7 @@ def _add_engine_flags(sub):
 
 def _add_slicing_flags(sub, kappa: float):
     sub.add_argument("--kind", choices=tuple(k.replace("_", "-") for k in KINDS), default="ssfg")
-    sub.add_argument("--kappa", type=float, default=kappa)
+    sub.add_argument("--kappa", type=_checked(float, _check_concentration), default=kappa)
     sub.add_argument("--kappas", type=_float_list, default=None, help="mssfg concentrations")
     sub.add_argument("--alphas", type=_float_list, default=None, help="mssfg weights")
 
@@ -183,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("source", help="CSV point cloud")
     disc.add_argument("target", help="CSV point cloud")
     _add_slicing_flags(disc, kappa=10.0)
-    disc.add_argument("--restarts", type=int, default=8, help="max-sfg restarts")
+    disc.add_argument("--restarts", type=_checked(int, lambda n: _check_count(n, "num_restarts")),
+                      default=8, help="max-sfg restarts")
     _add_engine_flags(disc)
     _add_common_flags(disc)
 
@@ -199,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--d", type=int, default=5)
     conv.add_argument("--sizes", type=_int_list, default=(10, 20, 40, 80, 160, 320, 640))
     conv.add_argument("--trials", type=int, default=20)
-    conv.add_argument("--kappa", type=float, default=10.0)
+    conv.add_argument("--kappa", type=_checked(float, _check_concentration), default=10.0)
     conv.add_argument("--metric", choices=("ssfg", "w1-control"), default="ssfg")
     _add_engine_flags(conv)
     _add_common_flags(conv)
@@ -255,8 +271,8 @@ def _kind_kappas(args):
     if kind in ("sfg", "max_sfg"):
         return kind, ()
     if kind != "mssfg":
-        return kind, (float(args.kappa),)
-    return kind, (float(args.kappa),) * 10 if args.kappas is None else args.kappas
+        return kind, (args.kappa,)
+    return kind, (args.kappa,) * 10 if args.kappas is None else args.kappas
 
 
 def _cmd_discrepancy(args, rng):

@@ -389,7 +389,8 @@ def _ascent_step(engine, X, Y, cfg, ascent: SlicingAscent, L, pathwise, rng, ite
     or gradient. Finite differences evaluate the draws with their moved
     copies (``fd_directions``) in one ``_eval_slices`` call. Returns
     (directions, costs, their mean, per-slice gradients wrt the rows of X or
-    None, location gradient); the caller takes the Adam step."""
+    None, location gradient). The caller takes the Adam step: ``_engine``,
+    and the flows ``experiments.particle_flow`` and ``gmm_fit``."""
     thetas, ctx = ascent.draw(L, rng)
     if pathwise:
         costs, gx, gy = _eval_slices(X, Y, thetas, cfg, want_grads=True)

@@ -7,7 +7,8 @@
   slope; a classical 1D Wasserstein control mode validates the harness.
 * ``particle_flow``: free particles descend a chosen discrepancy toward a
   target cloud; the slicing parameters ascend online (warm-started) from step
-  to step, one engine iteration (``discrepancies._ascent_step``) per step.
+  to step: each step is the engines' iteration (``discrepancies._ascent_step``)
+  and one Adam step, which the flow takes itself (as ``gmm_fit`` does).
 * ``gmm_fit``: a reparameterized diagonal GMM (fixed uniform weights) descends
   the discrepancy between its sample batch and target batches, with
   straight-through routing of sample gradients to the drawing component.
@@ -122,8 +123,11 @@ def four_mode_gmm(n: int, rng: Rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_param(x) -> str:
-    return repr(float(x))
+def _trials(metric: str, parameter: str, rng: Rng, trials: int, value) -> Record:
+    """The results row of ``value(child)`` over ``trials`` generators spawned
+    from ``rng``: their Monte Carlo mean and standard error."""
+    values = np.array([value(child) for child in rng.spawn(trials)])
+    return Record(metric, parameter, *_mc_estimate(values))
 
 
 def kappa_sweep(
@@ -142,17 +146,13 @@ def kappa_sweep(
     rng = _resolve_rng(rng)
     kappas = [float(k) for k in np.atleast_1d(np.asarray(kappas, dtype=np.float64))]
 
-    def row(metric, parameter, engine):
-        # one trial per spawned generator; engine maps a generator to a report
-        values = np.array([engine(child).value for child in rng.spawn(trials)])
-        return Record(metric, parameter, *_mc_estimate(values))
-
-    rows = [
-        row("ssfg", _fmt_param(kappa), lambda child: ssfg(mu, nu, cfg, kappa, opt, rng=child))
-        for kappa in kappas
-    ]
-    rows.append(row("sfg", "", lambda child: sfg(mu, nu, cfg, L=opt.num_projections, rng=child)))
-    rows.append(row("max_sfg", "", lambda child: max_sfg(mu, nu, cfg, opt, rng=child)))
+    rows = [_trials("ssfg", repr(kappa), rng, trials,
+                    lambda child: ssfg(mu, nu, cfg, kappa, opt, rng=child).value)
+            for kappa in kappas]
+    rows.append(_trials("sfg", "", rng, trials,
+                        lambda child: sfg(mu, nu, cfg, L=opt.num_projections, rng=child).value))
+    rows.append(_trials("max_sfg", "", rng, trials,
+                        lambda child: max_sfg(mu, nu, cfg, opt, rng=child).value))
     metadata = {
         "experiment": "kappa_sweep",
         "kappas": kappas,
@@ -200,26 +200,19 @@ def convergence_rate(
         raise ValueError("metric must be 'ssfg' or 'w1_control'")
     rng = _resolve_rng(rng)
     m = 16 * max(sizes)
-    rows = []
-    means = []
-    for n in sizes:
+
+    def trial(child, n):
         reps = m // n
-        children = rng.spawn(trials)
-        values = np.empty(trials)
-        for t, child in enumerate(children):
-            if metric == "w1_control":
-                samp = child.uniform(size=n)
-                ref = child.uniform(size=m)[: reps * n]
-                a = np.repeat(np.sort(samp), reps)
-                b = np.sort(ref)
-                values[t] = float(np.mean((a - b) ** 2))
-            else:
-                samp = child.uniform(size=(n, d))
-                ref = child.uniform(size=(m, d))[: reps * n]
-                values[t] = ssfg(samp, ref, cfg, kappa, opt, rng=child).value
-        mean, se = _mc_estimate(values)
-        means.append(mean)
-        rows.append(Record(metric, str(n), mean, se))
+        if metric == "w1_control":
+            a = np.repeat(np.sort(child.uniform(size=n)), reps)
+            b = np.sort(child.uniform(size=m)[: reps * n])
+            return float(np.mean((a - b) ** 2))
+        samp = child.uniform(size=(n, d))
+        ref = child.uniform(size=(m, d))[: reps * n]
+        return ssfg(samp, ref, cfg, kappa, opt, rng=child).value
+
+    rows = [_trials(metric, str(n), rng, trials, lambda child: trial(child, n)) for n in sizes]
+    means = [row.value for row in rows]
     logs = np.log(np.maximum(means, 1e-300))
     design = np.column_stack([np.log(np.asarray(sizes, dtype=np.float64)), np.ones(len(sizes))])
     slope = float(np.linalg.lstsq(design, logs, rcond=None)[0][0])
@@ -283,18 +276,6 @@ def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
     return _slicing_ascent("mssfg", d, rng, objective, objective.kappas, objective.alphas)
 
 
-def _slice_step(ascent, objective, cfg, A, B, rng, step):
-    """One flow step's slices: the engines' ascent iteration
-    (``discrepancies._ascent_step``, pathwise, which stops on a non-finite
-    cost or location gradient) and one warm-started Adam step of the slicing
-    distribution. Returns (mean cost, per-slice gradients wrt the rows of A,
-    directions)."""
-    L = objective.num_projections
-    thetas, _, value, ga, grad = _ascent_step(objective.kind, A, B, cfg, ascent, L, True, rng, step)
-    ascent.step(grad)
-    return value, ga, thetas
-
-
 @dataclass(frozen=True)
 class FlowResult:
     """Particle flow output: snapshots (with their step indices), the
@@ -334,7 +315,9 @@ def particle_flow(
     snapshot_steps = [0]
     trace = np.empty(steps)
     for step in range(1, steps + 1):
-        trace[step - 1], gx, thetas = _slice_step(ascent, objective, cfg, X, Y, rng, step)
+        thetas, _, trace[step - 1], gx, grad = _ascent_step(
+            objective.kind, X, Y, cfg, ascent, objective.num_projections, True, rng, step)
+        ascent.step(grad)
         X = X - float(step_size) * (gx.T @ thetas) * (n / thetas.shape[0])
         _check_finite("particle_flow", "particle", X, step)
         if step % snapshot_every == 0 and step != steps:
@@ -378,7 +361,9 @@ def gmm_fit(
     for step in range(1, steps + 1):
         Z, comp, eta = _draw_gmm(means, log_std, weights, batch, rng)
         sel_rows = rng.choice(n, size=batch, replace=False)
-        _, gz, thetas = _slice_step(ascent, objective, cfg, Z, Y[sel_rows], rng, step)
+        thetas, _, _, gz, grad = _ascent_step(
+            objective.kind, Z, Y[sel_rows], cfg, ascent, objective.num_projections, True, rng, step)
+        ascent.step(grad)
         sample_grad = (gz.T @ thetas) / thetas.shape[0]
         grad_means = np.zeros((k, d))
         grad_log_std = np.zeros((k, d))

@@ -304,6 +304,33 @@ def test_non_finite_slicing_parameters_are_input_errors(clouds, capsys, flags, m
     assert err.startswith("error:") and message in err
 
 
+CONCENTRATION = "argument --kappa: concentration must be finite and >= 0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["discrepancy", "A", "B", "--kind", "sfg", "--kappa", "-1"], CONCENTRATION,
+                 id="discrepancy-sfg"),
+    pytest.param(["discrepancy", "A", "B", "--kind", "max-sfg", "--kappa", "nan"], CONCENTRATION,
+                 id="discrepancy-max-sfg"),
+    pytest.param(["flow", "B", "--kind", "sfg", "--kappa", "-1", "--steps", "2"], CONCENTRATION,
+                 id="flow-sfg"),
+    pytest.param(["gmm-fit", "B", "--kind", "sfg", "--kappa", "inf", "--steps", "1",
+                  "--components", "2", "--batch", "4"], CONCENTRATION, id="gmm-fit-sfg"),
+    pytest.param(["convergence", "--metric", "w1-control", "--kappa", "-1", "--sizes", "4,8",
+                  "--trials", "2"], CONCENTRATION, id="convergence-w1-control"),
+    pytest.param(["discrepancy", "A", "B", "--kind", "ssfg", "--restarts", "0"],
+                 "argument --restarts: num_restarts must be >= 1", id="restarts-ssfg"),
+])
+def test_kappa_and_restarts_are_checked_whatever_reads_them(clouds, capsys, argv, message):
+    # the library's rules, applied where the CLI parses the flag: a kind or
+    # metric that never reads the value still rejects a bad one
+    paths = {"A": clouds[0], "B": clouds[1]}
+    code, out, err = run_cli([paths.get(arg, arg) for arg in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["discrepancy", "A", "B", "--kappa", "1e154"], id="discrepancy-1e154"),
     pytest.param(["flow", "B", "--kappa", "1e200", "--steps", "2"], id="flow-1e200"),

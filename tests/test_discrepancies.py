@@ -1076,6 +1076,33 @@ def test_ascents_are_exact_under_power_of_two_cloud_scales(kind):
         assert [value for _, value in rep.trace] == [value * scale for _, value in base.trace]
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("k", [-60, -20, -10, 10, 20, 60])
+def test_values_and_gradients_are_exact_under_power_of_two_cloud_scales(k, r, beta):
+    # scaling both clouds by c = 2^k scales every cost by exactly c^(2r) at
+    # beta = 1 and c^r at beta = 0, and every point gradient by one power of
+    # c less, on the value and the gradient path alike
+    X, Y = iid_pair(49, d=3, n=16)
+    Xs, Ys = np.ldexp(X, k), np.ldexp(Y, k)
+    cfg = FgwConfig(beta=beta, exponent=r)
+    power = 2 * r if beta == 1.0 else r
+    thetas = sample_uniform_sphere(3, make_rng(30), 20)
+    assert np.array_equal(slice_costs(Xs, Ys, cfg, thetas),
+                          np.ldexp(slice_costs(X, Y, cfg, thetas), power * k))
+    slicing = VmfParams(sample_uniform_sphere(3, make_rng(31)), 10.0)
+    for estimate in (lambda A, B: sfg(A, B, cfg, L=20, rng=make_rng(32)),
+                     lambda A, B: expected_fgw(A, B, cfg, slicing, 20, make_rng(33))):
+        base, scaled = estimate(X, Y), estimate(Xs, Ys)
+        assert scaled.value == np.ldexp(base.value, power * k)
+        assert scaled.std_error == np.ldexp(base.std_error, power * k)
+    if r == 2:
+        base, scaled = (_eval_slices(A, B, thetas, cfg, want_grads=True) for A, B in ((X, Y), (Xs, Ys)))
+        assert np.array_equal(scaled[0], np.ldexp(base[0], power * k))
+        for g, gs in zip(base[1:], scaled[1:]):
+            assert np.array_equal(gs, np.ldexp(g, (power - 1) * k))
+
+
 def test_expected_fgw_dirac_slicing_has_zero_spread():
     X, Y = iid_pair(46, d=3)
     theta = sample_slicing(UniformSlicing(), 3, 1, make_rng(16))[0]

@@ -11,6 +11,7 @@ from ssfgw.discrepancies import (
     DivergenceError,
     OptimizerConfig,
     UniformSlicing,
+    _mc_estimate,
     max_sfg,
     sample_slicing,
     ssfg,
@@ -269,6 +270,24 @@ def test_w1_control_recovers_classical_rate():
     # doubling n never increases the mean by more than 2 pooled errors
     for a, b in zip(rows, rows[1:]):
         assert b.value <= a.value + 2.0 * float(np.hypot(a.std_error, b.std_error))
+
+
+def test_w1_control_rows_are_means_over_spawned_trial_streams():
+    # for each size in order, one generator per trial is spawned; each draws
+    # the n-point sample and then the m-point reference, and the row is the
+    # Monte Carlo mean and standard error of the trials' values
+    sizes, trials, m = [4, 8, 16], 3, 16 * 16
+    res = convergence_rate(3, sizes, trials, CFG, 10.0, rng=make_rng(11), metric="w1_control")
+    rng = make_rng(11)
+    for n, row in zip(sizes, res.table):
+        reps, values = m // n, []
+        for child in rng.spawn(trials):
+            samp = child.uniform(size=n)
+            ref = child.uniform(size=m)[: reps * n]
+            values.append(float(np.mean((np.repeat(np.sort(samp), reps) - np.sort(ref)) ** 2)))
+        value, std_error = _mc_estimate(np.array(values))
+        assert (row.metric, row.parameter) == ("w1_control", str(n))
+        assert (row.value, row.std_error) == (value, std_error)
 
 
 def test_ssfg_convergence_smoke_decays():

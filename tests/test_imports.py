@@ -2,7 +2,8 @@
 of the package imports is used in that module, every private module-level
 name is referenced, every public kernel function is called from another
 module, every public function or class is used or exported, one function
-raises every divergence and one evaluates every slice batch, and the package
+raises every divergence, one evaluates every slice batch, one spawns every
+trial's generator and one builds every slicing ascent, and the package
 imports no scipy: no module's source names it in an import, and importing and
 running the package loads none."""
 
@@ -279,6 +280,38 @@ def test_second_slice_evaluation_path_is_caught():
         "_row_blocks": [("discrepancies", "_eval_slices"), ("experiments", None)],
         "cost_batch": [("discrepancies", "_eval_slices"), ("discrepancies", "_stacked_costs")],
     }
+
+
+def test_trial_generators_are_spawned_in_one_loop():
+    # kappa_sweep and convergence_rate run their trials through _trials
+    assert _call_sites(_src_trees(), "spawn") == [("experiments", "_trials")]
+
+
+def test_slicing_ascents_are_built_by_one_constructor():
+    # the engines and the flows build their ascent with _slicing_ascent
+    sites = _call_sites(_src_trees(), "SlicingAscent")
+    assert sites and set(sites) == {("discrepancies", "_slicing_ascent")}
+
+
+def test_stray_spawn_and_slicing_ascent_are_caught():
+    trees = {
+        "experiments": ast.parse(
+            "def _trials(rng, trials, value):\n"
+            "    return [value(child) for child in rng.spawn(trials)]\n"
+            "def convergence_rate(rng, sizes):\n"
+            "    return [child.uniform(size=n) for n in sizes for child in rng.spawn(2)]\n"
+            "def _flow_ascent(d):\n"
+            "    return sphere_opt.SlicingAscent('vmf', np.eye(d)[:1], (5.0,))\n"
+        ),
+        "discrepancies": ast.parse(
+            "def _slicing_ascent(d):\n"
+            "    return SlicingAscent('uniform', np.empty((0, d)))\n"
+        ),
+    }
+    assert _call_sites(trees, "spawn") == [("experiments", "_trials"),
+                                           ("experiments", "convergence_rate")]
+    assert _call_sites(trees, "SlicingAscent") == [("experiments", "_flow_ascent"),
+                                                   ("discrepancies", "_slicing_ascent")]
 
 
 def _scipy_imports(tree) -> list:
