@@ -81,16 +81,15 @@ Workspace
 The r=2 route's (L, n) temporaries (delta, s, u and the gathered rows) live in
 flat per-thread buffers that grow to the largest batch seen and are viewed at
 each call's shape, so repeated calls do not make the allocator return memory
-to the system and fault it back in. The engines' gradient outputs come from
-the same workspace (``grad_outputs``), and ``discrepancies._eval_slices``
-scatters each row block's before the next. Threads never share a buffer, and
-the maps are private, so a process forked after a warm call writes its own
-copies of the pages. ``discrepancies._project_sorted`` projects each row
-block of a slice batch into the same workspace and sorts it there: value
-only in place, and with gradients from the gradient outputs (which the
-kernel writes only after both sorts) into values and order (intp), for
-either cloud. A thread keeps its buffers for its lifetime: at most eleven
-times its largest batch (the engines' row blocks keep that near
+to the system and fault it back in. Threads never share a buffer, and the
+maps are private, so a process forked after a warm call writes its own copies
+of the pages. ``discrepancies._eval_slices`` takes the engines' gradient
+outputs from the same workspace ("GA" and "GB") and scatters each row block's
+before the next; ``discrepancies._project_sorted`` projects each row block
+into the workspace and sorts it there: value only in place, and with
+gradients from "GA" or "GB" (which the kernel writes only after both sorts)
+into values and order (intp). A thread keeps its buffers for its lifetime: at
+most eleven times its largest batch (the engines' row blocks keep that near
 ``discrepancies._SLICE_BLOCK_ENTRIES`` entries, 2.9 MB).
 """
 
@@ -127,12 +126,6 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
-
-
-def grad_outputs(shape):
-    """This thread's two (L, n) arrays for ``cost_batch(..., grads=...)``;
-    the thread's next call overwrites them, so read them before it."""
-    return _WORKSPACE.take("GA", shape), _WORKSPACE.take("GB", shape)
 
 
 def _row_dot(X, Y):

@@ -31,7 +31,7 @@ from .experiments import (
     particle_flow,
 )
 from .fgw import FgwConfig, _check_count, as_point_cloud
-from .sampling import SamplingError, _check_concentration
+from .sampling import SamplingError, _check_concentration, _check_weights
 from .sphere_opt import GradientMethod
 
 _DEFAULT_KAPPA_GRID = (1.0, 5.0, 10.0, 50.0, 100.0)
@@ -156,6 +156,11 @@ def _checked(convert, check):
     return parse
 
 
+# the mssfg and sweep lists, checked entry by entry with the library's rules
+_kappa_list = _checked(_float_list, lambda kappas: tuple(map(_check_concentration, kappas)))
+_alpha_list = _checked(_float_list, lambda w: tuple(_check_weights(w, len(w), "alphas").tolist()))
+
+
 def _add_ascent_flags(sub):
     # every command's slicing ascent: the fused weight, the batch and Adam
     sub.add_argument("--beta", type=float, default=0.1, help="fused weight in [0,1]")
@@ -181,8 +186,8 @@ def _add_engine_flags(sub):
 def _add_slicing_flags(sub, kappa: float):
     sub.add_argument("--kind", choices=tuple(k.replace("_", "-") for k in KINDS), default="ssfg")
     sub.add_argument("--kappa", type=_checked(float, _check_concentration), default=kappa)
-    sub.add_argument("--kappas", type=_float_list, default=None, help="mssfg concentrations")
-    sub.add_argument("--alphas", type=_float_list, default=None, help="mssfg weights")
+    sub.add_argument("--kappas", type=_kappa_list, default=None, help="mssfg concentrations")
+    sub.add_argument("--alphas", type=_alpha_list, default=None, help="mssfg weights")
 
 
 def _add_common_flags(sub):
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep-kappa", help="ssfg across a concentration grid")
     sweep.add_argument("source")
     sweep.add_argument("target")
-    sweep.add_argument("--kappas", type=_float_list, default=_DEFAULT_KAPPA_GRID)
+    sweep.add_argument("--kappas", type=_kappa_list, default=_DEFAULT_KAPPA_GRID)
     sweep.add_argument("--trials", type=int, default=5)
     _add_engine_flags(sweep)
     _add_common_flags(sweep)

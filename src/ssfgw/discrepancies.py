@@ -265,11 +265,12 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
 
     The outputs are allocated once, and then each row block (``_row_blocks``
     at max(n, m)) is projected and sorted (``_project_sorted``), evaluated
-    and scattered. With gradients the projections go into the gradient
-    buffers (``_kernels.grad_outputs``), which the kernel writes only after
-    both sorts. The scatter offsets each order in place by its rows' starts
-    in the flattened gradient array, and indexes that array with it.
+    and scattered. With gradients the projections go into the workspace's
+    gradient buffers "GA" and "GB", which the kernel writes only after both
+    sorts. The scatter offsets each order in place by its rows' starts in
+    the flattened gradient array, and indexes that array with it.
     """
+    take = _kernels._WORKSPACE.take
     n, m = X.shape[0], Y.shape[0]
     k = max(n, m)
     costs = np.empty(thetas.shape[0])
@@ -280,7 +281,7 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
             for Z, name, via in ((X, "x", "GA"), (Y, "y", "GB"))
         )
         a, b = spread_rows(a, k), spread_rows(b, k)
-        grads = _kernels.grad_outputs(a.shape) if want_grads else None
+        grads = (take("GA", a.shape), take("GB", a.shape)) if want_grads else None
         costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, grads=grads)[0]
         if want_grads:
             for g, order, grad in ((gx, order_x, grads[0]), (gy, order_y, grads[1])):

@@ -39,7 +39,7 @@ from .discrepancies import (
     sfg,
     ssfg,
 )
-from .sampling import Rng, _check_weights
+from .sampling import Rng, _check_concentration, _check_weights
 from .sphere_opt import SlicingAscent
 
 # Not called here since the flows ascend through discrepancies._ascent_step;
@@ -268,7 +268,8 @@ class FlowObjective:
 
 def _flow_ascent(objective: FlowObjective, d: int, rng: Rng) -> SlicingAscent:
     """The flow's slicing distribution, ascended one warm-started step per
-    flow step. Only mssfg has ``kappas`` and ``alphas``."""
+    flow step. Every kind checks ``kappa``; only mssfg has ``kappas`` and ``alphas``."""
+    _check_concentration(objective.kappa)
     if objective.kind != "mssfg":
         return _slicing_ascent(objective.kind, d, rng, objective, [objective.kappa])
     if objective.kappas is None:

@@ -60,6 +60,7 @@ from .sampling import _ps_omega, _uniform_sphere, _vmf_omega
 
 _FD_STEP = 1e-4
 _ADAM_EPSILON = 1e-8  # added to Adam's root second moment
+_TINIEST = np.finfo(np.float64).smallest_subnormal  # 2^-1074, binary exponent -1073
 
 
 class GradientMethod(Enum):
@@ -200,7 +201,7 @@ class SlicingAscent:
         self._adam = _check_adam_settings(learning_rate, beta1, beta2)
         self._moments = np.zeros((2, *self.locs.shape))
         self._steps = 0
-        self._shift = 0  # Adam sees gradients times 2^-_shift (see ``step``)
+        self._shift = int(np.frexp(_TINIEST)[1])  # Adam sees gradients times 2^-_shift (``step``)
 
     def draw(self, L: int, rng: Rng):
         """(thetas, ctx): L directions (k for "dirac") and the context that
@@ -247,22 +248,20 @@ class SlicingAscent:
         to the locations and every row is renormalized. Returns how far the
         locations moved.
 
-        Adam sees the gradient times 2^-shift. When that reaches 2^500 the
-        shift grows so that it lands just below 2^400, and the moments are
-        rescaled in place with it (the second by the square). The shift is an
-        exact power of two, so Adam's steps are unchanged while its squares
-        stay far from overflow and its epsilon negligible, at any cloud scale."""
-        g = np.ldexp(grad, -self._shift) if self._shift else grad
-        exponent = int(np.frexp(np.abs(g).max(initial=0.0))[1])
-        if exponent > 500:
-            k = exponent - 400
-            self._shift += k
-            g = np.ldexp(g, -k)
-            m, v = self._moments
-            np.ldexp(m, -k, out=m)
-            np.ldexp(v, -2 * k, out=v)
+        Adam sees the gradient times 2^-shift, shift being the largest binary
+        exponent of max|grad| so far (from below every finite double's; a zero
+        gradient keeps it). When it grows by k the moments are rescaled in
+        place by 2^-k and 2^-2k. So Adam's squares stay below 1, its epsilon
+        is relative to the largest gradient seen, and every ascent is exactly
+        invariant under power-of-two scaling of the clouds."""
+        exponent = int(np.frexp(np.abs(grad).max(initial=_TINIEST))[1])
+        if exponent > self._shift:
+            for power, moment in enumerate(self._moments, 1):
+                np.ldexp(moment, power * (self._shift - exponent), out=moment)
+            self._shift = exponent
         self._steps += 1
-        updated = self.locs + adam_step(self._moments, g, self._steps, *self._adam)
+        updated = self.locs + adam_step(self._moments, np.ldexp(grad, -self._shift), self._steps,
+                                        *self._adam)
         updated = updated / np.linalg.norm(updated, axis=1, keepdims=True)
         delta = float(np.linalg.norm(updated - self.locs))
         self.locs = updated

@@ -331,6 +331,31 @@ def test_kappa_and_restarts_are_checked_whatever_reads_them(clouds, capsys, argv
     assert err.startswith("error:") and message in err
 
 
+KAPPAS = "argument --kappas: concentration must be finite and >= 0, got "
+ALPHAS = "argument --alphas: alphas must be finite, nonnegative and sum to 1 within 1e-12, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["sweep-kappa", "M", "M", "--kappas", "1,-1"], KAPPAS + "'1,-1'", id="sweep-kappa"),
+    pytest.param(["discrepancy", "M", "M", "--kind", "mssfg", "--kappas", "1,nan"], KAPPAS + "'1,nan'",
+                 id="discrepancy-kappas"),
+    pytest.param(["discrepancy", "M", "M", "--kind", "mssfg", "--kappas", "1,2", "--alphas", "0.5,0.6"],
+                 ALPHAS + "'0.5,0.6'", id="discrepancy-alphas"),
+    pytest.param(["flow", "M", "--kind", "mssfg", "--kappas", "inf"], KAPPAS + "'inf'",
+                 id="flow-kappas"),
+    pytest.param(["gmm-fit", "M", "--kind", "mssfg", "--kappas", "5", "--alphas", "-1"],
+                 ALPHAS + "'-1'", id="gmm-fit-alphas"),
+])
+def test_kappas_and_alphas_are_checked_where_they_are_parsed(tmp_path, capsys, argv, message):
+    # with the library's rules, before any input is read: the files here do
+    # not exist, and the error names the flag
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli([missing if arg == "M" else arg for arg in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["discrepancy", "A", "B", "--kappa", "1e154"], id="discrepancy-1e154"),
     pytest.param(["flow", "B", "--kappa", "1e200", "--steps", "2"], id="flow-1e200"),

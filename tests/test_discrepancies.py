@@ -1048,32 +1048,39 @@ def test_monte_carlo_mean_has_a_plain_means_bits_wherever_that_is_finite():
 
 @pytest.mark.parametrize("kind", ["ssfg", "pssfg", "max_sfg", "mssfg"])
 def test_ascents_are_exact_under_power_of_two_cloud_scales(kind):
-    # at beta = 1 every cost and gradient scales exactly as s^4 when s is a
-    # power of two. Beyond s = 2^128 the squared location gradients overflow
-    # a double, and Adam must still take the 2^40 run's steps.
+    # scaling both clouds by c = 2^k scales every cost and location gradient
+    # by exactly c^(2r) at beta = 1 and c^r at beta = 0. Adam sees the
+    # gradients at the power of two of the largest one seen, so on both routes
+    # every ascent takes the scale-1 run's steps bit for bit: far below scale
+    # 1, where an absolute epsilon would stall it, and far above, where at
+    # beta = 1 the squared gradients overflow a double beyond c = 2^128.
     X, Y = iid_pair(48, d=3, n=16)
-    cfg = FgwConfig(beta=1.0, exponent=2)
-    opt = OptimizerConfig(max_iter=5, num_projections=20)
 
-    def run(k):
-        Xs, Ys, rng = np.ldexp(X, k), np.ldexp(Y, k), make_rng(20)
+    def run(Xs, Ys, cfg, opt):
+        rng = make_rng(20)
         if kind == "max_sfg":
             return max_sfg(Xs, Ys, cfg, opt, rng, num_restarts=3)
         if kind == "mssfg":
             return mssfg(Xs, Ys, cfg, [5.0, 20.0], opt=opt, rng=rng)
         return (ssfg if kind == "ssfg" else pssfg)(Xs, Ys, cfg, 10.0, opt, rng=rng)
 
-    base = run(40)
-    assert len(base.trace) == opt.max_iter
-    for k in (130, 140, 200):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rep = run(k)
-        scale = 2.0 ** (4 * (k - 40))
-        assert len(rep.trace) == opt.max_iter, k
-        assert report_bits(rep.final_slicing) == report_bits(base.final_slicing), k
-        assert rep.value == base.value * scale, k
-        assert [value for _, value in rep.trace] == [value * scale for _, value in base.trace]
+    for method in GradientMethod:
+        opt = OptimizerConfig(learning_rate=0.05, max_iter=8, num_projections=20,
+                              gradient_method=method)
+        for beta in (0.0, 1.0):
+            cfg = FgwConfig(beta=beta, exponent=2)
+            power = 4 if beta == 1.0 else 2
+            base = run(X, Y, cfg, opt)
+            assert len(base.trace) == opt.max_iter
+            for k in (-60, -20, -10, 10, 20, 60, 200):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rep = run(np.ldexp(X, k), np.ldexp(Y, k), cfg, opt)
+                cell = (method, beta, k)
+                assert report_bits(rep.final_slicing) == report_bits(base.final_slicing), cell
+                assert rep.value == np.ldexp(base.value, power * k), cell
+                assert rep.std_error == np.ldexp(base.std_error, power * k), cell
+                assert rep.trace == tuple((i, np.ldexp(v, power * k)) for i, v in base.trace), cell
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])

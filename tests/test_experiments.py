@@ -357,6 +357,18 @@ def test_flow_objective_validation():
             )
 
 
+@pytest.mark.parametrize("kappa", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["sfg", "max_sfg", "mssfg"])
+def test_flows_check_kappa_whatever_the_kind(kind, kappa):
+    # a kind that never reads kappa still rejects a bad one, as the CLI does
+    objective = FlowObjective(kind=kind, kappa=kappa, num_projections=2,
+                              kappas=(5.0,) if kind == "mssfg" else None)
+    with pytest.raises(ValueError, match="concentration must be finite and >= 0"):
+        particle_flow(_TARGET, 16, objective, steps=1, step_size=0.01, rng=make_rng(1))
+    with pytest.raises(ValueError, match="concentration must be finite and >= 0"):
+        gmm_fit(_TARGET, 2, objective, steps=1, step_size=0.01, batch=8, rng=make_rng(2))
+
+
 def test_flow_stationary_at_target():
     n, d, seed = 64, 2, 123
     expected_init = 0.1 * np.random.default_rng(seed).standard_normal((n, d))

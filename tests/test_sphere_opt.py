@@ -92,34 +92,40 @@ def test_adam_converges_on_quadratic():
 
 def test_ascent_step_is_projected_adam_with_a_power_of_two_rescale():
     # SlicingAscent.step against Adam written out here in the order of its
-    # arithmetic. At the third gradient Adam's input crosses 2^500: from then
-    # on it sees the gradients times 2^-shift, and at the crossing the moments,
-    # still of the first gradients' size, are rescaled by 2^-k (the second by
-    # 2^-2k). Steps larger than the locations carry the last bits of every
-    # step into the locations.
+    # arithmetic. Adam sees the gradients times 2^-shift, where shift is the
+    # largest binary exponent of max|grad| seen so far. It starts at -1073,
+    # the exponent of the smallest subnormal 2^-1074, so the first nonzero
+    # gradient sets it; a zero gradient leaves it alone; and when it grows by
+    # k the moments are rescaled by 2^-k (the second by 2^-2k). Gradients of
+    # 2^1000 would overflow Adam's squares without the shift. Steps larger
+    # than the locations carry the last bits of every step into the locations.
     rng = make_rng(38)
     lr, b1, b2 = 3.0, 0.9, 0.99
     locs = _locations(rng, 2, 3)
-    grads = [rng.normal(size=(2, 3)) * 2.0**e for e in (495, 495, 510, 510, 505)]
+    exponents = (None, -500, 3, -20, None, 40, 500, 1000, 2)
+    grads = [np.zeros((2, 3)) if e is None else rng.normal(size=(2, 3)) * 2.0**e for e in exponents]
     ascent = SlicingAscent("vmf", locs, (5.0, 5.0), learning_rate=lr, beta1=b1, beta2=b2)
-    x, m, v, shift = locs, np.zeros((2, 3)), np.zeros((2, 3)), 0
+    x, m, v, shift = locs, np.zeros((2, 3)), np.zeros((2, 3)), -1073
+    shifts = []
     for t, grad in enumerate(grads, 1):
-        g = grad * 2.0**-shift
-        exponent = math.frexp(np.abs(g).max())[1]
-        if exponent > 500:
-            k = exponent - 400
-            shift += k
-            g, m, v = g * 2.0**-k, m * 2.0**-k, v * 2.0 ** (-2 * k)
+        exponent = math.frexp(np.abs(grad).max())[1] if grad.any() else shift
+        if exponent > shift:
+            k, shift = exponent - shift, exponent
+            m, v = m * 2.0**-k, v * 2.0 ** (-2 * k)
+        g = np.ldexp(grad, -shift)
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * (g * g)
         moved = x + lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + 1e-8)
         moved = moved / np.linalg.norm(moved, axis=1, keepdims=True)
-        delta = ascent.step(grad)
+        with np.errstate(over="raise", invalid="raise"):
+            delta = ascent.step(grad)
         assert np.array_equal(ascent._moments, [m, v]), t
         assert np.array_equal(ascent.locs, moved), t
         assert delta == float(np.linalg.norm(moved - x)), t
+        assert ascent._shift == shift, t
+        shifts.append(shift)
         x = moved
-    assert 100 < shift == ascent._shift
+    assert shifts == [-1073, -499, 4, 4, 4, 41, 501, 1002, 1002]
 
 
 # ---------------------------------------------------------------------------
