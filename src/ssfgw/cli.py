@@ -254,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _opt_from_args(args) -> OptimizerConfig:
-    return OptimizerConfig(
+def _engine_configs(args):
+    """The engines' FgwConfig and OptimizerConfig from the flags, built
+    before any input is read so that a bad setting is reported first."""
+    return FgwConfig(beta=args.beta, exponent=args.exponent), OptimizerConfig(
         learning_rate=args.learning_rate,
         adam_beta1=args.adam_beta1,
         adam_beta2=args.adam_beta2,
@@ -269,7 +271,8 @@ def _kind_kappas(args):
     """The kind in the library's spelling and its concentrations: none for
     sfg and max-sfg, --kappa for ssfg and pssfg, and for mssfg --kappas or
     by default a mixture of 10 components, all at --kappa. Only mssfg reads
-    --kappas and --alphas; any other kind rejects them."""
+    --kappas and --alphas, which must have one entry per component; any
+    other kind rejects them."""
     kind = args.kind.replace("-", "_")
     if kind != "mssfg" and (args.kappas is not None or args.alphas is not None):
         raise CliInputError(f"--kappas and --alphas apply only to --kind mssfg, not {args.kind}")
@@ -277,15 +280,18 @@ def _kind_kappas(args):
         return kind, ()
     if kind != "mssfg":
         return kind, (args.kappa,)
-    return kind, (args.kappa,) * 10 if args.kappas is None else args.kappas
+    kappas = (args.kappa,) * 10 if args.kappas is None else args.kappas
+    if args.alphas is not None and len(args.alphas) != len(kappas):
+        raise CliInputError(f"--alphas needs one weight per --kappas component ({len(kappas)}; "
+                            f"10 when --kappas is omitted), got {len(args.alphas)}")
+    return kind, kappas
 
 
 def _cmd_discrepancy(args, rng):
     kind, kappas = _kind_kappas(args)
+    cfg, opt = _engine_configs(args)
     X = parse_point_cloud(args.source)
     Y = parse_point_cloud(args.target)
-    cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
-    opt = _opt_from_args(args)
     report = _engine(kind, X, Y, cfg, opt, rng, kappas, args.alphas, args.restarts)
     param = ",".join(repr(float(k)) for k in kappas)
     rows = [(kind, param, report.value, report.std_error)]
@@ -301,33 +307,17 @@ def _table_rows(result):
 
 
 def _cmd_sweep(args, rng):
+    cfg, opt = _engine_configs(args)
     X = parse_point_cloud(args.source)
     Y = parse_point_cloud(args.target)
-    cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
-    result = kappa_sweep(
-        X,
-        Y,
-        cfg,
-        args.kappas,
-        _opt_from_args(args),
-        trials=args.trials,
-        rng=rng,
-    )
+    result = kappa_sweep(X, Y, cfg, args.kappas, opt, trials=args.trials, rng=rng)
     return _table_rows(result)
 
 
 def _cmd_convergence(args, rng):
-    cfg = FgwConfig(beta=args.beta, exponent=args.exponent)
-    result = convergence_rate(
-        args.d,
-        args.sizes,
-        args.trials,
-        cfg,
-        args.kappa,
-        _opt_from_args(args),
-        rng=rng,
-        metric=args.metric.replace("-", "_"),
-    )
+    cfg, opt = _engine_configs(args)
+    result = convergence_rate(args.d, args.sizes, args.trials, cfg, args.kappa, opt, rng=rng,
+                              metric=args.metric.replace("-", "_"))
     return _table_rows(result)
 
 
@@ -349,15 +339,9 @@ def _flow_objective(args) -> FlowObjective:
 def _cmd_flow(args, rng):
     objective = _flow_objective(args)
     Y = parse_point_cloud(args.target)
-    num_particles = args.num_particles if args.num_particles is not None else Y.shape[0]
-    if num_particles != Y.shape[0]:
-        raise CliInputError(
-            f"--num-particles must equal the target size {Y.shape[0]} "
-            "(slices pair clouds point by point)"
-        )
     result = particle_flow(
         Y,
-        num_particles,
+        args.num_particles if args.num_particles is not None else Y.shape[0],
         objective,
         steps=args.steps,
         step_size=args.step_size,

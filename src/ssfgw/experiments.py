@@ -21,12 +21,12 @@ step size would have to grow with n; the scaling makes step_size n-free).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .fgw import FgwConfig, _check_count, as_point_cloud
+from .fgw import FgwConfig, _check_count, as_point_cloud, common_size
 from .discrepancies import (
     KINDS,
     OptimizerConfig,
@@ -67,7 +67,6 @@ class Record:
 @dataclass(frozen=True)
 class ExperimentResult:
     table: tuple
-    metadata: dict
 
 
 @dataclass(frozen=True)
@@ -153,19 +152,7 @@ def kappa_sweep(
                         lambda child: sfg(mu, nu, cfg, L=opt.num_projections, rng=child).value))
     rows.append(_trials("max_sfg", "", rng, trials,
                         lambda child: max_sfg(mu, nu, cfg, opt, rng=child).value))
-    metadata = {
-        "experiment": "kappa_sweep",
-        "kappas": kappas,
-        "trials": trials,
-        "beta": cfg.beta,
-        "exponent": cfg.exponent,
-        "optimizer": _opt_echo(opt),
-    }
-    return ExperimentResult(tuple(rows), metadata)
-
-
-def _opt_echo(opt: OptimizerConfig) -> dict:
-    return {**asdict(opt), "gradient_method": opt.gradient_method.value}
+    return ExperimentResult(tuple(rows))
 
 
 def convergence_rate(
@@ -217,19 +204,7 @@ def convergence_rate(
     design = np.column_stack([np.log(np.asarray(sizes, dtype=np.float64)), np.ones(len(sizes))])
     slope = float(np.linalg.lstsq(design, logs, rcond=None)[0][0])
     rows.append(Record(f"{metric}_slope", "", slope, 0.0))
-    metadata = {
-        "experiment": "convergence_rate",
-        "metric": metric,
-        "d": d,
-        "sample_sizes": sizes,
-        "reference_size": m,
-        "trials": trials,
-        "kappa": float(kappa),
-        "beta": cfg.beta,
-        "exponent": cfg.exponent,
-        "optimizer": _opt_echo(opt),
-    }
-    return ExperimentResult(tuple(rows), metadata)
+    return ExperimentResult(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +273,13 @@ def particle_flow(
     snapshot_every: int = 100,
 ) -> FlowResult:
     """Gradient flow of free particles toward a target cloud under the chosen
-    sliced discrepancy. Particles start at 0.1 * standard normal; snapshots
-    are taken at step 0, every ``snapshot_every`` steps, and at the end."""
+    sliced discrepancy. The particle count and the target size follow the
+    engines' rule: equal, or one divides the other (``fgw.common_size``).
+    Particles start at 0.1 * standard normal; snapshots are taken at step 0,
+    every ``snapshot_every`` steps, and at the end."""
     Y = as_point_cloud(target)
     n, d = _check_count(num_particles, "num_particles"), Y.shape[1]
-    if n != Y.shape[0]:
-        raise ValueError("num_particles must equal the target size")
+    common_size(n, Y.shape[0])
     steps = _check_count(steps, "steps")
     snapshot_every = _check_count(snapshot_every, "snapshot_every")
     if not np.isfinite(float(step_size)):

@@ -333,6 +333,7 @@ def test_kappa_and_restarts_are_checked_whatever_reads_them(clouds, capsys, argv
 
 KAPPAS = "argument --kappas: concentration must be finite and >= 0, got "
 ALPHAS = "argument --alphas: alphas must be finite, nonnegative and sum to 1 within 1e-12, got "
+LENGTHS = "--alphas needs one weight per --kappas component "
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -345,6 +346,11 @@ ALPHAS = "argument --alphas: alphas must be finite, nonnegative and sum to 1 wit
                  id="flow-kappas"),
     pytest.param(["gmm-fit", "M", "--kind", "mssfg", "--kappas", "5", "--alphas", "-1"],
                  ALPHAS + "'-1'", id="gmm-fit-alphas"),
+    # one weight per component, checked right after parsing
+    pytest.param(["discrepancy", "M", "M", "--kind", "mssfg", "--kappas", "1,2", "--alphas", "1"],
+                 LENGTHS + "(2; 10 when --kappas is omitted), got 1", id="discrepancy-lengths"),
+    pytest.param(["flow", "M", "--kind", "mssfg", "--alphas", "0.5,0.5"],
+                 LENGTHS + "(10; 10 when --kappas is omitted), got 2", id="flow-lengths"),
 ])
 def test_kappas_and_alphas_are_checked_where_they_are_parsed(tmp_path, capsys, argv, message):
     # with the library's rules, before any input is read: the files here do
@@ -354,6 +360,22 @@ def test_kappas_and_alphas_are_checked_where_they_are_parsed(tmp_path, capsys, a
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("command", [["discrepancy", "M", "M"], ["sweep-kappa", "M", "M"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--L", "0"], "num_projections must be >= 1", id="L"),
+    pytest.param(["--beta", "2"], "beta must lie in [0, 1]", id="beta"),
+    pytest.param(["--learning-rate", "-1"], "learning_rate must be positive", id="learning-rate"),
+    pytest.param(["--exponent", "0"], "exponent must be an integer >= 1", id="exponent"),
+])
+def test_engine_settings_are_checked_before_any_input_is_read(tmp_path, capsys, command, flags,
+                                                              message):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli([missing if arg == "M" else arg for arg in command + flags], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,14 +616,28 @@ def test_flow_rows_and_particle_export(tmp_path, capsys):
 
 
 def test_flow_rejects_particle_count_mismatch(tmp_path, capsys):
+    # neither size divides the other
     target_path = tmp_path / "t.csv"
     write_point_cloud(target_path, four_mode_gmm(32, make_rng(10)))
     code, _, err = run_cli(
-        ["flow", str(target_path), "--num-particles", "16", "--steps", "5"],
+        ["flow", str(target_path), "--num-particles", "24", "--steps", "5"],
         capsys,
     )
     assert code == 1
-    assert "--num-particles" in err
+    assert "24" in err and "32" in err
+
+
+def test_flow_takes_a_particle_count_that_divides_the_target_size(tmp_path, capsys):
+    target_path = tmp_path / "t.csv"
+    write_point_cloud(target_path, four_mode_gmm(32, make_rng(10)))
+    particles = tmp_path / "p.csv"
+    code, _, err = run_cli(
+        ["flow", str(target_path), "--num-particles", "16", "--steps", "5", "--L", "8",
+         "--seed", "5", "--particles-out", str(particles)],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert parse_point_cloud(particles).shape == (16, 2)
 
 
 def test_gmm_fit_rows(tmp_path, capsys):

@@ -191,8 +191,6 @@ def test_kappa_sweep_row_layout():
     metrics = [r.metric for r in res.table]
     assert metrics == ["ssfg", "ssfg", "sfg", "max_sfg"]
     assert [r.parameter for r in res.table[:2]] == ["2.0", "20.0"]
-    assert res.metadata["experiment"] == "kappa_sweep"
-    assert res.metadata["trials"] == 3
 
 
 def test_kappa_sweep_low_concentration_row_matches_sfg_row():
@@ -302,7 +300,15 @@ def test_ssfg_convergence_smoke_decays():
     assert slope.value < 0.0
     for a, b in zip(rows, rows[1:]):
         assert b.value <= a.value + 2.0 * float(np.hypot(a.std_error, b.std_error))
-    assert res.metadata["reference_size"] == 16 * 64
+    # the reference holds m = 16 * max(n) points: at sizes (4, 8) the first
+    # row is the ssfg of the first child's 4 points against its 128-point
+    # reference, cut to the first (m // 4) * 4 points
+    opt = OptimizerConfig(max_iter=2, num_projections=10)
+    row = convergence_rate(3, [4, 8], 1, CFG, 10.0, opt, rng=make_rng(9)).table[0]
+    child = make_rng(9).spawn(1)[0]
+    samp = child.uniform(size=(4, 3))
+    ref = child.uniform(size=(16 * 8, 3))[: (16 * 8 // 4) * 4]
+    assert row.value == ssfg(samp, ref, CFG, 10.0, opt, rng=child).value
 
 
 def test_equal_sample_and_reference_give_zero():
@@ -328,8 +334,9 @@ def test_flow_objective_validation():
     with pytest.raises(ValueError):
         FlowObjective(kind="ssfg", num_projections=0)
     with pytest.raises(ValueError):
+        # neither size divides the other
         particle_flow(
-            four_mode_gmm(32, make_rng(0)), 16, FlowObjective(), steps=5,
+            four_mode_gmm(32, make_rng(0)), 24, FlowObjective(), steps=5,
             step_size=0.01, rng=make_rng(0),
         )
     with pytest.raises(ValueError):
@@ -381,6 +388,16 @@ def test_flow_stationary_at_target():
     drift = np.abs(res.particles - expected_init).max()
     assert drift < 1e-6
     assert np.array_equal(res.snapshots[0], res.snapshots[-1])
+
+
+@pytest.mark.parametrize("n, m", [(16, 64), (64, 16)])
+def test_flow_toward_a_target_whose_size_divides_or_is_a_multiple(n, m):
+    # the engines' size rule: the particles face the target's quantiles
+    objective = FlowObjective(kind="ssfg", kappa=1000.0, learning_rate=0.05)
+    res = particle_flow(four_mode_gmm(m, make_rng(0)), n, objective, steps=400,
+                        step_size=0.01, rng=make_rng(100))
+    assert res.particles.shape == (n, 2)
+    assert res.trace[-20:].mean() < 0.1 * res.trace[:20].mean()
 
 
 def test_flow_snapshot_cadence():

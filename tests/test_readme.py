@@ -1,4 +1,5 @@
-"""README's Python examples run, and its CLI examples parse, as written."""
+"""README's Python examples run, and its CLI examples parse, as written; its
+CLI section names every flag."""
 
 import os
 import re
@@ -40,3 +41,5 @@ def test_readme_cli_examples_parse():
     named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
     assert {"--L", "--adam-beta1", "--seed"} <= named
     assert named - accepted == set()
+    # and every flag that a command accepts is named there, but help
+    assert accepted - named == {"-h", "--help"}
