@@ -88,7 +88,8 @@ outputs from the same workspace ("GA" and "GB") and scatters each row block's
 before the next; ``discrepancies._project_sorted`` projects each row block
 into the workspace and sorts it there: value only in place, and with
 gradients from "GA" or "GB" (which the kernel writes only after both sorts)
-into values and order (intp). A thread keeps its buffers for its lifetime: at
+into values and an order of flat indices into the block (intp), which the
+scatter uses as it is. A thread keeps its buffers for its lifetime: at
 most eleven times its largest batch (the engines' row blocks keep that near
 ``discrepancies._SLICE_BLOCK_ENTRIES`` entries, 2.9 MB).
 """

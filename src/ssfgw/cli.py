@@ -156,6 +156,12 @@ def _checked(convert, check):
     return parse
 
 
+def _count(name: str, minimum: int = 1):
+    """An argparse type for a count: the library's ``_check_count`` of the
+    parameter ``name`` with its minimum."""
+    return _checked(int, lambda n: _check_count(n, name, minimum))
+
+
 # the mssfg and sweep lists, checked entry by entry with the library's rules
 _kappa_list = _checked(_float_list, lambda kappas: tuple(map(_check_concentration, kappas)))
 _alpha_list = _checked(_float_list, lambda w: tuple(_check_weights(w, len(w), "alphas").tolist()))
@@ -203,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     disc.add_argument("source", help="CSV point cloud")
     disc.add_argument("target", help="CSV point cloud")
     _add_slicing_flags(disc, kappa=10.0)
-    disc.add_argument("--restarts", type=_checked(int, lambda n: _check_count(n, "num_restarts")),
-                      default=8, help="max-sfg restarts")
+    disc.add_argument("--restarts", type=_count("num_restarts"), default=8, help="max-sfg restarts")
     _add_engine_flags(disc)
     _add_common_flags(disc)
 
@@ -212,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("source")
     sweep.add_argument("target")
     sweep.add_argument("--kappas", type=_kappa_list, default=_DEFAULT_KAPPA_GRID)
-    sweep.add_argument("--trials", type=int, default=5)
+    sweep.add_argument("--trials", type=_count("trials"), default=5)
     _add_engine_flags(sweep)
     _add_common_flags(sweep)
 
     conv = commands.add_parser("convergence", help="sample-size decay of the discrepancy")
     conv.add_argument("--d", type=int, default=5)
     conv.add_argument("--sizes", type=_int_list, default=(10, 20, 40, 80, 160, 320, 640))
-    conv.add_argument("--trials", type=int, default=20)
+    conv.add_argument("--trials", type=_count("trials"), default=20)
     conv.add_argument("--kappa", type=_checked(float, _check_concentration), default=10.0)
     conv.add_argument("--metric", choices=("ssfg", "w1-control"), default="ssfg")
     _add_engine_flags(conv)
@@ -229,20 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("target")
     _add_slicing_flags(flow, kappa=1000.0)
     flow.add_argument("--num-particles", type=int, default=None, help="defaults to target size")
-    flow.add_argument("--steps", type=int, default=3000)
+    flow.add_argument("--steps", type=_count("steps"), default=3000)
     flow.add_argument("--step-size", type=float, default=0.01)
-    flow.add_argument("--snapshot-every", type=int, default=100)
+    flow.add_argument("--snapshot-every", type=_count("snapshot_every"), default=100)
     flow.add_argument("--particles-out", default=None, help="write final particles as CSV")
     _add_ascent_flags(flow)
     _add_common_flags(flow)
 
     gmm = commands.add_parser("gmm-fit", help="fit a diagonal GMM to a cloud")
     gmm.add_argument("target")
-    gmm.add_argument("--components", type=int, default=10)
+    gmm.add_argument("--components", type=_count("k"), default=10)
     _add_slicing_flags(gmm, kappa=10.0)
-    gmm.add_argument("--steps", type=int, default=1000)
+    gmm.add_argument("--steps", type=_count("steps", 0), default=1000)
     gmm.add_argument("--step-size", type=float, default=0.01)
-    gmm.add_argument("--batch", type=int, default=128)
+    # at most the target size, which gmm_fit checks once the target is read
+    gmm.add_argument("--batch", type=_count("batch"), default=128)
     _add_ascent_flags(gmm)
     _add_common_flags(gmm)
 

@@ -246,7 +246,8 @@ def _project_sorted(X, thetas, name, via=None):
     order up to the order of tied signed zeros, and so the same costs. With
     ``via`` the product is written into the workspace buffer ``via``, and
     ``fgw.stable_sort_rows`` (ties broken by point index) writes the sorted
-    values into ``name`` and the order (intp) into ``name + "_order"``.
+    values into ``name`` and the order into ``name + "_order"``: intp flat
+    indices into the block's product, row l's offset by l * n.
     """
     take = _kernels._WORKSPACE.take
     shape = (thetas.shape[0], X.shape[0])
@@ -267,8 +268,8 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
     at max(n, m)) is projected and sorted (``_project_sorted``), evaluated
     and scattered. With gradients the projections go into the workspace's
     gradient buffers "GA" and "GB", which the kernel writes only after both
-    sorts. The scatter offsets each order in place by its rows' starts in
-    the flattened gradient array, and indexes that array with it.
+    sorts. Each order holds flat indices into its block's rows, so the
+    scatter indexes the flattened rows of the gradient output with it.
     """
     take = _kernels._WORKSPACE.take
     n, m = X.shape[0], Y.shape[0]
@@ -285,8 +286,7 @@ def _eval_slices(X, Y, thetas, cfg: FgwConfig, want_grads: bool):
         costs[rows] = _kernels.cost_batch(a, b, cfg.beta, cfg.exponent, grads=grads)[0]
         if want_grads:
             for g, order, grad in ((gx, order_x, grads[0]), (gy, order_y, grads[1])):
-                order += np.arange(rows.start, rows.stop)[:, None] * g.shape[1]
-                g.reshape(-1)[order] = fold_rows(grad, g.shape[1])
+                g[rows].reshape(-1)[order] = fold_rows(grad, g.shape[1])
     return costs, gx, gy
 
 

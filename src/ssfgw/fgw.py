@@ -124,44 +124,41 @@ def as_point_cloud(points) -> np.ndarray:
 
 def stable_sort_rows(values, out=None):
     """Sort each row of an (L, n) float64 array ascending; returns
-    ``(sorted rows, order)`` with ``order`` equal to ``np.argsort(values,
-    axis=1, kind="stable")``: ties are broken by point index and NaNs go last.
-    ``out`` may give the two (L, n) outputs, float64 and intp, which must not
-    overlap ``values``.
+    ``(sorted rows, order)``. ``order`` holds flat indices into ``values``:
+    row l is ``np.argsort(values, axis=1, kind="stable")[l] + l * n``, so
+    ties are broken by point index, NaNs go last, and
+    ``values.reshape(-1)[order]`` gives the sorted rows. ``out`` may give the
+    two (L, n) outputs, float64 and intp, which must not overlap ``values``.
 
-    Each row is sorted once, as int64 keys built in the order output. A key's
-    high bits are the value's bits mapped so that signed integer order is
-    float order (``x ^ ((x >> 63) & 0x7FFF...)``), and its low
-    ``(n - 1).bit_length()`` bits hold the point index. The keys are
-    distinct, so the order does not depend on numpy's sort algorithm; the
-    low bits give the order, and the values are gathered through it. A row
-    that comes out strictly increasing has distinct values and a single
-    ascending permutation, the stable one. Only the other rows are argsorted
-    again stably and gathered through that order: ties, signed zeros and NaN,
-    and distinct values that agree in the bits the index leaves them.
+    Each row is sorted once, as float64 keys built in the sorted-rows
+    output: a key is the value with its low ``(n - 1).bit_length()`` bits
+    replaced by the point index. The finite keys are distinct, so the order
+    does not depend on numpy's sort algorithm; the low bits give the order,
+    and the values are gathered through it. A row that comes out strictly
+    increasing has distinct values and a single ascending permutation, the
+    stable one. Only the other rows are argsorted again stably and gathered
+    through that order: ties, signed zeros and NaN, and distinct values that
+    agree in the bits the index leaves them. NaN values, and +-inf at a
+    nonzero index, give NaN keys. The sort may write those back as a
+    canonical NaN, whose index reads 0; such a row then repeats index 0 or
+    holds a NaN, so it is redone.
     """
     L, n = values.shape
     ordered, order = out if out is not None else (
         np.empty(values.shape), np.empty(values.shape, dtype=np.intp))
     index_mask = (1 << (n - 1).bit_length()) - 1
-    # ``ordered`` holds the sign masks until the gather overwrites it
-    bits, scratch = values.view(np.int64), ordered.view(np.int64)
-    np.right_shift(bits, 63, out=scratch)
-    np.bitwise_and(scratch, 2**63 - 1, out=scratch)
-    np.bitwise_xor(bits, scratch, out=order)
-    np.bitwise_and(order, ~index_mask, out=order)
-    np.bitwise_or(order, np.arange(n), out=order)
-    order.sort(axis=1)
-    np.bitwise_and(order, index_mask, out=order)
-    offsets = np.arange(0, L * n, n)[:, None]
-    order += offsets
+    keys = ordered.view(np.int64)
+    np.bitwise_and(values.view(np.int64), ~index_mask, out=keys)
+    np.bitwise_or(keys, np.arange(n), out=keys)
+    ordered.sort(axis=1)
+    np.bitwise_and(keys, index_mask, out=order)
+    order += np.arange(0, L * n, n)[:, None]
     # the flat indices are in range; mode="raise" would buffer the output
     np.take(values, order, out=ordered, mode="wrap")
-    order -= offsets
     redo = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
     if redo.any():
         stable = np.argsort(values[redo], axis=1, kind="stable")
-        order[redo] = stable
+        order[redo] = stable + np.flatnonzero(redo)[:, None] * n
         ordered[redo] = np.take_along_axis(values[redo], stable, axis=1)
     return ordered, order
 

@@ -362,6 +362,33 @@ def test_kappas_and_alphas_are_checked_where_they_are_parsed(tmp_path, capsys, a
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["sweep-kappa", "M", "M", "--trials", "0"],
+                 "argument --trials: trials must be >= 1, got '0'", id="sweep-kappa-trials"),
+    pytest.param(["convergence", "--trials", "0"],
+                 "argument --trials: trials must be >= 1, got '0'", id="convergence-trials"),
+    pytest.param(["flow", "M", "--steps", "0"],
+                 "argument --steps: steps must be >= 1, got '0'", id="flow-steps"),
+    pytest.param(["flow", "M", "--snapshot-every", "0"],
+                 "argument --snapshot-every: snapshot_every must be >= 1, got '0'",
+                 id="flow-snapshot-every"),
+    # gmm_fit takes zero steps, and checks --batch against the target size
+    pytest.param(["gmm-fit", "M", "--steps", "-1"],
+                 "argument --steps: steps must be >= 0, got '-1'", id="gmm-fit-steps"),
+    pytest.param(["gmm-fit", "M", "--components", "0"],
+                 "argument --components: k must be >= 1, got '0'", id="gmm-fit-components"),
+    pytest.param(["gmm-fit", "M", "--batch", "0"],
+                 "argument --batch: batch must be >= 1, got '0'", id="gmm-fit-batch"),
+])
+def test_counts_are_checked_where_they_are_parsed(tmp_path, capsys, argv, message):
+    # with the library's rules and minimums, before any input is read: the
+    # files here do not exist, and the error names the flag
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli([missing if arg == "M" else arg for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("command", [["discrepancy", "M", "M"], ["sweep-kappa", "M", "M"]],
                          ids=lambda argv: argv[0])
 @pytest.mark.parametrize("flags, message", [

@@ -87,8 +87,12 @@ def axis_pair(seed, d, n=48, stretch=3.0):
 
 
 def stable_reference(values):
+    # the rows sorted by their stable argsort, and that argsort as flat
+    # indices into values (row l's offset by l * n), as stable_sort_rows
+    # returns it
     order = np.argsort(values, axis=1, kind="stable")
-    return np.take_along_axis(values, order, axis=1), order
+    offsets = np.arange(values.shape[0])[:, None] * values.shape[1]
+    return np.take_along_axis(values, order, axis=1), order + offsets
 
 
 def assert_bitwise(a, b):
@@ -160,9 +164,13 @@ SORT_CASES = {
 def _block_sorted(X, thetas, via="GA"):
     # _project_sorted over the row blocks of thetas, as _eval_slices runs
     # it: each block projected and sorted in the workspace (with its stable
-    # order through ``via``, values alone without), copied out and stacked
-    blocks = [[None if x is None else x.copy() for x in _project_sorted(X, thetas[rows], "x", via)]
-              for rows in discrepancies._row_blocks(thetas.shape[0], X.shape[0])]
+    # order through ``via``, values alone without), copied out and stacked.
+    # A block's order indexes its own rows, so it is offset by the block's
+    # start to index the whole batch.
+    blocks = []
+    for rows in discrepancies._row_blocks(thetas.shape[0], X.shape[0]):
+        values, order = _project_sorted(X, thetas[rows], "x", via)
+        blocks.append((values.copy(), None if order is None else order + rows.start * X.shape[0]))
     return tuple(None if part[0] is None else np.vstack(part) for part in zip(*blocks))
 
 
@@ -349,6 +357,51 @@ def test_sort_paths_agree_on_forced_duplicates(pair):
             a, _ = _kernels.cost_batch(sorted_only, B, 0.3, r_exp)
             b, _ = _kernels.cost_batch(ordered, B, 0.3, r_exp)
             assert_same_costs(a, b)
+
+
+_KEY_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                          1e-310, -1e-310, 2.2250738585072014e-308])
+
+
+def _index_bit_neighbours(value, n):
+    """Every float64 that agrees with ``value`` in each bit above the low
+    (n - 1).bit_length() bits, the bits a sort key gives to the point index."""
+    mask = (1 << (n - 1).bit_length()) - 1
+    high = np.array([value]).view(np.int64) & ~mask
+    return (high | np.arange(mask + 1)).view(np.float64)
+
+
+@st.composite
+def key_rows(draw):
+    """An (L, n) batch at a size around the index-bit boundaries, drawn from
+    a pool of +-0, +-inf, NaN, subnormals and the index-bit neighbours of a
+    finite value and of its negative: with replacement, so ties are common,
+    or, for rows of neighbours alone, without, so rows whose keys collide
+    above the index bits come out strictly increasing too."""
+    n = draw(st.sampled_from([1, 2, 63, 64, 65, 8192, 8193]))
+    L = draw(st.integers(1, 4))
+    base = draw(st.floats(allow_nan=False, allow_infinity=False))
+    near = np.concatenate([_index_bit_neighbours(base, n), _index_bit_neighbours(-base, n)])
+    special_share = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if special_share == 0.0 and draw(st.booleans()):
+        return np.vstack([r.choice(near, size=n, replace=False) for _ in range(L)])
+    specials = r.random((L, n)) < special_share
+    return np.where(specials, r.choice(_KEY_SPECIALS, size=(L, n)), r.choice(near, size=(L, n)))
+
+
+# The NaN-key case: +-inf at a nonzero index (and NaN anywhere) gives a NaN
+# sort key, which the sort may write back without its index, also in rows
+# of otherwise distinct values.
+@example(np.array([[np.inf, -np.inf], [-np.inf, np.inf], [1.0, np.inf], [np.nan, -np.inf]]))
+@example(np.vstack([np.r_[np.arange(63.0), -np.inf, np.inf], np.r_[np.inf, np.arange(63.0), -np.inf]]))
+@given(key_rows())
+def test_float_keys_sort_like_the_stable_argsort(values):
+    ordered, order = stable_sort_rows(values)
+    ref_values, ref_order = stable_reference(values)
+    assert_bitwise(order, ref_order)
+    assert_bitwise(ordered, ref_values)
+    assert_bitwise(ordered, values.reshape(-1)[order])
 
 
 # ---------------------------------------------------------------------------

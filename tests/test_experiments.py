@@ -237,6 +237,16 @@ def test_convergence_rate_validation():
         convergence_rate(2, [10, 20], 3, CFG, 1.0, metric="energy")
 
 
+def test_convergence_checks_d_for_the_ssfg_metric_only():
+    # an ssfg cloud needs d >= 2, and the error names d; the classical
+    # control ignores d, so d = 1 gives the table of any other d
+    with pytest.raises(ValueError, match=r"^d must be >= 2$"):
+        convergence_rate(1, [4, 8], 1, CFG, 1.0)
+    tables = [convergence_rate(d, [4, 8], 2, CFG, 1.0, rng=make_rng(12), metric="w1_control").table
+              for d in (1, 3)]
+    assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: GmmParams(np.zeros((2, 2)), np.zeros((2, 3)), [0.5, 0.5]), ValueError,
                  "means and log_std_devs must share a (k, d) shape", id="gmm-params-shape"),

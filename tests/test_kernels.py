@@ -424,9 +424,10 @@ def test_fused_eval_slices_gives_the_bits_of_two_passes_across_row_blocks():
     B, order_y = stable_sort_rows(thetas @ Y.T)
     c, orients, GA, GB = ds_two_pass(A, B, cfg.beta)
     assert 0 < orients.sum() < orients.size
+    # the orders are flat indices into the (L, n) rows
     gx_ref, gy_ref = np.empty_like(GA), np.empty_like(GB)
-    np.put_along_axis(gx_ref, order_x, GA, axis=1)
-    np.put_along_axis(gy_ref, order_y, GB, axis=1)
+    np.put(gx_ref, order_x, GA)
+    np.put(gy_ref, order_y, GB)
     assert _bits([costs, gx, gy]) == _bits([c, gx_ref, gy_ref])
 
 
@@ -452,8 +453,8 @@ def test_eval_slices_gives_the_bits_of_one_block_above_two_rows_per_budget(n, m,
     c, orients, GA, GB = ds_two_pass(spread_rows(A, k), spread_rows(B, k), cfg.beta)
     assert 0 < orients.sum() < orients.size
     gx_ref, gy_ref = np.empty((L, n)), np.empty((L, m))
-    np.put_along_axis(gx_ref, order_x, fold_rows(GA, n), axis=1)
-    np.put_along_axis(gy_ref, order_y, fold_rows(GB, m), axis=1)
+    np.put(gx_ref, order_x, fold_rows(GA, n))
+    np.put(gy_ref, order_y, fold_rows(GB, m))
     assert _bits([costs, value_only, gx, gy]) == _bits([c, c, gx_ref, gy_ref])
 
 
